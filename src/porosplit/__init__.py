@@ -3,7 +3,7 @@ unsaturated poromechanics (Richards flow coupled with linear elasticity),
 plus the contraction theory of the restarted acceleration on linear
 Richardson iterations."""
 
-from .anderson import AndersonConfig, AndersonWindow, aa_step, mixing_weights
+from .anderson import AndersonConfig, AndersonWindow, mixing_weights
 from .config import ConfigError, ScenarioConfig, load_config
 from .constitutive import (
     PorosityLaw,
@@ -16,7 +16,7 @@ from .constitutive import (
     saturation,
     saturation_derivative,
 )
-from .fem import DiscreteOperators, LinearSystem, assemble, solve_indefinite, solve_spd
+from .fem import DiscreteOperators, SparseFactor, assemble
 from .mesh import RectMesh, build_rect_mesh
 from .model import (
     DenseReducedProblem,

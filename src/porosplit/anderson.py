@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["AndersonConfig", "AndersonWindow", "mixing_weights", "aa_step"]
+__all__ = ["AndersonConfig", "AndersonWindow", "mixing_weights"]
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,3 @@ class AndersonWindow:
         iterate = alpha @ np.vstack(self._images)
         return iterate, alpha, fallback
 
-
-def aa_step(window: AndersonWindow, new_image: np.ndarray,
-            new_increment: np.ndarray) -> np.ndarray:
-    """Advance the window by one fixed-point application and return the
-    accelerated iterate (the unchanged image for depth 0)."""
-    iterate, _, _ = window.push(new_image, new_increment)
-    return iterate

@@ -6,8 +6,9 @@ Verbs:
   richardson  run restarted-acceleration experiments on linear Richardson
   check       quick invariant suite (closed forms, assembly, conservation)
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error.  Solver failures
-(stagnation/divergence in a sweep) are results, not errors.
+Exit codes: 0 success, 1 configuration error or a failing check, 2 I/O
+error.  Solver failures (stagnation/divergence in a sweep) are results, not
+errors.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _cmd_check(args) -> int:
     failures = checks.run_quick_checks(verbose=True)
     print(f"{'FAIL' if failures else 'PASS'}: quick invariant suite "
           f"({failures} failing)")
-    return 0
+    return 1 if failures else 0
 
 
 def main(argv=None) -> int:

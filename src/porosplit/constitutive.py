@@ -5,6 +5,7 @@ Pointwise material laws shared by every linearization scheme:
 * water retention      s_w(p) = (1 + (-a p)^n)^(-(n-1)/n)   for p <= 0, else 1,
 * relative mobility    k_w(s) = (kappa/mu_w) sqrt(s) (1 - (1 - s^(n/(n-1)))^((n-1)/n))^2,
 * equivalent pore pressure  p_E(p) = int_0^p s_w(xi) dxi,   so that dp_E = s_w dp,
+  in closed form through the Gauss hypergeometric function,
 * linear porosity update    phi = phi_0 + alpha d(div u) + (1/N) d(p_E).
 
 All functions accept scalars or numpy arrays and are pure.  Calls to the two
@@ -17,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
+from scipy.special import exprel, hyp2f1
 
 __all__ = [
     "InvalidInput",
-    "QuadratureError",
     "VanGenuchtenModel",
     "PorosityLaw",
     "saturation",
@@ -39,10 +41,6 @@ DERIVATIVE_CAP = 1e12
 
 class InvalidInput(ValueError):
     """Raised for non-finite or out-of-range arguments to a material law."""
-
-
-class QuadratureError(RuntimeError):
-    """Raised when the pore-pressure quadrature does not reach its tolerance."""
 
 
 # Instrumentation: number of calls to derivative evaluators.  The L-scheme
@@ -222,77 +220,65 @@ def mobility_derivative_wrt_p(p, vg: VanGenuchtenModel, cap: float = DERIVATIVE_
 # Equivalent pore pressure
 # ----------------------------------------------------------------------
 #
-# p_E(p) = int_0^p s_w(xi) dxi = p * int_0^1 s_w(p t) dt.  The integrand has a
-# branch point at t = 0 (s_w is only C^1 there for non-integer n_vg), so the
-# unit interval is split into geometrically graded panels accumulating at 0
-# and a Gauss rule is applied per panel.  Nodes are fixed in t-space, which
-# makes p -> p_E(p) an analytic function of p -- finite differences of the
-# residuals stay clean.  A lower-order companion rule on the same panels
-# provides the convergence estimate.
+# With X = (a |p|)^n, p_E(p) = p int_0^1 (1 + X t^n)^(-m) dt
+#                            = p 2F1(m, 1/n; 1 + 1/n; -X)        (p < 0).
+# For X <= 1 scipy's hyp2f1 is accurate to a few ulp.  For X > 1 its
+# large-argument transformation cancels catastrophically near n = 2, where
+# the two connection terms meet in a logarithm (p_E = -asinh(a|p|)/a at
+# n = 2 exactly).  There the substitution u = X t^n / (1 + X t^n) and a
+# split of the u-integral at 1/2 give, with eps = 1 - 2/n and
+# V = 1 / (1 + X) <= 1/2,
+#
+#   p_E = -(C + (2^-eps - V^eps)/eps - V^eps T(V)) / (n a),
+#   T(V) = sum_{k>=1} (m)_k / (k! (k + eps)) V^k,
+#   C = n 2^(-1/n) 2F1(1/n, 2/n; 1 + 1/n; 1/2) + 2^-eps T(1/2),
+#
+# where (2^-eps - V^eps)/eps tends to ln((1 + X)/2) as eps -> 0.  Both branches are analytic in p, so finite
+# differences of the residuals stay clean.
 
-_GRADE_LEVELS = 44
-_GAUSS_HI = 12
-_GAUSS_LO = 8
-
-
-def _panel_rule(order):
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    uppers = 2.0 ** -np.arange(_GRADE_LEVELS)
-    lowers = uppers / 2.0
-    mid = (uppers + lowers) / 2.0
-    half = (uppers - lowers) / 2.0
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    # closing stub [0, 2^-levels] by its midpoint; relative contribution ~1e-14
-    stub = uppers[-1] / 2.0
-    nodes = np.append(nodes, stub / 2.0)
-    weights = np.append(weights, stub)
-    return nodes, weights
+_SERIES_TERMS = 56   # T(V) for V <= 1/2: the dropped tail is below 2^-56 of it
 
 
-_NODES_HI, _WEIGHTS_HI = _panel_rule(_GAUSS_HI)
-_NODES_LO, _WEIGHTS_LO = _panel_rule(_GAUSS_LO)
+def _pore_pressure_suction(pw, vg: VanGenuchtenModel):
+    """p_E on the suction branch p < 0 (see the comment above)."""
+    n, m, a = vg.n_vg, vg.m_vg, vg.a_vg
+    ln_x = n * np.log(-a * pw)
+    out = np.empty_like(pw)
+    near = ln_x <= 0.0
+    out[near] = pw[near] * hyp2f1(m, 1.0 / n, 1.0 + 1.0 / n, -np.exp(ln_x[near]))
+    far = ~near
+    if np.any(far):
+        ln_x = ln_x[far]
+        ln_1px = ln_x + np.log1p(np.exp(-ln_x))
+        eps = 1.0 - 2.0 / n
+        k = np.arange(1, _SERIES_TERMS + 1)
+        coeffs = np.concatenate([[0.0], np.cumprod((m + k - 1.0) / k) / (k + eps)])
+        const = (n * 2.0 ** (-1.0 / n) * hyp2f1(1.0 / n, 2.0 / n, 1.0 + 1.0 / n, 0.5)
+                 + 2.0**-eps * polyval(0.5, coeffs))
+        v_eps = np.exp(-eps * ln_1px)
+        log_half = ln_1px - np.log(2.0)   # ln((1 + X)/2) >= 0
+        # (2^-eps - V^eps)/eps = V^eps L exprel(eps L), L = ln((1 + X)/2);
+        # the exprel form is used where it cannot overflow (always at eps = 0)
+        tame = np.abs(eps) * log_half < 1.0
+        head = np.where(tame, v_eps * log_half * exprel(eps * np.where(tame, log_half, 0.0)),
+                        (2.0**-eps - v_eps) / (eps or 1.0))
+        v = np.exp(-ln_1px)
+        out[far] = -(const + head - v_eps * polyval(v, coeffs)) / (n * a)
+    return out
 
-# nodes^n cached per retention exponent; the per-point powers then reduce to
-# an outer product (a |p|)^n * nodes^n, which dominates the evaluation cost
-_node_pow_cache: dict = {}
 
-
-def _rule_integral(pw, vg, nodes, weights, key):
-    cache_key = (vg.n_vg, key)
-    node_pow = _node_pow_cache.get(cache_key)
-    if node_pow is None:
-        node_pow = nodes**vg.n_vg
-        _node_pow_cache[cache_key] = node_pow
-    xn = (vg.a_vg * np.abs(pw)) ** vg.n_vg
-    with np.errstate(over="ignore", invalid="ignore"):
-        s_nodes = np.exp(-vg.m_vg * np.log1p(xn[:, None] * node_pow[None, :]))
-    return np.nan_to_num(s_nodes, nan=0.0) @ weights
-
-
-def equivalent_pore_pressure(p, vg: VanGenuchtenModel, rtol: float = 1e-10):
+def equivalent_pore_pressure(p, vg: VanGenuchtenModel):
     """Equivalent pore pressure p_E(p) = int_0^p s_w(xi) dxi.
 
-    Exactly p on the saturated branch (s_w = 1 there), continuous at p = 0.
-    Raises QuadratureError if the graded-panel quadrature cannot certify the
-    requested relative tolerance.
+    Exactly p on the saturated branch (s_w = 1 there), continuous at p = 0,
+    and in closed form p 2F1(m, 1/n; 1 + 1/n; -(a|p|)^n) on the suction
+    branch, accurate to a few ulp for every n_vg > 1.
     """
     arr, scalar = _as_array(p)
-    flat = np.atleast_1d(arr).astype(float)
-    out = flat.copy()  # saturated branch: integrand is 1
-    wet = flat < 0.0
+    out = np.array(arr, dtype=float, ndmin=1)  # saturated branch: integrand is 1
+    wet = out < 0.0
     if np.any(wet):
-        pw = flat[wet]
-        hi = _rule_integral(pw, vg, _NODES_HI, _WEIGHTS_HI, "hi")
-        lo = _rule_integral(pw, vg, _NODES_LO, _WEIGHTS_LO, "lo")
-        err = np.abs(hi - lo) / np.maximum(np.abs(hi), 1e-300)
-        if np.any(err > rtol):
-            worst = int(np.argmax(err))
-            raise QuadratureError(
-                f"pore-pressure quadrature reached {err[worst]:.2e} relative "
-                f"at p={pw[worst]:.6g}, requested {rtol:.1e}"
-            )
-        out[wet] = pw * hi
+        out[wet] = _pore_pressure_suction(out[wet], vg)
     out = out.reshape(arr.shape)
     return _maybe_scalar(out, scalar)
 

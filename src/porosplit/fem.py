@@ -9,11 +9,17 @@ elasticity stiffness uses tensor-product 2-point Gauss, which is exact for
 Q1.  Dirichlet data follows the injection scenario: prescribed normal flux
 on every boundary edge, roller supports (u.n = 0) on left/right/bottom,
 traction-free top.
+
+Flux matrices that change every iteration are summed from per-cell 4x4
+blocks onto a free-edge sparsity pattern fixed at assembly
+(``DiscreteOperators.free_flux_matrix``).  Every sparse solve goes through
+``SparseFactor``: an LU with a normwise backward-error contract of 1e-12 and
+iterative refinement, two-sided equilibration for general matrices, and a
+symmetric variant (unit-diagonal scaling, minimum-degree ordering of
+A^T + A, diagonal pivots) for SPD ones.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,12 +29,9 @@ from .mesh import RectMesh
 
 __all__ = [
     "LinearSolveError",
-    "LinearSystem",
     "SparseFactor",
     "DiscreteOperators",
     "assemble",
-    "solve_spd",
-    "solve_indefinite",
 ]
 
 SOLVE_TOL = 1e-12
@@ -45,26 +48,37 @@ class LinearSolveError(RuntimeError):
 class SparseFactor:
     """LU factorization wrapper enforcing the relative-residual contract.
 
-    The matrix is equilibrated (two-sided diagonal scaling) before
+    A general matrix is equilibrated (two-sided diagonal scaling) before
     factorization; mobility-weighted flow blocks can span many orders of
     magnitude between rows, which otherwise stalls the achievable residual.
-    Iterative refinement handles the remaining ill-conditioning.
+    With ``symmetric=True`` the matrix must be symmetric positive definite:
+    it is scaled symmetrically to unit diagonal and factored with a
+    minimum-degree ordering of A^T + A and diagonal pivots, which keeps the
+    fill of a Cholesky factor.  Iterative refinement handles the remaining
+    ill-conditioning in both cases.
     """
 
-    def __init__(self, matrix, tol: float = SOLVE_TOL):
+    def __init__(self, matrix, tol: float = SOLVE_TOL, symmetric: bool = False):
         self.matrix = matrix.tocsc()
         self.tol = tol
-        absm = abs(self.matrix)
-        row_max = absm.max(axis=1).toarray().ravel()
-        self._dr = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
-        scaled = sp.diags_array(self._dr) @ self.matrix
-        col_max = abs(scaled).max(axis=0).toarray().ravel()
-        self._dc = 1.0 / np.sqrt(np.where(col_max > 0, col_max, 1.0))
-        scaled = (scaled @ sp.diags_array(self._dc)).tocsc()
-        self._scaled = scaled
+        options = {}
+        if symmetric:
+            diag = self.matrix.diagonal()
+            if not np.all((diag > 0) & np.isfinite(diag)):
+                raise LinearSolveError("symmetric factorization needs a positive diagonal")
+            self._dr = self._dc = 1.0 / np.sqrt(diag)
+            options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        else:
+            absm = abs(self.matrix)
+            row_max = absm.max(axis=1).toarray().ravel()
+            self._dr = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
+            col_max = abs(sp.diags_array(self._dr) @ self.matrix).max(axis=0).toarray().ravel()
+            self._dc = 1.0 / np.sqrt(np.where(col_max > 0, col_max, 1.0))
+        scaled = (sp.diags_array(self._dr) @ self.matrix @ sp.diags_array(self._dc)).tocsc()
         self._mat_norm = None
         try:
-            self.lu = spla.splu(scaled)
+            self.lu = spla.splu(scaled, **options)
         except RuntimeError as exc:
             raise LinearSolveError(f"factorization failed: {exc}") from exc
 
@@ -97,54 +111,6 @@ class SparseFactor:
         return x
 
 
-@dataclass
-class LinearSystem:
-    """Sparse system with a symmetry/definiteness tag.
-
-    Systems tagged SPD are checked with a randomized symmetry probe on
-    construction; a failing probe is a construction error, not a solve error.
-    """
-
-    matrix: sp.spmatrix
-    spd: bool = False
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"system matrix must be square, got {m.shape}")
-        self.matrix = m.tocsc()
-        if self.spd:
-            rng = np.random.default_rng(1234)
-            x = rng.standard_normal(m.shape[0])
-            y = rng.standard_normal(m.shape[0])
-            ax, ay = self.matrix @ x, self.matrix @ y
-            scale = max(np.linalg.norm(ax) * np.linalg.norm(y), 1e-300)
-            if abs(x @ ay - y @ ax) > 1e-10 * scale:
-                raise ValueError("matrix tagged SPD fails the symmetry probe")
-
-
-def solve_spd(system: LinearSystem, rhs: np.ndarray, tol: float = SOLVE_TOL) -> np.ndarray:
-    """Direct sparse solve of an SPD-tagged system; CG fallback at the same
-    tolerance if the factorization breaks down."""
-    if not system.spd:
-        raise ValueError("solve_spd requires a system tagged SPD")
-    try:
-        return SparseFactor(system.matrix, tol).solve(rhs)
-    except LinearSolveError:
-        x, info = spla.cg(system.matrix, rhs, rtol=tol, atol=0.0)
-        residual = np.linalg.norm(system.matrix @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
-        if info != 0 or residual > tol:
-            raise LinearSolveError(
-                f"CG fallback reached relative residual {residual:.3e}", residual
-            )
-        return x
-
-
-def solve_indefinite(system: LinearSystem, rhs: np.ndarray, tol: float = SOLVE_TOL) -> np.ndarray:
-    """Sparse direct solve (LU with pivoting) for general square systems."""
-    return SparseFactor(system.matrix, tol).solve(rhs)
-
-
 class DiscreteOperators:
     """Assembled mass/divergence/stiffness operators for one mesh.
 
@@ -157,6 +123,8 @@ class DiscreteOperators:
         A_uu: plane-strain elasticity stiffness (unconstrained).
         fixed_q/free_q: constrained/free flux dofs (all boundary edges fixed).
         fixed_u/free_u: constrained/free displacement dofs (rollers).
+        local_flux_mass: per-cell RT0 mass (4x4, cell_edges order).
+        local_divergence: per-cell row of D_pq (cell_edges order).
     """
 
     def __init__(self, mesh: RectMesh, mu: float, lam: float):
@@ -185,10 +153,12 @@ class DiscreteOperators:
             shape=(mesh.n_edges, mesh.n_edges),
         )
 
-        dpq_local = np.array([-mesh.hy, mesh.hy, -mesh.hx, mesh.hx])
+        self.local_divergence = np.array([-mesh.hy, mesh.hy, -mesh.hx, mesh.hx])
+        self.local_flux_mass = np.zeros((4, 4))
+        self.local_flux_mass[:2, :2] = self.local_flux_mass[2:, 2:] = pair_local
         self.D_pq = sp.csr_array(
             (
-                np.tile(dpq_local, nc),
+                np.tile(self.local_divergence, nc),
                 (np.repeat(np.arange(nc), 4), ce.ravel()),
             ),
             shape=(nc, mesh.n_edges),
@@ -221,10 +191,7 @@ class DiscreteOperators:
         self.A_ff = self.A_uu[np.ix_(self.free_u, self.free_u)].tocsc()
         self._elastic_factor = None
 
-        # frequently used column slices
         self.D_pq_f = self.D_pq[:, self.free_q]
-        self.D_pq_b = self.D_pq[:, self.fixed_q]
-        self.D_pu_f = self.D_pu[:, self.free_u]
 
         # scratch index arrays for the weighted flux mass factory
         pat = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
@@ -235,6 +202,23 @@ class DiscreteOperators:
             [ce[:, pair][:, pat[:, 1]].ravel() for pair in ((0, 1), (2, 3))]
         )
         self._wq_local = np.array([1 / 3, 1 / 6, 1 / 6, 1 / 3]) * area
+
+        # fixed CSC pattern of free-flux matrices summed from 4x4 cell
+        # blocks: the kept block entries and their slots in the data array
+        n_free = len(self.free_q)
+        free_index = np.full(mesh.n_edges, -1)
+        free_index[self.free_q] = np.arange(n_free)
+        local = free_index[ce]
+        rows = np.repeat(local, 4, axis=1).ravel()
+        cols = np.tile(local, (1, 4)).ravel()
+        self._ff_keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+        keys, self._ff_slot = np.unique(
+            cols[self._ff_keep] * n_free + rows[self._ff_keep], return_inverse=True
+        )
+        self._ff_indices = keys % n_free
+        self._ff_indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(keys // n_free, minlength=n_free))]
+        )
 
     # -- assembly helpers ------------------------------------------------
 
@@ -300,6 +284,18 @@ class DiscreteOperators:
             (data, (self._wq_rows, self._wq_cols)),
             shape=(self.mesh.n_edges, self.mesh.n_edges),
         )
+
+    def free_flux_matrix(self, blocks: np.ndarray) -> sp.csc_array:
+        """Sum of per-cell 4x4 blocks (nc, 4, 4), rows and columns in
+        cell_edges order, restricted to the free flux dofs.
+
+        The sparsity pattern is fixed at assembly, so only the data array
+        is summed here."""
+        data = np.bincount(self._ff_slot, weights=blocks.reshape(-1)[self._ff_keep],
+                           minlength=len(self._ff_indices))
+        n_free = len(self.free_q)
+        return sp.csc_array((data, self._ff_indices, self._ff_indptr),
+                            shape=(n_free, n_free))
 
     def flux_mass_cell_action(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell local RT0 mass action on q.

@@ -108,10 +108,6 @@ class RectMesh:
         mask[self.all_boundary_edges] = False
         return np.nonzero(mask)[0]
 
-    def outward_sign(self, edges: np.ndarray, side: str) -> float:
-        """Sign relating the global edge orientation to the outward normal."""
-        return {"left": -1.0, "right": 1.0, "bottom": -1.0, "top": 1.0}[side]
-
     def __repr__(self):
         return (
             f"RectMesh({self.nx}x{self.ny}, [0,{self.Lx}]x[0,{self.Ly}], "

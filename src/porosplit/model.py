@@ -281,9 +281,6 @@ class NewtonBlocks:
     """Coupled Jacobian over the free dofs, ordered [p | q_free | u_free]."""
 
     matrix: sp.csr_array
-    n_p: int
-    free_q: np.ndarray
-    free_u: np.ndarray
     derivative_clamped: bool
     parts: _EvalParts
 
@@ -292,20 +289,15 @@ def _mobility_coupling(state: PoroState, params: PhysicsParams,
                        ops: DiscreteOperators):
     """Flux-block coupling d/dp [k_w^{-1}(p)] q = -k_w^{-2} k_w'(p) q.
 
-    Returns the (n_edges x n_cells) sparse block and a clamp flag."""
+    Returns the column of each cell on its own edges, an (n_cells, 4) array
+    in cell_edges order, and a clamp flag."""
     dkdp, clamped = laws.mobility_derivative_wrt_p(state.p, params.vg)
     kw = laws.mobility(np.clip(state.saturation(params), 0.0, 1.0), params.vg)
     with np.errstate(divide="ignore", over="ignore"):
         wcell = -dkdp / kw**2
     wcell[~np.isfinite(wcell)] = 0.0
-    edges, vals = ops.flux_mass_cell_action(state.q)
-    nc = ops.mesh.n_cells
-    block = sp.csr_array(
-        ((wcell[:, None] * vals).ravel(),
-         (edges.ravel(), np.repeat(np.arange(nc), 4))),
-        shape=(ops.mesh.n_edges, nc),
-    )
-    return block, bool(np.any(clamped))
+    _, vals = ops.flux_mass_cell_action(state.q)
+    return wcell[:, None] * vals, bool(np.any(clamped))
 
 
 def newton_blocks(state: PoroState, prev: PoroState, params: PhysicsParams,
@@ -326,7 +318,12 @@ def newton_blocks(state: PoroState, prev: PoroState, params: PhysicsParams,
     dq_f = ops.D_pq[:, ops.free_q]
     dpu_f = ops.D_pu[:, ops.free_u]
     s_diag = sp.diags_array(s)
-    bqp, clamped = _mobility_coupling(state, params, ops)
+    coupling, clamped = _mobility_coupling(state, params, ops)
+    nc = ops.mesh.n_cells
+    bqp = sp.csr_array(
+        (coupling.ravel(), (ops.mesh.cell_edges.ravel(), np.repeat(np.arange(nc), 4))),
+        shape=(ops.mesh.n_edges, nc),
+    )
 
     app = sp.diags_array(cpp)
     apq = params.tau * dq_f
@@ -339,9 +336,6 @@ def newton_blocks(state: PoroState, prev: PoroState, params: PhysicsParams,
     )
     return NewtonBlocks(
         matrix=matrix,
-        n_p=ops.mesh.n_cells,
-        free_q=ops.free_q,
-        free_u=ops.free_u,
         derivative_clamped=clamped,
         parts=parts,
     )

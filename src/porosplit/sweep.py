@@ -55,10 +55,9 @@ class SweepReport:
         raise KeyError((scheme, depth, alpha))
 
 
-def _run_combo(config: ScenarioConfig, scheme_name: str, depth: int, alpha: float):
-    ops = config.operators()
+def _run_combo(config: ScenarioConfig, ops, scheme_name: str, depth: int, alpha: float):
     params = config.params_for(alpha)
-    init = initial_state(config.mesh(), params, config.p0, ops)
+    init = initial_state(ops.mesh, params, config.p0, ops)
     accel = AndersonConfig(depth=depth) if depth > 0 else None
     result = run_transient(config.scheme_config(scheme_name), accel, init, params, ops)
     counts = result.iterations_per_step
@@ -70,6 +69,19 @@ def _run_combo(config: ScenarioConfig, scheme_name: str, depth: int, alpha: floa
                        result.fail_step, None, counts)
     final = result.states[-1] if result.completed else None
     return row, final
+
+
+# operators of the sweep a pool worker runs, built once by _init_worker
+_worker_ops = None
+
+
+def _init_worker(config: ScenarioConfig):
+    global _worker_ops
+    _worker_ops = config.operators()
+
+
+def _run_pooled(config: ScenarioConfig, *combo):
+    return _run_combo(config, _worker_ops, *combo)
 
 
 def _export_fields(config, scheme_name, depth, alpha, state):
@@ -93,21 +105,24 @@ def _export_fields(config, scheme_name, depth, alpha, state):
 def run_sweep(config: ScenarioConfig) -> SweepReport:
     """Run every scheme x depth x alpha combination of the configuration.
 
-    Combinations are independent; with workers > 1 they execute in a
-    process pool.   Solver failures are recorded as data, never raised."""
+    Combinations are independent and share one set of operators (mesh,
+    assembled blocks, elasticity factorization), built once per process:
+    here when serial, once per worker with workers > 1, where they execute
+    in a process pool.  Solver failures are recorded as data, never raised."""
     combos = [
         (scheme, depth, alpha)
         for scheme in config.schemes
         for depth in config.depths
         for alpha in config.alphas
     ]
-    results = []
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_run_combo, config, *combo) for combo in combos]
+        with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker,
+                                 initargs=(config,)) as pool:
+            futures = [pool.submit(_run_pooled, config, *combo) for combo in combos]
             results = [f.result() for f in futures]
     else:
-        results = [_run_combo(config, *combo) for combo in combos]
+        ops = config.operators()
+        results = [_run_combo(config, ops, *combo) for combo in combos]
 
     rows = []
     for (scheme, depth, alpha), (row, final) in zip(combos, results):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from porosplit.anderson import AndersonConfig, AndersonWindow, aa_step, mixing_weights
+from porosplit.anderson import AndersonConfig, AndersonWindow, mixing_weights
 
 
 class TestMixingWeights:
@@ -61,7 +61,7 @@ class TestAndersonWindow:
         window = AndersonWindow(AndersonConfig(depth=0))
         for _ in range(5):
             image = rng.standard_normal(7)
-            out = aa_step(window, image, rng.standard_normal(7))
+            out, _, _ = window.push(image, rng.standard_normal(7))
             assert np.all(out == image)
 
     def test_window_never_exceeds_depth(self, rng):

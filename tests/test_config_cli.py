@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from porosplit import checks
 from porosplit.cli import main
 from porosplit.config import ConfigError, ScenarioConfig, load_config
 from porosplit.export import cell_flux_vectors, write_cell_csv, write_point_csv, write_vtk
@@ -159,8 +160,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "0.5625" in out
 
-    def test_check_verb(self):
+    def test_check_verb(self, monkeypatch):
         assert main(["check"]) == 0
+        monkeypatch.setattr(checks, "run_quick_checks", lambda verbose=False: 1)
+        assert main(["check"]) == 1
 
 
 class TestExport:

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -8,7 +9,6 @@ from porosplit import constitutive as laws
 from porosplit.constitutive import (
     InvalidInput,
     PorosityLaw,
-    QuadratureError,
     VanGenuchtenModel,
     capillary_pressure,
     equivalent_pore_pressure,
@@ -188,11 +188,27 @@ class TestEquivalentPorePressure:
         pe = equivalent_pore_pressure(p, VG_HOELDER)
         assert np.all(np.diff(pe) > 0)
 
-    def test_quadrature_failure_is_reported(self):
-        # steep exponent + huge suction exhausts the graded panel budget
-        steep = VanGenuchtenModel(0.5, 8.0, 1.0, 1.0)
-        with pytest.raises(QuadratureError):
-            equivalent_pore_pressure(-372.76, steep)
+    def test_against_mpmath_oracle(self):
+        # 40-digit reference p 2F1(m, 1/n; 1 + 1/n; -(a|p|)^n); n = 2 is the
+        # degenerate (logarithmic) case of the large-argument expansion, and
+        # (0.5, 8, -372.76) once exhausted a graded-panel quadrature
+        p_values = -np.logspace(-8, 7, 31)
+        cases = [(a, n, p_values)
+                 for n in (1.001, 1.01, 1.4, 1.9, 1.999, 2.0, 2.001, 2.1, 3.0, 5.0, 8.0, 12.0)
+                 for a in (0.1844, 0.627)]
+        cases.append((0.5, 8.0, np.array([-372.76])))
+        worst = 0.0
+        for a, n, ps in cases:
+            vg = VanGenuchtenModel(a, n, 1.0, 1.0)
+            got = equivalent_pore_pressure(ps, vg)
+            with mpmath.workdps(40):
+                am, nm = mpmath.mpf(a), mpmath.mpf(n)
+                for p, value in zip(ps, got):
+                    pm = mpmath.mpf(p)
+                    ref = pm * mpmath.hyp2f1(1 - 1 / nm, 1 / nm, 1 + 1 / nm,
+                                             -(am * -pm) ** nm)
+                    worst = max(worst, float(abs((value - ref) / ref)))
+        assert worst <= 1e-14, worst
 
 
 class TestPorosity:

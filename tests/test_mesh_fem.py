@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from porosplit.fem import (
-    LinearSolveError,
-    LinearSystem,
-    assemble,
-    solve_indefinite,
-    solve_spd,
-)
+from porosplit.fem import LinearSolveError, SparseFactor, assemble
 from porosplit.mesh import MeshAlignmentError, build_rect_mesh
 
 from conftest import LAM, MU
@@ -129,32 +123,31 @@ class TestAssembly:
         ops = assemble(build_rect_mesh(4, 4, 1, 1, 0.25), MU, LAM)
         x = rng.standard_normal(len(ops.free_u))
         assert x @ (ops.A_ff @ x) > 0
-        LinearSystem(ops.A_ff, spd=True)  # symmetry probe passes
+        assert abs(ops.A_ff - ops.A_ff.T).max() <= 1e-14 * abs(ops.A_ff).max()
 
 
 class TestSolvers:
     def test_identity(self):
         r = np.array([3.0, -1.0, 2.0])
-        system = LinearSystem(sp.eye_array(3).tocsr(), spd=True)
-        assert solve_spd(system, r) == pytest.approx(r)
+        assert SparseFactor(sp.eye_array(3), symmetric=True).solve(r) == pytest.approx(r)
 
     def test_diagonal(self):
-        system = LinearSystem(sp.csr_array(np.diag([2.0, 4.0])), spd=True)
-        assert solve_spd(system, np.array([2.0, 4.0])) == pytest.approx([1.0, 1.0])
+        factor = SparseFactor(sp.csr_array(np.diag([2.0, 4.0])), symmetric=True)
+        assert factor.solve(np.array([2.0, 4.0])) == pytest.approx([1.0, 1.0])
 
     def test_swap_system(self):
-        system = LinearSystem(sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])))
-        assert solve_indefinite(system, np.array([1.0, 2.0])) == pytest.approx([2.0, 1.0])
+        factor = SparseFactor(sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        assert factor.solve(np.array([1.0, 2.0])) == pytest.approx([2.0, 1.0])
 
     def test_saddle_block(self):
-        system = LinearSystem(sp.csr_array(np.array([[1.0, 1.0], [1.0, 0.0]])))
-        assert solve_indefinite(system, np.array([2.0, 1.0])) == pytest.approx([1.0, 1.0])
+        factor = SparseFactor(sp.csr_array(np.array([[1.0, 1.0], [1.0, 0.0]])))
+        assert factor.solve(np.array([2.0, 1.0])) == pytest.approx([1.0, 1.0])
 
     def test_random_spd_against_dense_oracle(self, rng):
         b = rng.standard_normal((50, 50))
         a = b @ b.T + 50 * np.eye(50)
         rhs = rng.standard_normal(50)
-        x = solve_spd(LinearSystem(sp.csr_array(a), spd=True), rhs)
+        x = SparseFactor(sp.csr_array(a), symmetric=True).solve(rhs)
         assert np.max(np.abs(x - np.linalg.solve(a, rhs))) < 1e-10
 
     def test_mixed_darcy_against_dense_oracle(self, rng):
@@ -167,20 +160,32 @@ class TestSolvers:
             format="csr",
         )
         rhs = rng.standard_normal(nq + npp)
-        x = solve_indefinite(LinearSystem(block), rhs)
+        x = SparseFactor(block).solve(rhs)
         assert np.max(np.abs(x - np.linalg.solve(block.toarray(), rhs))) < 1e-10
 
     def test_singular_system_raises(self):
         singular = sp.csr_array(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(LinearSolveError):
-            solve_indefinite(LinearSystem(singular), np.array([1.0, 0.0]))
+            SparseFactor(singular).solve(np.array([1.0, 0.0]))
+        with pytest.raises(LinearSolveError):
+            SparseFactor(singular, symmetric=True).solve(np.array([1.0, 0.0]))
 
-    def test_spd_tag_is_probed(self):
-        unsym = sp.csr_array(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            LinearSystem(unsym, spd=True)
+    def test_symmetric_variant_needs_positive_diagonal(self):
+        with pytest.raises(LinearSolveError):
+            SparseFactor(sp.csr_array(np.diag([1.0, -2.0])), symmetric=True)
 
-    def test_solve_spd_requires_tag(self):
-        system = LinearSystem(sp.eye_array(2).tocsr())
-        with pytest.raises(ValueError):
-            solve_spd(system, np.ones(2))
+    def test_free_flux_matrix_matches_sliced_assembly(self, rng):
+        # cell blocks w_c M_c + col_c d^T summed over the free edges equal
+        # the sliced global assembly
+        m = build_rect_mesh(4, 3, 1, 1, 0.25)
+        ops = assemble(m, MU, LAM)
+        w = rng.uniform(0.5, 2.0, m.n_cells)
+        col = rng.standard_normal((m.n_cells, 4))
+        blocks = w[:, None, None] * ops.local_flux_mass + col[:, :, None] * ops.local_divergence
+        cols = sp.csr_array(
+            (col.ravel(), (m.cell_edges.ravel(), np.repeat(np.arange(m.n_cells), 4))),
+            shape=(m.n_edges, m.n_cells),
+        )
+        full = ops.weighted_flux_mass(w) + cols @ ops.D_pq
+        expected = full[ops.free_q][:, ops.free_q].toarray()
+        assert np.abs(ops.free_flux_matrix(blocks).toarray() - expected).max() < 1e-14

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from porosplit import constitutive as laws
 from porosplit.anderson import AndersonConfig
-from porosplit.model import PoroState, initial_state, residuals, settled_initial_state
+from porosplit.fem import LinearSolveError
+from porosplit.model import (
+    PoroState,
+    initial_state,
+    newton_blocks,
+    prescribed_flux,
+    residuals,
+    settled_initial_state,
+)
 from porosplit.schemes import (
     AA_RESTART_FACTOR,
     SchemeConfig,
@@ -149,6 +158,78 @@ class TestSingleIterations:
         )
         assert np.allclose(new_state.p, manual.p, rtol=0, atol=1e-14)
         assert np.allclose(new_state.q, manual.q, rtol=0, atol=1e-14)
+
+
+# L of the FSL cases: the coefficient (L + beta) M_p is positive, resp.
+# negative, as an extrapolated AA iterate can make it in some cells
+FSL_L = {"fsl": 0.05, "fsl_negative": -0.5}
+
+
+class TestReducedFlowSolve:
+    """The split step eliminates the diagonal pressure block and solves for
+    the flux only; its update must equal the mixed saddle solve."""
+
+    @staticmethod
+    def saddle_update(state, prev, params, ops, kind):
+        """(dp, dq) from the full [[C, tau D_f], [A_qp, K_ff]] system."""
+        assert params.inv_n == 0.0
+        beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
+        s = laws.saturation(state.p, params.vg)
+        phi = prev.porosity + params.alpha * (ops.D_pu @ (state.u - prev.u)) / ops.M_p
+        if kind.startswith("fsl"):
+            cpp = ops.M_p * (FSL_L[kind] + beta)
+        else:
+            cpp = ops.M_p * (phi * laws.saturation_derivative(state.p, params.vg)
+                             + beta * s**2)
+        n_p = ops.mesh.n_cells
+        n_qf = len(ops.free_q)
+        if kind == "fsnewton":
+            blocks = newton_blocks(state, prev, params, ops)
+            a_qp = blocks.matrix[n_p:n_p + n_qf, :n_p]
+        else:
+            a_qp = -ops.D_pq[:, ops.free_q].T
+        kinv = ops.weighted_flux_mass(1.0 / laws.mobility(s, params.vg))
+        matrix = sp.block_array(
+            [[sp.diags_array(cpp), params.tau * ops.D_pq[:, ops.free_q]],
+             [a_qp, kinv[ops.free_q][:, ops.free_q]]],
+            format="csc",
+        ).toarray()
+        r_p, r_q, _ = residuals(state, prev, params, ops)
+        dq_fix = prescribed_flux(ops, params, prev.time + params.tau) - state.q[ops.fixed_q]
+        rhs = np.concatenate([
+            r_p - params.tau * (ops.D_pq[:, ops.fixed_q] @ dq_fix),
+            r_q[ops.free_q] - kinv[ops.free_q][:, ops.fixed_q] @ dq_fix,
+        ])
+        sol = np.linalg.solve(matrix, rhs)
+        dq = np.zeros(ops.mesh.n_edges)
+        dq[ops.free_q] = sol[n_p:]
+        dq[ops.fixed_q] = dq_fix
+        return sol[:n_p], dq
+
+    @pytest.mark.parametrize("kind", ["fsl", "fsl_negative", "fsmp", "fsnewton"])
+    @pytest.mark.parametrize("scenario", ["smooth", "hoelder"])
+    def test_matches_the_saddle_solve(self, kind, scenario):
+        mesh, ops, params, init = setup_problem(
+            8, 8, width=0.25, scenario=scenario, alpha=1.0 if scenario == "smooth" else 0.1)
+        # an iterate with q != 0 inside the first step
+        state = init
+        for _ in range(2):
+            state, _, _ = fsl_local_iteration(state, init, params, ops)
+        assert np.abs(state.q).max() > 0
+        dp_ref, dq_ref = self.saddle_update(state, init, params, ops, kind)
+        if kind.startswith("fsl"):
+            new, _, _ = fsl_iteration(state, init, params, ops, L=FSL_L[kind])
+        else:
+            new, _, _ = ITERATIONS[kind](state, init, params, ops)
+        for got, ref in ((new.p - state.p, dp_ref), (new.q - state.q, dq_ref)):
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_singular_pressure_coefficient_raises(self):
+        mesh, ops, params, init = setup_problem(4, 4, width=0.25)
+        beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
+        for L in (-beta, np.nan):
+            with pytest.raises(LinearSolveError, match="cannot be eliminated"):
+                fsl_iteration(init, init, params, ops, L=L)
 
 
 class TestConverged:
