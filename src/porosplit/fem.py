@@ -10,16 +10,21 @@ Q1.  Dirichlet data follows the injection scenario: prescribed normal flux
 on every boundary edge, roller supports (u.n = 0) on left/right/bottom,
 traction-free top.
 
-Flux matrices that change every iteration are summed from per-cell 4x4
-blocks onto a free-edge sparsity pattern fixed at assembly
-(``DiscreteOperators.free_flux_matrix``).  Every sparse solve goes through
-``SparseFactor``: an LU with a normwise backward-error contract of 1e-12 and
-iterative refinement, two-sided equilibration for general matrices, and a
-symmetric variant (unit-diagonal scaling, minimum-degree ordering of
-A^T + A, diagonal pivots) for SPD ones.
+Every sparse matrix is factored in one geometric nested-dissection
+ordering of the free dofs [p | q_free | u_free], computed once per mesh
+(``nested_dissection``); the flux-only and elasticity matrices use its
+restriction to their dofs.  Matrices that change every iteration are summed
+from per-cell entries onto a sparsity pattern built once per mesh, already
+in that ordering (``free_flux_matrix``, ``coupled_matrix``).  Every
+sparse solve goes through ``SparseFactor``: an LU in the given ordering
+with a normwise backward-error contract of 1e-12 and iterative refinement,
+two-sided equilibration and threshold pivoting for general matrices, and a
+symmetric variant (unit-diagonal scaling, diagonal pivots) for SPD ones.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,9 +37,12 @@ __all__ = [
     "SparseFactor",
     "DiscreteOperators",
     "assemble",
+    "nested_dissection",
 ]
 
 SOLVE_TOL = 1e-12
+PIVOT_THRESHOLD = 0.1   # threshold partial pivoting of the general LU
+LEAF_SIZE = 64          # boxes of at most this many dofs are not bisected
 
 
 class LinearSolveError(RuntimeError):
@@ -48,37 +56,44 @@ class LinearSolveError(RuntimeError):
 class SparseFactor:
     """LU factorization wrapper enforcing the relative-residual contract.
 
-    A general matrix is equilibrated (two-sided diagonal scaling) before
-    factorization; mobility-weighted flow blocks can span many orders of
-    magnitude between rows, which otherwise stalls the achievable residual.
-    With ``symmetric=True`` the matrix must be symmetric positive definite:
-    it is scaled symmetrically to unit diagonal and factored with a
-    minimum-degree ordering of A^T + A and diagonal pivots, which keeps the
-    fill of a Cholesky factor.  Iterative refinement handles the remaining
-    ill-conditioning in both cases.
+    ``matrix`` holds the system A with rows and columns in ``order``:
+    matrix[i, j] = A[order[i], order[j]].  SuperLU factors it in that order
+    (no column ordering of its own, symmetric mode); ``solve`` takes and
+    returns vectors in A's numbering.  A general matrix is equilibrated
+    (two-sided diagonal scaling) before factorization, since
+    mobility-weighted flow blocks can span many orders of magnitude between
+    rows, and pivots off the diagonal only when the diagonal entry falls
+    below PIVOT_THRESHOLD times the largest of its column.  With
+    ``symmetric=True`` the matrix must be symmetric positive definite: it is
+    scaled symmetrically to unit diagonal and factored with diagonal pivots,
+    which keeps the fill of a Cholesky factor.  Iterative refinement
+    handles the remaining ill-conditioning in both cases.
     """
 
-    def __init__(self, matrix, tol: float = SOLVE_TOL, symmetric: bool = False):
+    def __init__(self, matrix, order, symmetric: bool = False):
         self.matrix = matrix.tocsc()
-        self.tol = tol
-        options = {}
+        self.matrix.sum_duplicates()  # SuperLU needs sorted row indices
+        self.order = order
         if symmetric:
             diag = self.matrix.diagonal()
             if not np.all((diag > 0) & np.isfinite(diag)):
                 raise LinearSolveError("symmetric factorization needs a positive diagonal")
             self._dr = self._dc = 1.0 / np.sqrt(diag)
-            options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
         else:
             absm = abs(self.matrix)
             row_max = absm.max(axis=1).toarray().ravel()
             self._dr = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
             col_max = abs(sp.diags_array(self._dr) @ self.matrix).max(axis=0).toarray().ravel()
             self._dc = 1.0 / np.sqrt(np.where(col_max > 0, col_max, 1.0))
-        scaled = (sp.diags_array(self._dr) @ self.matrix @ sp.diags_array(self._dc)).tocsc()
+        m = self.matrix
+        scaled = sp.csc_array(
+            (m.data * self._dr[m.indices] * np.repeat(self._dc, np.diff(m.indptr)),
+             m.indices, m.indptr), shape=m.shape)
         self._mat_norm = None
         try:
-            self.lu = spla.splu(scaled, **options)
+            self.lu = spla.splu(scaled, permc_spec="NATURAL",
+                                diag_pivot_thresh=0.0 if symmetric else PIVOT_THRESHOLD,
+                                options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise LinearSolveError(f"factorization failed: {exc}") from exc
 
@@ -95,20 +110,100 @@ class SparseFactor:
         return np.linalg.norm(self.matrix @ x - rhs) / denom
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = self._raw_solve(rhs)
-        if not np.any(rhs):
-            return x
-        residual = self._relative_residual(x, rhs)
-        for _ in range(3):
-            if residual <= self.tol:
-                return x
-            x = x + self._raw_solve(rhs - self.matrix @ x)
-            residual = self._relative_residual(x, rhs)
-        if not residual <= self.tol:
-            raise LinearSolveError(
-                f"direct solve reached relative residual {residual:.3e}", residual
-            )
-        return x
+        """Solve A x = rhs.  The backward error is measured on the ordered
+        matrix: a symmetric permutation leaves its norms unchanged."""
+        b = rhs[self.order]
+        x = self._raw_solve(b)
+        if np.any(b):
+            residual = self._relative_residual(x, b)
+            for _ in range(3):
+                if residual <= SOLVE_TOL:
+                    break
+                x = x + self._raw_solve(b - self.matrix @ x)
+                residual = self._relative_residual(x, b)
+            if not residual <= SOLVE_TOL:
+                raise LinearSolveError(
+                    f"direct solve reached relative residual {residual:.3e}", residual
+                )
+        out = np.empty_like(x)
+        out[self.order] = x
+        return out
+
+
+def nested_dissection(xy: np.ndarray, last: np.ndarray):
+    """Geometric nested-dissection ordering (George, SIAM J. Numer. Anal.
+    1973) of dofs at integer half-grid coordinates ``xy`` (n, 2): cells
+    odd/odd, edges mixed, nodes even/even.
+
+    A box is bisected across its longer side at the node line (even
+    coordinate) nearest its middle.  Every coupling of a P0/RT0/Q1 matrix
+    stays inside one cell's closure, so the dofs on that line separate the
+    two halves exactly; they are ordered after both.  A box of at most
+    LEAF_SIZE dofs is a leaf, ordered with the dofs flagged in ``last``
+    after the others: a pressure dof whose Newton diagonal vanishes
+    (saturated cells, 1/N = 0) then picks up fill from its edges before it
+    is eliminated.
+
+    Returns the order (position -> dof) and the bisections as rows
+    (start, mid, stop) of order positions: the halves are
+    order[start:mid] and order[mid:stop], their separator follows.
+    """
+    pieces, bisections = [], []
+    filled = 0
+
+    def dissect(idx, lo, hi):
+        nonlocal filled
+        if len(idx) > LEAF_SIZE:
+            for axis in ((0, 1) if hi[0] - lo[0] >= hi[1] - lo[1] else (1, 0)):
+                line = 2 * ((lo[axis] + hi[axis] + 2) // 4)
+                if lo[axis] < line < hi[axis]:
+                    coord = xy[idx, axis]
+                    start = filled
+                    dissect(idx[coord < line], lo, {**hi, axis: line - 1})
+                    mid = filled
+                    dissect(idx[coord > line], {**lo, axis: line + 1}, hi)
+                    bisections.append((start, mid, filled))
+                    idx = idx[coord == line]
+                    pieces.append(idx)
+                    filled += len(idx)
+                    return
+        tail = last[idx]
+        pieces.extend((idx[~tail], idx[tail]))
+        filled += len(idx)
+
+    n = len(xy)
+    if n:
+        lo, hi = xy.min(axis=0), xy.max(axis=0)
+        dissect(np.arange(n), {0: lo[0], 1: lo[1]}, {0: hi[0], 1: hi[1]})
+    order = np.concatenate(pieces) if pieces else np.zeros(0, dtype=int)
+    return order, np.array(bisections, dtype=int).reshape(-1, 3)
+
+
+class _FixedPattern:
+    """CSC pattern of an n x n matrix summed from entries at fixed
+    positions (rows, cols); entries at a negative position are dropped.
+    Only the data array is summed per matrix."""
+
+    def __init__(self, rows, cols, n):
+        rows, cols = np.ravel(rows), np.ravel(cols)
+        kept = (rows >= 0) & (cols >= 0)
+        keys, slot = np.unique(cols[kept] * n + rows[kept], return_inverse=True)
+        self.n = n
+        # dropped entries are summed into one spare slot past the end
+        self._slot = np.full(len(rows), len(keys))
+        self._slot[kept] = slot
+        self._indices = keys % n
+        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+
+    def data(self, values: np.ndarray) -> np.ndarray:
+        """Data array of the sum of ``values``, given for the leading
+        entries of the pattern (the others count as zero)."""
+        values = values.ravel()
+        return np.bincount(self._slot[:len(values)], weights=values,
+                           minlength=len(self._indices) + 1)[:-1]
+
+    def matrix(self, data: np.ndarray) -> sp.csc_array:
+        return sp.csc_array((data, self._indices, self._indptr), shape=(self.n, self.n))
 
 
 class DiscreteOperators:
@@ -125,6 +220,13 @@ class DiscreteOperators:
         fixed_u/free_u: constrained/free displacement dofs (rollers).
         local_flux_mass: per-cell RT0 mass (4x4, cell_edges order).
         local_divergence: per-cell row of D_pq (cell_edges order).
+        local_displacement_divergence: per-cell row of D_pu (x then y of the
+            cell_nodes).
+        order: nested-dissection ordering of the coupled free dofs
+            [p | q_free | u_free] (position -> dof), bisections its
+            bisections (see ``nested_dissection``).
+        flux_order/elastic_order: its restrictions to the free flux and
+            free displacement dofs, numbered within them.
     """
 
     def __init__(self, mesh: RectMesh, mu: float, lam: float):
@@ -164,13 +266,14 @@ class DiscreteOperators:
             shape=(nc, mesh.n_edges),
         )
 
-        # integrated Q1 divergence: values per (SW, SE, NE, NW) node
+        # integrated Q1 divergence: values per x then y of (SW, SE, NE, NW)
         cn = mesh.cell_nodes
-        dx_local = np.array([-mesh.hy, mesh.hy, mesh.hy, -mesh.hy]) / 2.0
-        dy_local = np.array([-mesh.hx, -mesh.hx, mesh.hx, mesh.hx]) / 2.0
+        self.local_displacement_divergence = np.array(
+            [-mesh.hy, mesh.hy, mesh.hy, -mesh.hy, -mesh.hx, -mesh.hx, mesh.hx, mesh.hx]
+        ) / 2.0
         rows = np.repeat(np.arange(nc), 8)
         cols = np.concatenate([cn, cn + mesh.n_nodes], axis=1).ravel()
-        vals = np.tile(np.concatenate([dx_local, dy_local]), nc)
+        vals = np.tile(self.local_displacement_divergence, nc)
         self.D_pu = sp.csr_array((vals, (rows, cols)), shape=(nc, 2 * mesh.n_nodes))
 
         self.A_uu = self._assemble_elasticity()
@@ -203,22 +306,33 @@ class DiscreteOperators:
         )
         self._wq_local = np.array([1 / 3, 1 / 6, 1 / 6, 1 / 3]) * area
 
-        # fixed CSC pattern of free-flux matrices summed from 4x4 cell
-        # blocks: the kept block entries and their slots in the data array
-        n_free = len(self.free_q)
-        free_index = np.full(mesh.n_edges, -1)
-        free_index[self.free_q] = np.arange(n_free)
-        local = free_index[ce]
-        rows = np.repeat(local, 4, axis=1).ravel()
-        cols = np.tile(local, (1, 4)).ravel()
-        self._ff_keep = np.flatnonzero((rows >= 0) & (cols >= 0))
-        keys, self._ff_slot = np.unique(
-            cols[self._ff_keep] * n_free + rows[self._ff_keep], return_inverse=True
-        )
-        self._ff_indices = keys % n_free
-        self._ff_indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(keys // n_free, minlength=n_free))]
-        )
+        # one nested-dissection ordering of the coupled free dofs
+        # [p | q_free | u_free]; the flux and elasticity orderings are its
+        # restrictions to their dofs
+        n_p, n_qf = nc, len(self.free_q)
+        nx = mesh.nx
+        c, v, h, k = (np.arange(n) for n in (nc, mesh.n_vedges, mesh.n_hedges, mesh.n_nodes))
+        edge_xy = np.concatenate([np.column_stack([2 * (v % (nx + 1)), 2 * (v // (nx + 1)) + 1]),
+                                  np.column_stack([2 * (h % nx) + 1, 2 * (h // nx)])])
+        node_xy = np.column_stack([2 * (k % (nx + 1)), 2 * (k // (nx + 1))])
+        xy = np.concatenate([np.column_stack([2 * (c % nx) + 1, 2 * (c // nx) + 1]),
+                             edge_xy[self.free_q], np.tile(node_xy, (2, 1))[self.free_u]])
+        # displacement dofs enter node by node, so that within a leaf the x
+        # and y dofs of a node stay adjacent (less elasticity fill)
+        entry = np.concatenate([np.arange(n_p + n_qf), n_p + n_qf + np.lexsort(
+            (self.free_u // mesh.n_nodes, self.free_u % mesh.n_nodes))])
+        order, self.bisections = nested_dissection(xy[entry], entry < n_p)
+        self.order = entry[order]
+        self.flux_order = self.order[(self.order >= n_p) & (self.order < n_p + n_qf)] - n_p
+        self.elastic_order = self.order[self.order >= n_p + n_qf] - n_p - n_qf
+
+        # fixed pattern of free-flux matrices from 4x4 cell blocks, in
+        # flux_order
+        flux_position = np.full(mesh.n_edges, -1)
+        flux_position[self.free_q[self.flux_order]] = np.arange(n_qf)
+        local = flux_position[ce]
+        self._flux_pattern = _FixedPattern(np.repeat(local, 4, axis=1), np.tile(local, (1, 4)),
+                                           n_qf)
 
     # -- assembly helpers ------------------------------------------------
 
@@ -272,6 +386,34 @@ class DiscreteOperators:
         n = 2 * mesh.n_nodes
         return sp.csr_array((vals, (rows, cols)), shape=(n, n))
 
+    @functools.cached_property
+    def _coupled_pattern(self):
+        """Fixed pattern, in ``order``, of the coupled matrices summed from
+        each cell's pressure row and column and weighted flux mass, and the
+        data of the constrained stiffness in it.  Built on first use: only
+        monolithic Newton factors coupled matrices."""
+        mesh = self.mesh
+        n_p, n_e = mesh.n_cells, mesh.n_edges
+        cn = mesh.cell_nodes
+        free = np.concatenate([np.arange(n_p), n_p + self.free_q, n_p + n_e + self.free_u])
+        position = np.full(n_p + n_e + 2 * mesh.n_nodes, -1)
+        position[free[self.order]] = np.arange(len(free))
+        cell = position[np.concatenate([np.arange(n_p)[:, None], n_p + mesh.cell_edges,
+                                        n_p + n_e + cn, n_p + n_e + mesh.n_nodes + cn], axis=1)]
+        pairs = np.nonzero(self.local_flux_mass)
+        stiffness = self.A_ff.tocoo()
+        u_position = position[n_p + n_e + self.free_u]
+        pattern = _FixedPattern(
+            np.concatenate([np.repeat(cell[:, :1], 13, axis=1).ravel(), cell[:, 1:].ravel(),
+                            cell[:, 1 + pairs[0]].ravel(), u_position[stiffness.row]]),
+            np.concatenate([cell.ravel(), np.repeat(cell[:, :1], 12, axis=1).ravel(),
+                            cell[:, 1 + pairs[1]].ravel(), u_position[stiffness.col]]),
+            len(free),
+        )
+        stiffness_data = pattern.data(
+            np.concatenate([np.zeros(n_p * (13 + 12 + len(pairs[0]))), stiffness.data]))
+        return pattern, stiffness_data, self.local_flux_mass[pairs]
+
     # -- factories and solves --------------------------------------------
 
     def weighted_flux_mass(self, cell_weights: np.ndarray) -> sp.csr_array:
@@ -287,15 +429,26 @@ class DiscreteOperators:
 
     def free_flux_matrix(self, blocks: np.ndarray) -> sp.csc_array:
         """Sum of per-cell 4x4 blocks (nc, 4, 4), rows and columns in
-        cell_edges order, restricted to the free flux dofs.
+        cell_edges order, restricted to the free flux dofs; rows and
+        columns in ``flux_order``.
 
         The sparsity pattern is fixed at assembly, so only the data array
         is summed here."""
-        data = np.bincount(self._ff_slot, weights=blocks.reshape(-1)[self._ff_keep],
-                           minlength=len(self._ff_indices))
-        n_free = len(self.free_q)
-        return sp.csc_array((data, self._ff_indices, self._ff_indptr),
-                            shape=(n_free, n_free))
+        return self._flux_pattern.matrix(self._flux_pattern.data(blocks))
+
+    def coupled_matrix(self, p_row: np.ndarray, p_col: np.ndarray,
+                       flux_weights: np.ndarray) -> sp.csc_array:
+        """Matrix over the coupled free dofs [p | q_free | u_free], rows
+        and columns in ``order``: the sum over cells of the pressure row
+        ``p_row`` (nc, 13) over the cell's pressure, its cell_edges and the
+        x then y displacement of its cell_nodes, the pressure column
+        ``p_col`` (nc, 12) over the same dofs but the pressure, and the
+        weighted flux mass flux_weights[c] * local_flux_mass, plus the
+        constrained stiffness A_ff.  Constrained dofs are dropped."""
+        pattern, stiffness_data, mass_pairs = self._coupled_pattern
+        values = np.concatenate([p_row.ravel(), p_col.ravel(),
+                                 np.outer(flux_weights, mass_pairs).ravel()])
+        return pattern.matrix(stiffness_data + pattern.data(values))
 
     def flux_mass_cell_action(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell local RT0 mass action on q.
@@ -320,7 +473,9 @@ class DiscreteOperators:
         """Solve the constrained elasticity system; the factorization is
         computed once and reused (the stiffness never changes)."""
         if self._elastic_factor is None:
-            self._elastic_factor = SparseFactor(self.A_ff)
+            order = self.elastic_order
+            self._elastic_factor = SparseFactor(self.A_ff[order][:, order], order,
+                                                symmetric=True)
         return self._elastic_factor.solve(rhs_free)
 
     # -- norms -------------------------------------------------------------

@@ -96,13 +96,14 @@ class PhysicsParams:
         return int(round(self.T / self.tau))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoroState:
     """Coefficient vectors of one time level (or nonlinear iterate).
 
     Accepted time levels carry the porosity field; working iterates may not.
-    Saturation and pore pressure are evaluated lazily and cached, states are
-    treated as immutable snapshots.
+    States are immutable snapshots: a changed field makes a new state
+    (``dataclasses.replace``).  Saturation and pore pressure are evaluated
+    lazily and cached, or passed in when already known.
     """
 
     p: np.ndarray
@@ -115,12 +116,12 @@ class PoroState:
 
     def saturation(self, params: PhysicsParams) -> np.ndarray:
         if self._sat is None:
-            self._sat = laws.saturation(self.p, params.vg)
+            object.__setattr__(self, "_sat", laws.saturation(self.p, params.vg))
         return self._sat
 
     def pore_pressure(self, params: PhysicsParams) -> np.ndarray:
         if self._pe is None:
-            self._pe = laws.equivalent_pore_pressure(self.p, params.vg)
+            object.__setattr__(self, "_pe", laws.equivalent_pore_pressure(self.p, params.vg))
         return self._pe
 
     def vector(self) -> np.ndarray:
@@ -170,12 +171,11 @@ def initial_state(mesh: RectMesh, params: PhysicsParams, p0: float,
     if params.g != (0.0, 0.0):
         if ops is None:
             raise ValueError("gravity-driven initial flux needs assembled operators")
-        s = laws.saturation(p, params.vg)
-        kinv = ops.weighted_flux_mass(1.0 / laws.mobility(s, params.vg))
+        kinv = 1.0 / laws.mobility(laws.saturation(p, params.vg), params.vg)
         f_q, _ = gravity_loads(ops, params)
         rhs = (f_q + ops.D_pq.T @ p)[ops.free_q]
-        kff = kinv[ops.free_q][:, ops.free_q].tocsc()
-        q[ops.free_q] = SparseFactor(kff).solve(rhs)
+        kff = ops.free_flux_matrix(kinv[:, None, None] * ops.local_flux_mass)
+        q[ops.free_q] = SparseFactor(kff, ops.flux_order, symmetric=True).solve(rhs)
     porosity = np.full(mesh.n_cells, params.law.phi0)
     return PoroState(p=p, q=q, u=u, time=0.0, porosity=porosity)
 
@@ -278,9 +278,10 @@ def _iterate_porosity(state: PoroState, prev: PoroState, params: PhysicsParams,
 
 @dataclass
 class NewtonBlocks:
-    """Coupled Jacobian over the free dofs, ordered [p | q_free | u_free]."""
+    """Coupled Jacobian over the free dofs [p | q_free | u_free], rows and
+    columns in the operators' nested-dissection ``order``."""
 
-    matrix: sp.csr_array
+    matrix: sp.csc_array
     derivative_clamped: bool
     parts: _EvalParts
 
@@ -310,32 +311,18 @@ def newton_blocks(state: PoroState, prev: PoroState, params: PhysicsParams,
     """
     parts = _flow_parts(state, prev, params, ops)
     s = parts.sat
-    area = ops.M_p
     phi_iter = _iterate_porosity(state, prev, params, ops)
-    cpp = area * (phi_iter * laws.saturation_derivative(state.p, params.vg)
-                  + params.inv_n * s**2)
-
-    dq_f = ops.D_pq[:, ops.free_q]
-    dpu_f = ops.D_pu[:, ops.free_u]
-    s_diag = sp.diags_array(s)
+    cpp = ops.M_p * (phi_iter * laws.saturation_derivative(state.p, params.vg)
+                     + params.inv_n * s**2)
     coupling, clamped = _mobility_coupling(state, params, ops)
-    nc = ops.mesh.n_cells
-    bqp = sp.csr_array(
-        (coupling.ravel(), (ops.mesh.cell_edges.ravel(), np.repeat(np.arange(nc), 4))),
-        shape=(ops.mesh.n_edges, nc),
-    )
-
-    app = sp.diags_array(cpp)
-    apq = params.tau * dq_f
-    apu = params.alpha * (s_diag @ dpu_f)
-    aqp = (bqp - ops.D_pq.T)[ops.free_q]
-    aqq = parts.kinv[ops.free_q][:, ops.free_q]
-    aup = -params.alpha * (s_diag @ dpu_f).T
-    matrix = sp.block_array(
-        [[app, apq, apu], [aqp, aqq, None], [aup, None, ops.A_ff]], format="csr"
-    )
+    d = ops.local_divergence
+    apu = params.alpha * s[:, None] * ops.local_displacement_divergence
+    p_row = np.hstack([cpp[:, None], np.broadcast_to(params.tau * d, coupling.shape), apu])
+    p_col = np.hstack([coupling - d, -apu])
+    with np.errstate(divide="ignore"):
+        kinv = 1.0 / parts.mobility
     return NewtonBlocks(
-        matrix=matrix,
+        matrix=ops.coupled_matrix(p_row, p_col, kinv),
         derivative_clamped=clamped,
         parts=parts,
     )

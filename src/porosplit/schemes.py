@@ -40,7 +40,7 @@ iterate with |alpha|_1 > 10 stalls that run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -210,7 +210,7 @@ def _flow_solve(state, params, ops, parts, cpp, coupling, t_new):
                          weights=(arm * (rhs_p / cpp)[:, None]).ravel(),
                          minlength=ops.mesh.n_edges)
     spd = coupling is None and np.all(cpp > 0.0)
-    factor = SparseFactor(ops.free_flux_matrix(blocks), symmetric=spd)
+    factor = SparseFactor(ops.free_flux_matrix(blocks), ops.flux_order, symmetric=spd)
     dq_free = factor.solve(rhs_q + pushed[ops.free_q])
     dq[ops.free_q] = dq_free
     dp = (rhs_p - params.tau * (ops.D_pq_f @ dq_free)) / cpp
@@ -223,9 +223,7 @@ def _mech_step(p_new, q_new, u_old, params, ops, t_new):
     r_u = _mech_residual(trial, u_old, params, ops)
     du = np.zeros_like(u_old)
     du[ops.free_u] = ops.elastic_solve(r_u[ops.free_u])
-    state = PoroState(p=p_new, q=q_new, u=u_old + du, time=t_new)
-    state._sat = trial._sat
-    state._pe = trial._pe
+    state = replace(trial, u=u_old + du)
     return state, du, r_u
 
 
@@ -307,7 +305,7 @@ def newton_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
     r_u = _mech_residual(state, state.u, params, ops)
     dq, rhs_p, rhs_q = _flow_rhs(state, params, ops, parts, t_new)
     rhs = np.concatenate([rhs_p, rhs_q, r_u[ops.free_u]])
-    sol = SparseFactor(blocks.matrix).solve(rhs)
+    sol = SparseFactor(blocks.matrix, ops.order).solve(rhs)
 
     n_p = ops.mesh.n_cells
     n_qf = len(ops.free_q)
@@ -438,10 +436,10 @@ def run_time_step(scheme: SchemeConfig, accel: AndersonConfig | None,
 
     pe_new = accepted.pore_pressure(params) if params.inv_n != 0.0 else None
     pe_prev = prev.pore_pressure(params) if params.inv_n != 0.0 else None
-    accepted.porosity = prev.porosity + porosity_increment(
+    porosity = prev.porosity + porosity_increment(
         accepted.u, prev.u, pe_new, pe_prev, params, ops
     )
-    return accepted, report
+    return replace(accepted, porosity=porosity), report
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from porosplit.constitutive import PorosityLaw, VanGenuchtenModel
 from porosplit.fem import assemble
@@ -43,6 +44,13 @@ def setup_problem(nx, ny, alpha=1.0, width=0.2, scenario="smooth", **kw):
         params = hoelder_params(alpha=alpha, **kw)
         init = initial_state(mesh, params, P0_HOELDER, ops)
     return mesh, ops, params, init
+
+
+def natural(matrix, order):
+    """A matrix given in ``order`` (matrix[i, j] = A[order[i], order[j]])
+    back in A's numbering."""
+    rank = np.argsort(order)
+    return sp.csr_array(matrix)[rank][:, rank]
 
 
 @pytest.fixture(scope="session")

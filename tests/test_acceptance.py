@@ -34,7 +34,7 @@ from porosplit.model import (
 )
 from porosplit.schemes import SchemeConfig, fixed_stress_beta, run_transient
 
-from conftest import LAM, MU, P0_HOELDER, P0_SMOOTH, VG_SMOOTH, setup_problem
+from conftest import LAM, MU, P0_HOELDER, P0_SMOOTH, VG_SMOOTH, natural, setup_problem
 
 PLAIN_SCHEMES = ("newton", "fsnewton", "fsmp", "fsl")
 ALPHAS = (0.1, 0.5, 1.0)
@@ -260,7 +260,7 @@ def test_criterion_06_jacobian_validity():
         dp = rng.standard_normal(mesh.n_cells)
         dqf = rng.standard_normal(len(ops.free_q))
         duf = rng.standard_normal(len(ops.free_u))
-        action = blocks.matrix @ np.concatenate([dp, dqf, duf])
+        action = natural(blocks.matrix, ops.order) @ np.concatenate([dp, dqf, duf])
 
         def shifted(sign):
             qq = q.copy()

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from porosplit import constitutive as laws
 from porosplit.fem import LinearSolveError, SparseFactor, assemble
 from porosplit.mesh import MeshAlignmentError, build_rect_mesh
+from porosplit.model import newton_blocks
+from porosplit.schemes import fixed_stress_beta, fsl_local_iteration
 
-from conftest import LAM, MU
+from conftest import LAM, MU, natural, setup_problem
 
 
 class TestMesh:
@@ -129,25 +133,26 @@ class TestAssembly:
 class TestSolvers:
     def test_identity(self):
         r = np.array([3.0, -1.0, 2.0])
-        assert SparseFactor(sp.eye_array(3), symmetric=True).solve(r) == pytest.approx(r)
+        assert SparseFactor(sp.eye_array(3), np.arange(3), symmetric=True).solve(r) \
+            == pytest.approx(r)
 
     def test_diagonal(self):
-        factor = SparseFactor(sp.csr_array(np.diag([2.0, 4.0])), symmetric=True)
+        factor = SparseFactor(sp.csr_array(np.diag([2.0, 4.0])), np.arange(2), symmetric=True)
         assert factor.solve(np.array([2.0, 4.0])) == pytest.approx([1.0, 1.0])
 
     def test_swap_system(self):
-        factor = SparseFactor(sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        factor = SparseFactor(sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])), np.arange(2))
         assert factor.solve(np.array([1.0, 2.0])) == pytest.approx([2.0, 1.0])
 
     def test_saddle_block(self):
-        factor = SparseFactor(sp.csr_array(np.array([[1.0, 1.0], [1.0, 0.0]])))
+        factor = SparseFactor(sp.csr_array(np.array([[1.0, 1.0], [1.0, 0.0]])), np.arange(2))
         assert factor.solve(np.array([2.0, 1.0])) == pytest.approx([1.0, 1.0])
 
     def test_random_spd_against_dense_oracle(self, rng):
         b = rng.standard_normal((50, 50))
         a = b @ b.T + 50 * np.eye(50)
         rhs = rng.standard_normal(50)
-        x = SparseFactor(sp.csr_array(a), symmetric=True).solve(rhs)
+        x = SparseFactor(sp.csr_array(a), np.arange(50), symmetric=True).solve(rhs)
         assert np.max(np.abs(x - np.linalg.solve(a, rhs))) < 1e-10
 
     def test_mixed_darcy_against_dense_oracle(self, rng):
@@ -160,19 +165,21 @@ class TestSolvers:
             format="csr",
         )
         rhs = rng.standard_normal(nq + npp)
-        x = SparseFactor(block).solve(rhs)
+        # factored in a shuffled order; solve works in the block's numbering
+        order = rng.permutation(nq + npp)
+        x = SparseFactor(block[order][:, order], order).solve(rhs)
         assert np.max(np.abs(x - np.linalg.solve(block.toarray(), rhs))) < 1e-10
 
     def test_singular_system_raises(self):
         singular = sp.csr_array(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(LinearSolveError):
-            SparseFactor(singular).solve(np.array([1.0, 0.0]))
+            SparseFactor(singular, np.arange(2)).solve(np.array([1.0, 0.0]))
         with pytest.raises(LinearSolveError):
-            SparseFactor(singular, symmetric=True).solve(np.array([1.0, 0.0]))
+            SparseFactor(singular, np.arange(2), symmetric=True).solve(np.array([1.0, 0.0]))
 
     def test_symmetric_variant_needs_positive_diagonal(self):
         with pytest.raises(LinearSolveError):
-            SparseFactor(sp.csr_array(np.diag([1.0, -2.0])), symmetric=True)
+            SparseFactor(sp.csr_array(np.diag([1.0, -2.0])), np.arange(2), symmetric=True)
 
     def test_free_flux_matrix_matches_sliced_assembly(self, rng):
         # cell blocks w_c M_c + col_c d^T summed over the free edges equal
@@ -188,4 +195,83 @@ class TestSolvers:
         )
         full = ops.weighted_flux_mass(w) + cols @ ops.D_pq
         expected = full[ops.free_q][:, ops.free_q].toarray()
-        assert np.abs(ops.free_flux_matrix(blocks).toarray() - expected).max() < 1e-14
+        got = natural(ops.free_flux_matrix(blocks), ops.flux_order).toarray()
+        assert np.abs(got - expected).max() < 1e-14
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 4), (5, 3), (8, 8)])
+    def test_orderings_are_permutations(self, nx, ny):
+        ops = assemble(build_rect_mesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
+        n_p, n_qf, n_uf = ops.mesh.n_cells, len(ops.free_q), len(ops.free_u)
+        for order, n in ((ops.order, n_p + n_qf + n_uf), (ops.flux_order, n_qf),
+                         (ops.elastic_order, n_uf)):
+            assert np.array_equal(np.sort(order), np.arange(n))
+
+    @pytest.mark.parametrize("nx, ny", [(8, 8), (16, 5)])
+    def test_no_entry_couples_the_halves_of_a_bisection(self, nx, ny, rng):
+        mesh = build_rect_mesh(nx, ny, 1.0, 1.0, 1.0)
+        ops = assemble(mesh, MU, LAM)
+        nc, n_qf = mesh.n_cells, len(ops.free_q)
+        coupled = ops.coupled_matrix(rng.uniform(1.0, 2.0, (nc, 13)),
+                                     rng.uniform(1.0, 2.0, (nc, 12)), rng.uniform(1.0, 2.0, nc))
+        flux = ops.free_flux_matrix(rng.uniform(1.0, 2.0, (nc, 4, 4)))
+        # nonzero positions of each pattern in the coupled numbering
+        # [p | q_free | u_free]
+        entries = [
+            (np.asarray(i) + offset, np.asarray(j) + offset)
+            for (i, j), offset in ((natural(coupled, ops.order).nonzero(), 0),
+                                   (natural(flux, ops.flux_order).nonzero(), nc),
+                                   (ops.A_ff.nonzero(), nc + n_qf))
+        ]
+        assert len(ops.bisections) >= 3
+        for start, mid, stop in ops.bisections:
+            side = np.zeros(len(ops.order), dtype=int)
+            side[ops.order[start:mid]] = 1
+            side[ops.order[mid:stop]] = 2
+            for rows, cols in entries:
+                assert not np.any(side[rows] * side[cols] == 2)
+
+    def test_fill_no_larger_than_with_superlu_orderings(self):
+        # 25x25 test1 at an iterate inside the first step: the FSL flux-only
+        # matrix, the Newton matrix and the constrained stiffness
+        mesh, ops, params, init = setup_problem(25, 25)
+        state = init
+        for _ in range(2):
+            state, _, _ = fsl_local_iteration(state, init, params, ops)
+        kinv = 1.0 / laws.mobility(state.saturation(params), params.vg)
+        cpp = ops.M_p * fixed_stress_beta(params.mu, params.lam, params.alpha)
+        d = ops.local_divergence
+        flux = ops.free_flux_matrix(kinv[:, None, None] * ops.local_flux_mass
+                                    + (params.tau / cpp)[:, None, None] * np.outer(d, d))
+        eo = ops.elastic_order
+        cases = [
+            (flux, ops.flux_order, True),
+            (newton_blocks(state, init, params, ops).matrix, ops.order, False),
+            (ops.A_ff[eo][:, eo], eo, True),
+        ]
+        for matrix, order, symmetric in cases:
+            lu = SparseFactor(matrix, order, symmetric=symmetric).lu
+            a = natural(matrix, order).tocsc()
+            options = {}
+            if symmetric:
+                scale = sp.diags_array(1.0 / np.sqrt(a.diagonal()))
+                a = (scale @ a @ scale).tocsc()
+                options = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            own = min(lu_own.L.nnz + lu_own.U.nnz for lu_own in (
+                spla.splu(a, permc_spec=spec, **options) for spec in ("COLAMD", "MMD_AT_PLUS_A")))
+            assert lu.L.nnz + lu.U.nnz <= own
+
+    def test_backward_error_holds_in_the_original_numbering(self, rng):
+        m = build_rect_mesh(12, 10, 1, 1, 0.25)
+        ops = assemble(m, MU, LAM)
+        d = ops.local_divergence
+        blocks = (rng.uniform(0.5, 2.0, m.n_cells)[:, None, None] * ops.local_flux_mass
+                  + rng.uniform(1.0, 1e3, m.n_cells)[:, None, None] * np.outer(d, d))
+        matrix = ops.free_flux_matrix(blocks)
+        rhs = rng.standard_normal(len(ops.free_q))
+        x = SparseFactor(matrix, ops.flux_order, symmetric=True).solve(rhs)
+        a = natural(matrix, ops.flux_order)
+        error = np.linalg.norm(a @ x - rhs) / (
+            np.linalg.norm(rhs) + abs(a).sum(axis=1).max() * np.linalg.norm(x))
+        assert error <= 1e-12

@@ -1,5 +1,8 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import sympy
 
 from porosplit import constitutive as laws
@@ -9,6 +12,7 @@ from porosplit.model import (
     PoroState,
     ScaleGuardError,
     dense_reduced,
+    gravity_loads,
     inflow_rate,
     initial_state,
     newton_blocks,
@@ -16,7 +20,12 @@ from porosplit.model import (
     settled_initial_state,
     volume_conservation_gap,
 )
-from porosplit.schemes import SchemeConfig, run_time_step, run_transient
+from porosplit.schemes import (
+    SchemeConfig,
+    fsl_local_iteration,
+    run_time_step,
+    run_transient,
+)
 
 from conftest import (
     LAM,
@@ -24,6 +33,7 @@ from conftest import (
     P0_HOELDER,
     P0_SMOOTH,
     hoelder_params,
+    natural,
     setup_problem,
     smooth_params,
 )
@@ -44,6 +54,23 @@ class TestInitialState:
     def test_no_gravity_gives_zero_flux(self):
         mesh, ops, params, init = setup_problem(4, 4, width=0.25)
         assert np.all(init.q == 0.0)
+
+    def test_gravity_flux_satisfies_darcy(self):
+        mesh = build_rect_mesh(6, 5, 1.0, 1.0, 0.5)
+        ops = assemble(mesh, MU, LAM)
+        params = replace(smooth_params(), g=(0.3, -1.0))
+        init = initial_state(mesh, params, P0_SMOOTH, ops)
+        f_q, _ = gravity_loads(ops, params)
+        kinv = ops.weighted_flux_mass(1.0 / laws.mobility(init.saturation(params), params.vg))
+        defect = (f_q - kinv @ init.q + ops.D_pq.T @ init.p)[ops.free_q]
+        assert np.abs(init.q).max() > 0
+        assert np.all(init.q[ops.fixed_q] == 0.0)
+        assert np.linalg.norm(defect) <= 1e-12 * np.linalg.norm(f_q[ops.free_q])
+
+    def test_states_are_immutable(self):
+        mesh, ops, params, init = setup_problem(2, 2, width=0.5)
+        with pytest.raises(FrozenInstanceError):
+            init.porosity = None
 
 
 class TestInflowRate:
@@ -174,7 +201,7 @@ class TestNewtonBlocks:
             dp = rng.standard_normal(mesh.n_cells)
             dqf = rng.standard_normal(len(ops.free_q))
             duf = rng.standard_normal(len(ops.free_u))
-            action = blocks.matrix @ np.concatenate([dp, dqf, duf])
+            action = natural(blocks.matrix, ops.order) @ np.concatenate([dp, dqf, duf])
 
             h = 1e-7
 
@@ -202,7 +229,7 @@ class TestNewtonBlocks:
         state = PoroState(p=np.full(mesh.n_cells, 5.0), q=np.zeros(mesh.n_edges),
                           u=np.zeros(2 * mesh.n_nodes), time=params.tau)
         blocks = newton_blocks(state, prev, params, ops)
-        diag = blocks.matrix.diagonal()[: mesh.n_cells]
+        diag = natural(blocks.matrix, ops.order).diagonal()[: mesh.n_cells]
         assert diag == pytest.approx(0.25 * ops.M_p, rel=1e-14)
 
     def test_elasticity_block_is_state_independent(self, rng):
@@ -215,8 +242,41 @@ class TestNewtonBlocks:
         )
         blocks = newton_blocks(state, init, params, ops)
         n_p, n_qf = mesh.n_cells, len(ops.free_q)
-        uu = blocks.matrix[n_p + n_qf:, n_p + n_qf:]
+        uu = natural(blocks.matrix, ops.order)[n_p + n_qf:, n_p + n_qf:]
         assert abs(uu - ops.A_ff).max() < 1e-14
+
+    @pytest.mark.parametrize("scenario", ["smooth", "hoelder"])
+    def test_matches_block_assembly(self, scenario):
+        # the fixed-pattern Jacobian against a block_array assembly of the
+        # same blocks, at an iterate with q != 0 inside the first step
+        mesh, ops, params, init = setup_problem(
+            4, 3, width=0.25, scenario=scenario, alpha=1.0 if scenario == "smooth" else 0.1)
+        state = init
+        for _ in range(2):
+            state, _, _ = fsl_local_iteration(state, init, params, ops)
+        assert np.abs(state.q).max() > 0
+        blocks = newton_blocks(state, init, params, ops)
+
+        s = state.saturation(params)
+        phi = init.porosity + params.alpha * (ops.D_pu @ (state.u - init.u)) / ops.M_p
+        cpp = ops.M_p * (phi * laws.saturation_derivative(state.p, params.vg)
+                         + params.inv_n * s**2)
+        kw = laws.mobility(np.clip(s, 0.0, 1.0), params.vg)
+        dkdp, _ = laws.mobility_derivative_wrt_p(state.p, params.vg)
+        weight = np.nan_to_num(-dkdp / kw**2, nan=0.0, posinf=0.0, neginf=0.0)
+        # column c: d/dp_c of k_w^{-1}(p_c) M_c q
+        bqp = np.column_stack([ops.weighted_flux_mass(weight * (np.arange(mesh.n_cells) == c))
+                               @ state.q for c in range(mesh.n_cells)])
+        free_q, free_u = ops.free_q, ops.free_u
+        dq_f = ops.D_pq[:, free_q]
+        apu = params.alpha * (sp.diags_array(s) @ ops.D_pu[:, free_u])
+        kinv = ops.weighted_flux_mass(1.0 / kw)
+        expected = sp.block_array(
+            [[sp.diags_array(cpp), params.tau * dq_f, apu],
+             [sp.csr_array(bqp[free_q]) - dq_f.T, kinv[free_q][:, free_q], None],
+             [-apu.T, None, ops.A_ff]], format="csr").toarray()
+        got = natural(blocks.matrix, ops.order).toarray()
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_clamped_derivative_is_flagged(self):
         mesh = build_rect_mesh(2, 2, 1.0, 1.0, 0.5)
@@ -241,9 +301,9 @@ class TestVolumeConservation:
             state = PoroState(p=p, q=np.zeros(mesh.n_edges), u=u, time=params.tau)
             from porosplit.model import porosity_increment
 
-            state.porosity = init.porosity + porosity_increment(
+            state = replace(state, porosity=init.porosity + porosity_increment(
                 state.u, init.u, None, None, params, ops
-            )
+            ))
             gap = volume_conservation_gap(state, init, params, ops)
             assert np.max(np.abs(gap)) <= 1e-13
 
@@ -256,10 +316,10 @@ class TestVolumeConservation:
         u = np.zeros(2 * mesh.n_nodes)
         u[ops.free_u] = rng.normal(0.0, 0.02, len(ops.free_u))
         state = PoroState(p=p, q=np.zeros(mesh.n_edges), u=u, time=params.tau)
-        state.porosity = init.porosity + porosity_increment(
+        state = replace(state, porosity=init.porosity + porosity_increment(
             state.u, init.u, state.pore_pressure(params), init.pore_pressure(params),
             params, ops,
-        )
+        ))
         assert np.max(np.abs(volume_conservation_gap(state, init, params, ops))) <= 1e-13
 
     def test_identity_along_a_run(self):

@@ -28,7 +28,7 @@ from porosplit.schemes import (
     run_transient,
 )
 
-from conftest import LAM, MU, P0_SMOOTH, VG_SMOOTH, setup_problem, smooth_params
+from conftest import LAM, MU, P0_SMOOTH, VG_SMOOTH, natural, setup_problem, smooth_params
 
 
 class TestFixedStressBeta:
@@ -185,7 +185,7 @@ class TestReducedFlowSolve:
         n_qf = len(ops.free_q)
         if kind == "fsnewton":
             blocks = newton_blocks(state, prev, params, ops)
-            a_qp = blocks.matrix[n_p:n_p + n_qf, :n_p]
+            a_qp = natural(blocks.matrix, ops.order)[n_p:n_p + n_qf, :n_p]
         else:
             a_qp = -ops.D_pq[:, ops.free_q].T
         kinv = ops.weighted_flux_mass(1.0 / laws.mobility(s, params.vg))
