@@ -17,12 +17,11 @@ from .constitutive import (
     saturation_derivative,
 )
 from .fem import DiscreteOperators, SparseFactor, assemble
-from .mesh import RectMesh, build_rect_mesh
+from .mesh import RectMesh
 from .model import (
     DenseReducedProblem,
     PhysicsParams,
     PoroState,
-    dense_reduced,
     inflow_rate,
     initial_state,
     newton_blocks,

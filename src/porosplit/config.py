@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from .constitutive import PorosityLaw, VanGenuchtenModel
 from .fem import assemble
-from .mesh import build_rect_mesh
+from .mesh import RectMesh
 from .model import PhysicsParams
 from .schemes import SchemeConfig
 
@@ -110,7 +110,7 @@ class ScenarioConfig:
         return mu, lam
 
     def mesh(self):
-        return build_rect_mesh(self.nx, self.ny, self.Lx, self.Ly, self.inflow_width)
+        return RectMesh(self.nx, self.ny, self.Lx, self.Ly, self.inflow_width)
 
     def operators(self):
         mu, lam = self.lame

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MeshAlignmentError", "RectMesh", "build_rect_mesh"]
+__all__ = ["MeshAlignmentError", "RectMesh"]
 
 
 class MeshAlignmentError(ValueError):
@@ -27,6 +27,9 @@ class MeshAlignmentError(ValueError):
 
 
 class RectMesh:
+    """Uniform rectangular grid with the top strip x in [0, inflow_width]
+    tagged as inflow.  The strip must align with cell edges."""
+
     def __init__(self, nx: int, ny: int, Lx: float, Ly: float, inflow_width: float):
         if nx < 1 or ny < 1:
             raise ValueError("nx and ny must be >= 1")
@@ -102,20 +105,8 @@ class RectMesh:
         self.bottom_nodes = np.arange(self.nx + 1)
         self.top_nodes = self.ny * (self.nx + 1) + np.arange(self.nx + 1)
 
-    @property
-    def interior_edges(self) -> np.ndarray:
-        mask = np.ones(self.n_edges, dtype=bool)
-        mask[self.all_boundary_edges] = False
-        return np.nonzero(mask)[0]
-
     def __repr__(self):
         return (
             f"RectMesh({self.nx}x{self.ny}, [0,{self.Lx}]x[0,{self.Ly}], "
             f"inflow_width={self.inflow_width})"
         )
-
-
-def build_rect_mesh(nx, ny, Lx, Ly, inflow_width) -> RectMesh:
-    """Uniform rectangular grid with the top strip x in [0, inflow_width]
-    tagged as inflow.  The strip must align with cell edges."""
-    return RectMesh(nx, ny, Lx, Ly, inflow_width)

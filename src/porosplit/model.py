@@ -48,11 +48,15 @@ __all__ = [
     "prescribed_flux",
     "gravity_loads",
     "residuals",
+    "FlowParts",
+    "flow_parts",
+    "mech_residual",
+    "pressure_coefficient",
+    "mobility_coupling",
     "NewtonBlocks",
     "newton_blocks",
     "volume_conservation_gap",
     "DenseReducedProblem",
-    "dense_reduced",
 ]
 
 
@@ -205,15 +209,14 @@ def settled_initial_state(mesh: RectMesh, params: PhysicsParams, p0: float,
 
 
 @dataclass
-class _EvalParts:
-    """Shared intermediates of one residual evaluation."""
+class FlowParts:
+    """Shared intermediates of one flow residual evaluation."""
 
     sat: np.ndarray
     mobility: np.ndarray
     kinv: sp.csr_array          # mobility-weighted RT0 mass, all dofs
     r_p: np.ndarray
     r_q: np.ndarray             # constrained rows zeroed
-    pe: np.ndarray | None = None
 
 
 def _check_finite(vec: np.ndarray, what: str):
@@ -222,14 +225,14 @@ def _check_finite(vec: np.ndarray, what: str):
         raise ResidualError(f"non-finite {what} at index {cell}")
 
 
-def _flow_parts(state: PoroState, prev: PoroState, params: PhysicsParams,
-                ops: DiscreteOperators) -> _EvalParts:
+def flow_parts(state: PoroState, prev: PoroState, params: PhysicsParams,
+               ops: DiscreteOperators) -> FlowParts:
+    """Mass and Darcy residuals at ``state`` with their intermediates."""
     s = state.saturation(params)
     s_prev = prev.saturation(params)
     area = ops.M_p
     storage = area * prev.porosity * (s - s_prev)
     coupling = params.alpha * s * (ops.D_pu @ (state.u - prev.u))
-    pe = None
     if params.inv_n != 0.0:
         pe = state.pore_pressure(params)
         storage = storage + params.inv_n * area * s * (pe - prev.pore_pressure(params))
@@ -243,11 +246,11 @@ def _flow_parts(state: PoroState, prev: PoroState, params: PhysicsParams,
     r_q = f_q - (kinv @ state.q - ops.D_pq.T @ state.p)
     r_q[ops.fixed_q] = 0.0
     _check_finite(r_q, "flux residual")
-    return _EvalParts(sat=s, mobility=kw, kinv=kinv, r_p=r_p, r_q=r_q, pe=pe)
+    return FlowParts(sat=s, mobility=kw, kinv=kinv, r_p=r_p, r_q=r_q)
 
 
-def _mech_residual(p_state: PoroState, u: np.ndarray, params: PhysicsParams,
-                   ops: DiscreteOperators) -> np.ndarray:
+def mech_residual(p_state: PoroState, u: np.ndarray, params: PhysicsParams,
+                  ops: DiscreteOperators) -> np.ndarray:
     """Momentum residual at the given displacement and p_state's pressure."""
     pe = p_state.pore_pressure(params)
     _, f_u = gravity_loads(ops, params)
@@ -262,8 +265,8 @@ def residuals(state: PoroState, prev: PoroState, params: PhysicsParams,
     """Residual vectors (r_p, r_q, r_u) of the coupled step at ``state``,
     with the porosity frozen at ``prev``.  Rows of constrained flux and
     displacement dofs are zeroed."""
-    parts = _flow_parts(state, prev, params, ops)
-    r_u = _mech_residual(state, state.u, params, ops)
+    parts = flow_parts(state, prev, params, ops)
+    r_u = mech_residual(state, state.u, params, ops)
     return parts.r_p, parts.r_q, r_u
 
 
@@ -276,6 +279,17 @@ def _iterate_porosity(state: PoroState, prev: PoroState, params: PhysicsParams,
     return phi
 
 
+def pressure_coefficient(state: PoroState, prev: PoroState, params: PhysicsParams,
+                         ops: DiscreteOperators, weight, beta: float) -> np.ndarray:
+    """Diagonal pressure coefficient M_p (phi weight + (1/N + beta) s^2) at
+    ``state``, with phi the iterate porosity of the update law.  ``weight``
+    is ds/dp for the (modified) Newton linearizations or the scaled
+    Lipschitz bound of the local L-scheme; ``beta`` is the fixed-stress
+    stabilization (0 for monolithic Newton)."""
+    phi_it = _iterate_porosity(state, prev, params, ops)
+    return ops.M_p * (phi_it * weight + (params.inv_n + beta) * state.saturation(params)**2)
+
+
 @dataclass
 class NewtonBlocks:
     """Coupled Jacobian over the free dofs [p | q_free | u_free], rows and
@@ -283,19 +297,19 @@ class NewtonBlocks:
 
     matrix: sp.csc_array
     derivative_clamped: bool
-    parts: _EvalParts
+    parts: FlowParts
 
 
-def _mobility_coupling(state: PoroState, params: PhysicsParams,
-                       ops: DiscreteOperators):
-    """Flux-block coupling d/dp [k_w^{-1}(p)] q = -k_w^{-2} k_w'(p) q.
+def mobility_coupling(state: PoroState, params: PhysicsParams,
+                      ops: DiscreteOperators, parts: FlowParts):
+    """Flux-block coupling d/dp [k_w^{-1}(p)] q = -k_w^{-2} k_w'(p) q, with
+    k_w taken from ``parts`` (the flow residual at ``state``).
 
     Returns the column of each cell on its own edges, an (n_cells, 4) array
     in cell_edges order, and a clamp flag."""
     dkdp, clamped = laws.mobility_derivative_wrt_p(state.p, params.vg)
-    kw = laws.mobility(np.clip(state.saturation(params), 0.0, 1.0), params.vg)
     with np.errstate(divide="ignore", over="ignore"):
-        wcell = -dkdp / kw**2
+        wcell = -dkdp / parts.mobility**2
     wcell[~np.isfinite(wcell)] = 0.0
     _, vals = ops.flux_mass_cell_action(state.q)
     return wcell[:, None] * vals, bool(np.any(clamped))
@@ -309,14 +323,12 @@ def newton_blocks(state: PoroState, prev: PoroState, params: PhysicsParams,
     evaluated at the current iterate; the flux block carries the chain-rule
     derivative of k_w^{-1}; the elasticity block is state independent.
     """
-    parts = _flow_parts(state, prev, params, ops)
-    s = parts.sat
-    phi_iter = _iterate_porosity(state, prev, params, ops)
-    cpp = ops.M_p * (phi_iter * laws.saturation_derivative(state.p, params.vg)
-                     + params.inv_n * s**2)
-    coupling, clamped = _mobility_coupling(state, params, ops)
+    parts = flow_parts(state, prev, params, ops)
+    sd = laws.saturation_derivative(state.p, params.vg)
+    cpp = pressure_coefficient(state, prev, params, ops, sd, 0.0)
+    coupling, clamped = mobility_coupling(state, params, ops, parts)
     d = ops.local_divergence
-    apu = params.alpha * s[:, None] * ops.local_displacement_divergence
+    apu = params.alpha * parts.sat[:, None] * ops.local_displacement_divergence
     p_row = np.hstack([cpp[:, None], np.broadcast_to(params.tau * d, coupling.shape), apu])
     p_col = np.hstack([coupling - d, -apu])
     with np.errstate(divide="ignore"):
@@ -390,18 +402,16 @@ class DenseReducedProblem:
         self.params = params
         self.area = ops.M_p.copy()
 
-        a_ff = ops.A_ff.toarray()
-        self._a_lu = scipy.linalg.lu_factor(a_ff)
-        self.dpu_f = ops.D_pu[:, ops.free_u].toarray()
+        a_lu = scipy.linalg.lu_factor(ops.A_ff.toarray())
+        dpu_f = ops.D_pu[:, ops.free_u].toarray()
         f_q0, f_u0 = gravity_loads(ops, params)
-        self.f_u_f = f_u0[ops.free_u]
         self.f_q0_f = f_q0[ops.free_q]
         alpha = params.alpha
-        self.P2 = alpha**2 * self.dpu_f @ scipy.linalg.lu_solve(self._a_lu, self.dpu_f.T)
+        self.P2 = alpha**2 * dpu_f @ scipy.linalg.lu_solve(a_lu, dpu_f.T)
         pe0 = init.pore_pressure(params)
         self.c0 = (
             self.area * params.law.phi0
-            + alpha * self.dpu_f @ scipy.linalg.lu_solve(self._a_lu, self.f_u_f)
+            + alpha * dpu_f @ scipy.linalg.lu_solve(a_lu, f_u0[ops.free_u])
             - alpha * (ops.D_pu @ init.u)
             - params.inv_n * self.area * pe0
         )
@@ -440,14 +450,6 @@ class DenseReducedProblem:
         k_fb = kinv[self.ops.free_q][:, self.ops.fixed_q].toarray()
         return k_ff, k_fb
 
-    def K(self, p):
-        k_ff, _ = self._flux_blocks(p)
-        return np.linalg.inv(k_ff)
-
-    def f_q(self, p, t):
-        _, k_fb = self._flux_blocks(p)
-        return self.f_q0_f - k_fb @ prescribed_flux(self.ops, self.params, t)
-
     def f_p(self, phi_prev, s_prev, t):
         qbar = prescribed_flux(self.ops, self.params, t)
         return self.area * phi_prev * s_prev - self.params.tau * (self.D_b @ qbar)
@@ -462,15 +464,6 @@ class DenseReducedProblem:
             self.b(p) + self.params.tau * (self.D_f @ q_f)
             - self.f_p(phi_prev, s_prev, t)
         )
-
-    def u_of_p(self, p):
-        """Mechanics-consistent displacement (full-length vector)."""
-        pe = self.pore_pressure(p)
-        u = np.zeros(2 * self.ops.mesh.n_nodes)
-        u[self.ops.free_u] = scipy.linalg.lu_solve(
-            self._a_lu, self.f_u_f + self.params.alpha * (self.dpu_f.T @ pe)
-        )
-        return u
 
     def lscheme_step(self, p_old, phi_prev, s_prev, t, L_total):
         """One constant-stabilization iteration of the compact problem:
@@ -492,8 +485,3 @@ class DenseReducedProblem:
         )
         return np.linalg.solve(lhs, rhs)
 
-
-def dense_reduced(ops: DiscreteOperators, params: PhysicsParams,
-                  init: PoroState) -> DenseReducedProblem:
-    """Dense single-field oracle; guarded to meshes of at most 64 cells."""
-    return DenseReducedProblem(ops, params, init)

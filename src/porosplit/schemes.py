@@ -4,24 +4,28 @@ Every scheme maps an iterate (p, q, u) to the next one in incremental form;
 the initial guess of a time step is the previous time level.
 
 * monolithic Newton: coupled solve for (dp, dq, du) with the exact Jacobian;
-* fixed-stress L-scheme (FSL): flow solve with constant diagonal
-  stabilization (L + 1/N + beta_FS) and no constitutive derivatives,
-  then an elasticity solve at the new pressure;
-* fixed-stress modified Picard (FS-MP): as FSL but with the first-order
-  pressure coefficient phi ds/dp + (1/N + beta_FS) s^2;
-* fixed-stress Newton (FS-Newton): FS-MP plus the mobility-derivative
-  coupling in the flux block.
+* fixed-stress splits (``split_iteration``): a flow solve with a diagonal
+  pressure coefficient C, then an elasticity solve at the new pressure.
+  FSL, FS-MP and FS-Newton differ only in C and in one flag:
 
-beta_FS = alpha^2 / (2 mu / d + lambda) is the classical fixed-stress
-stabilization.  A split scheme eliminates its diagonal pressure block and
-factors one flux-only matrix per iteration (``_flow_solve``); monolithic
-Newton keeps the coupled saddle solve, whose pressure diagonal
-phi ds/dp + (1/N) s^2 vanishes on saturated cells when 1/N = 0.  Convergence combines absolute and relative L2 criteria on
-the increments.  Anderson acceleration is applied as post-processing on the
-concatenated mass-weighted coefficient vector; the raw scheme increment at
-the current (possibly accelerated) iterate drives the convergence test, and
-the accepted state is always the plain image, so depth 0 is bitwise
-identical to the unaccelerated scheme.
+  - FSL: the derivative-free L-scheme diagonal, either the constant
+    (L + 1/N + beta_FS) M_p for a given L or the local bound
+    M_p (phi L_scale L_s + (1/N + L_scale beta_FS) s^2);
+  - FS-MP: the first-order coefficient M_p (phi ds/dp + (1/N + beta_FS) s^2);
+  - FS-Newton: the FS-MP coefficient plus the mobility-derivative coupling
+    in the flux block.
+
+Every non-constant C comes from ``model.pressure_coefficient``.  beta_FS =
+alpha^2 / (2 mu / d + lambda) is the classical fixed-stress stabilization.
+A split scheme eliminates its diagonal pressure block and factors one
+flux-only matrix per iteration (``_flow_solve``); monolithic Newton keeps
+the coupled saddle solve, whose pressure diagonal phi ds/dp + (1/N) s^2
+vanishes on saturated cells when 1/N = 0.  Convergence combines absolute
+and relative L2 criteria on the increments.  Anderson acceleration is
+applied as post-processing on the concatenated mass-weighted coefficient
+vector; the raw scheme increment at the current (possibly accelerated)
+iterate drives the convergence test, and the accepted state is always the
+plain image, so depth 0 is bitwise identical to the unaccelerated scheme.
 
 Restart rule: at depth m >= 2, whenever the total increment at an iterate
 the window returned exceeds AA_RESTART_FACTOR times the total at the
@@ -41,6 +45,7 @@ iterate with |alpha|_1 > 10 stalls that run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -51,12 +56,12 @@ from .model import (
     PhysicsParams,
     PoroState,
     ResidualError,
-    _flow_parts,
-    _iterate_porosity,
-    _mech_residual,
-    _mobility_coupling,
+    flow_parts,
+    mech_residual,
+    mobility_coupling,
     newton_blocks,
     porosity_increment,
+    pressure_coefficient,
     prescribed_flux,
 )
 
@@ -64,7 +69,7 @@ __all__ = [
     "SchemeConfig",
     "IterationReport",
     "fixed_stress_beta",
-    "lscheme_parameter",
+    "split_iteration",
     "newton_iteration",
     "fsl_iteration",
     "fsl_local_iteration",
@@ -89,26 +94,22 @@ STAGNATION_STREAK = 5      # consecutive flat comparisons required
 class SchemeConfig:
     """Which linearization to run and its tuning.
 
-    The L-scheme stabilization comes in two derivative-free flavors:
+    For ``kind="fsl"`` the stabilization is chosen by ``L``:
 
-    * ``l_mode="local"`` (default): diagonal M_p (phi L_s + (1/N + beta) s^2)
-      with the porosity/saturation weights of the current iterate and L_s the
-      saturation Lipschitz constant -- the a-priori local bound of the
-      modified-Picard coefficient.  This is the tuning behind the reference
-      iteration counts of the benchmark sweeps.
-    * ``l_mode="global"``: constant diagonal (L + 1/N + beta_FS) M_p with the
-      globally maximized parameter.  ``L`` gives the parameter explicitly
-      (and implies global mode); when None it is derived so that the combined
-      stabilization equals L_scale (L_s + beta_FS).
-
-    ``L_scale`` scales the stabilization in either mode (1.0: plain FSL,
-    0.5: the halved variant).
+    * ``L=None`` (default): the local bound M_p (phi L_scale L_s +
+      (1/N + L_scale beta_FS) s^2) with the porosity/saturation weights of
+      the current iterate and L_s the saturation Lipschitz constant -- the
+      a-priori bound of the modified-Picard coefficient, scaled by
+      ``L_scale`` (1.0: plain FSL, 0.5: the halved variant).  This is the
+      tuning behind the reference iteration counts of the benchmark sweeps.
+    * a positive ``L``: the constant diagonal (L + 1/N + beta_FS) M_p, the
+      variant with the mesh-independent contraction; ``L_scale`` must then
+      stay 1.
     """
 
     kind: str
     L: float | None = None
     L_scale: float = 1.0
-    l_mode: str = "local"
     max_iters: int = 500
     eps_abs: float = 1e-8
     eps_rel: float = 1e-8
@@ -116,14 +117,14 @@ class SchemeConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.l_mode not in ("local", "global"):
-            raise ValueError(f"unknown l_mode {self.l_mode!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.eps_abs <= 0 or self.eps_rel <= 0:
             raise ValueError("tolerances must be positive")
         if self.L is not None and self.L <= 0:
             raise ValueError("L must be positive")
+        if self.L is not None and self.L_scale != 1.0:
+            raise ValueError("L_scale scales the local bound; it cannot apply to a given L")
 
 
 @dataclass
@@ -150,17 +151,6 @@ def fixed_stress_beta(mu: float, lam: float, alpha: float, d: int = 2) -> float:
     if mu <= 0 or d not in (2, 3):
         raise ValueError("require mu > 0 and d in {2, 3}")
     return alpha**2 / (2.0 * mu / d + lam)
-
-
-def lscheme_parameter(scheme: SchemeConfig, params: PhysicsParams) -> float:
-    """Resolve the L parameter of the flow stabilization for FSL runs."""
-    if scheme.L is not None:
-        return scheme.L
-    beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
-    L = scheme.L_scale * (params.vg.saturation_lipschitz() + beta) - beta
-    if L <= 0:
-        raise ValueError("derived L-scheme parameter is not positive")
-    return L
 
 
 # ----------------------------------------------------------------------
@@ -220,80 +210,71 @@ def _flow_solve(state, params, ops, parts, cpp, coupling, t_new):
 def _mech_step(p_new, q_new, u_old, params, ops, t_new):
     """Elasticity update at the new pressure and old displacement."""
     trial = PoroState(p=p_new, q=q_new, u=u_old, time=t_new)
-    r_u = _mech_residual(trial, u_old, params, ops)
+    r_u = mech_residual(trial, u_old, params, ops)
     du = np.zeros_like(u_old)
     du[ops.free_u] = ops.elastic_solve(r_u[ops.free_u])
     state = replace(trial, u=u_old + du)
     return state, du, r_u
 
 
-def _split_step(state, prev, params, ops, cpp_of_parts, with_mobility_block):
+def split_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
+                    ops: DiscreteOperators, cpp: np.ndarray, mobility_block: bool = False):
+    """One fixed-stress sweep: the flow solve with diagonal pressure
+    coefficient ``cpp`` (plus the mobility-derivative coupling in the flux
+    block when ``mobility_block``), then elasticity at the new pressure.
+    Returns the new state, the increment norms and the residual norms."""
     t_new = prev.time + params.tau
-    parts = _flow_parts(state, prev, params, ops)
-    cpp = cpp_of_parts(parts)
+    parts = flow_parts(state, prev, params, ops)
     coupling = None
-    if with_mobility_block:
-        coupling, _ = _mobility_coupling(state, params, ops)
+    if mobility_block:
+        coupling, _ = mobility_coupling(state, params, ops, parts)
     dp, dq = _flow_solve(state, params, ops, parts, cpp, coupling, t_new)
     new_state, du, r_u = _mech_step(state.p + dp, state.q + dq, state.u, params, ops, t_new)
     inc = (ops.pressure_norm(dp), ops.flux_norm(dq), ops.disp_norm(du))
     return new_state, inc, _residual_norms(parts, r_u, ops)
 
 
+def _picard_coefficient(state, prev, params, ops):
+    """Modified-Picard pressure coefficient of FS-MP and FS-Newton."""
+    beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
+    sd = laws.saturation_derivative(state.p, params.vg)
+    return pressure_coefficient(state, prev, params, ops, sd, beta)
+
+
 def fsl_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
                   ops: DiscreteOperators, L: float):
-    """One fixed-stress L-scheme sweep: constant-coefficient flow solve with
-    diagonal (L + 1/N + beta_FS), then elasticity at the new pressure.  No
-    constitutive derivatives are evaluated."""
+    """Fixed-stress L-scheme sweep with the constant diagonal
+    (L + 1/N + beta_FS) M_p.  No constitutive derivatives are evaluated."""
     beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
-    coeff = (L + params.inv_n + beta) * ops.M_p
-    return _split_step(state, prev, params, ops, lambda parts: coeff, False)
+    cpp = (L + params.inv_n + beta) * ops.M_p
+    return split_iteration(state, prev, params, ops, cpp)
 
 
 def fsl_local_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
                         ops: DiscreteOperators, scale: float = 1.0):
     """Fixed-stress L-scheme sweep with the locally weighted a-priori bound
-    M_p (phi L_s + (1/N + beta) s^2) as flow diagonal.  Still derivative
-    free: L_s is the closed-form Lipschitz constant, porosity and saturation
-    are plain evaluations at the current iterate."""
+    M_p (phi scale L_s + (1/N + scale beta_FS) s^2).  Still derivative free:
+    L_s is the closed-form Lipschitz constant."""
     beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
     l_s = params.vg.saturation_lipschitz()
-
-    def cpp(parts):
-        phi_it = _iterate_porosity(state, prev, params, ops)
-        return ops.M_p * (
-            phi_it * scale * l_s + (params.inv_n + scale * beta) * parts.sat**2
-        )
-
-    return _split_step(state, prev, params, ops, cpp, False)
+    cpp = pressure_coefficient(state, prev, params, ops, scale * l_s, scale * beta)
+    return split_iteration(state, prev, params, ops, cpp)
 
 
 def fsmp_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
                    ops: DiscreteOperators):
     """Fixed-stress modified Picard sweep: first-order saturation
     linearization in the pressure block, Picard mobility."""
-    beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
-
-    def cpp(parts):
-        phi_it = _iterate_porosity(state, prev, params, ops)
-        sd = laws.saturation_derivative(state.p, params.vg)
-        return ops.M_p * (phi_it * sd + (params.inv_n + beta) * parts.sat**2)
-
-    return _split_step(state, prev, params, ops, cpp, False)
+    cpp = _picard_coefficient(state, prev, params, ops)
+    return split_iteration(state, prev, params, ops, cpp)
 
 
 def fsnewton_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
                        ops: DiscreteOperators):
     """Fixed-stress Newton sweep: FS-MP plus the chain-rule mobility
     derivative coupling in the flux block."""
-    beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
-
-    def cpp(parts):
-        phi_it = _iterate_porosity(state, prev, params, ops)
-        sd = laws.saturation_derivative(state.p, params.vg)
-        return ops.M_p * (phi_it * sd + (params.inv_n + beta) * parts.sat**2)
-
-    return _split_step(state, prev, params, ops, cpp, True)
+    cpp = _picard_coefficient(state, prev, params, ops)
+    return split_iteration(state, prev, params, ops, cpp, mobility_block=True)
 
 
 def newton_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
@@ -302,7 +283,7 @@ def newton_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
     t_new = prev.time + params.tau
     blocks = newton_blocks(state, prev, params, ops)
     parts = blocks.parts
-    r_u = _mech_residual(state, state.u, params, ops)
+    r_u = mech_residual(state, state.u, params, ops)
     dq, rhs_p, rhs_q = _flow_rhs(state, params, ops, parts, t_new)
     rhs = np.concatenate([rhs_p, rhs_q, r_u[ops.free_u]])
     sol = SparseFactor(blocks.matrix, ops.order).solve(rhs)
@@ -335,20 +316,16 @@ def converged(increment_norms, state_norms, eps_abs: float, eps_rel: float) -> b
     return rel < eps_rel
 
 
-def _iteration_fn(scheme: SchemeConfig, params: PhysicsParams):
-    if scheme.kind == "newton":
-        return newton_iteration
-    if scheme.kind == "fsmp":
-        return fsmp_iteration
-    if scheme.kind == "fsnewton":
-        return fsnewton_iteration
-    if scheme.l_mode == "local" and scheme.L is None:
-        scale = scheme.L_scale
-        return lambda state, prev, params, ops: fsl_local_iteration(
-            state, prev, params, ops, scale
-        )
-    L = lscheme_parameter(scheme, params)
-    return lambda state, prev, params, ops: fsl_iteration(state, prev, params, ops, L)
+def _iteration_fn(scheme: SchemeConfig):
+    """The iteration function of a scheme.  The names are looked up in the
+    module namespace on every call, so wrappers set on the module
+    attributes (perfbench's clock ticks and spans) are the ones called."""
+    if scheme.kind == "fsl":
+        if scheme.L is None:
+            return partial(fsl_local_iteration, scale=scheme.L_scale)
+        return partial(fsl_iteration, L=scheme.L)
+    return {"newton": newton_iteration, "fsmp": fsmp_iteration,
+            "fsnewton": fsnewton_iteration}[scheme.kind]
 
 
 def _state_from_vector(vec, ops, t_new) -> PoroState:
@@ -369,7 +346,7 @@ def run_time_step(scheme: SchemeConfig, accel: AndersonConfig | None,
     over a single time step.  Failures terminate the loop and are reported
     in the IterationReport, never raised."""
     t_new = prev.time + params.tau
-    step = _iteration_fn(scheme, params)
+    step = _iteration_fn(scheme)
     window = None
     if accel is not None:
         window = AndersonWindow(accel, weights=ops.aa_weights)

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from porosplit.constitutive import PorosityLaw, VanGenuchtenModel
 from porosplit.fem import assemble
-from porosplit.mesh import build_rect_mesh
+from porosplit.mesh import RectMesh
 from porosplit.model import PhysicsParams, initial_state
 
 # plane-strain Lame parameters for E = 30, nu = 0.2
@@ -35,7 +35,7 @@ def hoelder_params(alpha=1.0, inv_n=0.0, tau=0.1, T=1.0, q_star=-0.175):
 
 
 def setup_problem(nx, ny, alpha=1.0, width=0.2, scenario="smooth", **kw):
-    mesh = build_rect_mesh(nx, ny, 1.0, 1.0, width)
+    mesh = RectMesh(nx, ny, 1.0, 1.0, width)
     ops = assemble(mesh, MU, LAM)
     if scenario == "smooth":
         params = smooth_params(alpha=alpha, **kw)

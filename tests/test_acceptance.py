@@ -22,10 +22,10 @@ from porosplit.aa_theory import (
 )
 from porosplit.anderson import AndersonConfig
 from porosplit.fem import assemble
-from porosplit.mesh import build_rect_mesh
+from porosplit.mesh import RectMesh
 from porosplit.model import (
+    DenseReducedProblem,
     PoroState,
-    dense_reduced,
     initial_state,
     newton_blocks,
     residuals,
@@ -57,7 +57,7 @@ def test1_runs():
     runs = {}
     counters = {}
     mesh, ops, params_by_alpha, inits = {}, {}, {}, {}
-    m25 = build_rect_mesh(25, 25, 1.0, 1.0, 0.2)
+    m25 = RectMesh(25, 25, 1.0, 1.0, 0.2)
     ops25 = assemble(m25, MU, LAM)
     for alpha in ALPHAS:
         _, _, params, init = setup_problem(25, 25, alpha=alpha)
@@ -77,7 +77,7 @@ def test1_runs():
     counters[("fsl", 10, 1.0)] = laws.derivative_call_counts()
 
     _, _, params50, init50 = setup_problem(50, 50, alpha=1.0)
-    ops50 = assemble(build_rect_mesh(50, 50, 1.0, 1.0, 0.2), MU, LAM)
+    ops50 = assemble(RectMesh(50, 50, 1.0, 1.0, 0.2), MU, LAM)
     laws.reset_derivative_call_counts()
     runs[("fsl50", 0, 1.0)] = run_transient(
         SchemeConfig(kind="fsl"), None, init50, params50, ops50
@@ -98,12 +98,10 @@ def contraction_traces():
     out = {}
     for nx in (25, 50):
         _, _, params, _ = setup_problem(nx, nx, alpha=1.0)
-        mesh = build_rect_mesh(nx, nx, 1.0, 1.0, 0.2)
+        mesh = RectMesh(nx, nx, 1.0, 1.0, 0.2)
         ops = assemble(mesh, MU, LAM)
         init = settled_initial_state(mesh, params, P0_SMOOTH, ops)
-        scheme = SchemeConfig(
-            kind="fsl", l_mode="global", L=VG_SMOOTH.saturation_lipschitz()
-        )
+        scheme = SchemeConfig(kind="fsl", L=VG_SMOOTH.saturation_lipschitz())
         result = run_transient(scheme, None, init, params, ops, trace=True)
         assert result.completed
         out[nx] = (result, ops)
@@ -205,18 +203,18 @@ def test_criterion_04_worst_case_attainment():
 
 def test_criterion_05_reduced_equivalence():
     t0 = time.perf_counter()
-    mesh = build_rect_mesh(2, 2, 1.0, 1.0, 0.5)
+    mesh = RectMesh(2, 2, 1.0, 1.0, 0.5)
     ops = assemble(mesh, MU, LAM)
     _, _, params, _ = setup_problem(2, 2, width=0.5, alpha=1.0)
     init = settled_initial_state(mesh, params, P0_SMOOTH, ops)
 
     L = VG_SMOOTH.saturation_lipschitz()
     beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
-    scheme = SchemeConfig(kind="fsl", l_mode="global", L=L)
+    scheme = SchemeConfig(kind="fsl", L=L)
     full = run_transient(scheme, None, init, params, ops, n_steps=3, trace=True)
     assert full.completed
 
-    problem = dense_reduced(ops, params, init)
+    problem = DenseReducedProblem(ops, params, init)
     phi_prev = init.porosity.copy()
     s_prev = init.saturation(params)
     p_reduced = init.p.copy()
@@ -243,7 +241,7 @@ def test_criterion_05_reduced_equivalence():
 
 def test_criterion_06_jacobian_validity():
     t0 = time.perf_counter()
-    mesh = build_rect_mesh(5, 5, 1.0, 1.0, 0.2)
+    mesh = RectMesh(5, 5, 1.0, 1.0, 0.2)
     ops = assemble(mesh, MU, LAM)
     _, _, params, prev = setup_problem(5, 5, alpha=1.0)
     rng = np.random.default_rng(23)
@@ -334,7 +332,7 @@ def hoelder_runs(p0_scale=1.0):
     pressure scaled by ``p0_scale``.  Returns the plain transients and, for
     every failing split scheme, its first completing depth with the
     transient."""
-    mesh = build_rect_mesh(25, 25, 1.0, 1.0, 0.2)
+    mesh = RectMesh(25, 25, 1.0, 1.0, 0.2)
     ops = assemble(mesh, MU, LAM)
     _, _, params, _ = setup_problem(25, 25, alpha=0.1, scenario="hoelder")
     init = initial_state(mesh, params, P0_HOELDER * p0_scale, ops)

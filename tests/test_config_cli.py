@@ -7,7 +7,7 @@ from porosplit import checks
 from porosplit.cli import main
 from porosplit.config import ConfigError, ScenarioConfig, load_config
 from porosplit.export import cell_flux_vectors, write_cell_csv, write_point_csv, write_vtk
-from porosplit.mesh import build_rect_mesh
+from porosplit.mesh import RectMesh
 from porosplit.sweep import SweepReport, SweepRow, emit_report, run_sweep
 
 
@@ -168,7 +168,7 @@ class TestCli:
 
 class TestExport:
     def test_cell_flux_vectors(self):
-        mesh = build_rect_mesh(2, 2, 1.0, 1.0, 0.5)
+        mesh = RectMesh(2, 2, 1.0, 1.0, 0.5)
         q = np.zeros(mesh.n_edges)
         q[: mesh.n_vedges] = 2.0
         q[mesh.n_vedges:] = -1.0
@@ -176,7 +176,7 @@ class TestExport:
         assert np.allclose(vec, [[2.0, -1.0]] * 4)
 
     def test_csv_and_vtk_files(self, tmp_path):
-        mesh = build_rect_mesh(2, 2, 1.0, 1.0, 0.5)
+        mesh = RectMesh(2, 2, 1.0, 1.0, 0.5)
         fields = {"pressure": np.arange(4.0), "saturation": np.full(4, 0.4)}
         u = np.linspace(0, 1, 2 * mesh.n_nodes)
         write_cell_csv(tmp_path / "c.csv", mesh, fields)

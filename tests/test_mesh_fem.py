@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from porosplit import constitutive as laws
 from porosplit.fem import LinearSolveError, SparseFactor, assemble
-from porosplit.mesh import MeshAlignmentError, build_rect_mesh
+from porosplit.mesh import MeshAlignmentError, RectMesh
 from porosplit.model import newton_blocks
 from porosplit.schemes import fixed_stress_beta, fsl_local_iteration
 
@@ -14,7 +14,7 @@ from conftest import LAM, MU, natural, setup_problem
 
 class TestMesh:
     def test_single_cell(self):
-        m = build_rect_mesh(1, 1, 1, 1, 1)
+        m = RectMesh(1, 1, 1, 1, 1)
         assert m.n_cells == 1
         assert m.n_nodes == 4
         assert len(m.all_boundary_edges) == 4
@@ -25,26 +25,27 @@ class TestMesh:
         assert list(m.boundary_edges["inflow"]) == list(m.boundary_edges["top"])
 
     def test_benchmark_grid(self):
-        m = build_rect_mesh(50, 50, 1, 1, 0.2)
+        m = RectMesh(50, 50, 1, 1, 0.2)
         assert m.n_cells == 2500
         assert len(m.boundary_edges["inflow"]) == 10
 
-    def test_interior_edges_by_enumeration(self):
-        # brute force: an interior edge is referenced by exactly two cells
-        m = build_rect_mesh(2, 2, 1, 1, 0.5)
+    def test_boundary_edges_by_enumeration(self):
+        # brute force: a boundary edge is referenced by exactly one cell,
+        # every other edge by two
+        m = RectMesh(2, 2, 1, 1, 0.5)
         counts = np.zeros(m.n_edges, dtype=int)
         for edges in m.cell_edges:
             counts[edges] += 1
-        assert np.array_equal(np.nonzero(counts == 2)[0], m.interior_edges)
-        assert len(m.interior_edges) == 4
-        assert np.all(counts[m.all_boundary_edges] == 1)
+        assert np.array_equal(np.nonzero(counts == 1)[0], m.all_boundary_edges)
+        assert np.count_nonzero(counts == 2) == 4
+        assert np.all((counts == 1) | (counts == 2))
 
     def test_misaligned_inflow_rejected(self):
         with pytest.raises(MeshAlignmentError):
-            build_rect_mesh(8, 8, 1, 1, 0.2)
+            RectMesh(8, 8, 1, 1, 0.2)
 
     def test_boundary_tags_partition(self, rng):
-        m = build_rect_mesh(5, 3, 2.0, 1.0, 0.8)
+        m = RectMesh(5, 3, 2.0, 1.0, 0.8)
         sides = [m.boundary_edges[s] for s in ("left", "right", "bottom", "top")]
         stacked = np.concatenate(sides)
         assert len(stacked) == len(set(stacked.tolist()))
@@ -53,13 +54,13 @@ class TestMesh:
 
 class TestAssembly:
     def test_unit_cell_pressure_mass(self):
-        ops = assemble(build_rect_mesh(1, 1, 1, 1, 1), MU, LAM)
+        ops = assemble(RectMesh(1, 1, 1, 1, 1), MU, LAM)
         assert ops.M_p == pytest.approx([1.0])
 
     def test_divergence_theorem(self):
         # RT0 interpolant of v = (x, y): integrated divergence is 2 |T| per
         # cell and the total matches the boundary flux of the unit square
-        m = build_rect_mesh(4, 5, 1.0, 1.0, 0.25)
+        m = RectMesh(4, 5, 1.0, 1.0, 0.25)
         ops = assemble(m, MU, LAM)
         q = np.zeros(m.n_edges)
         for j in range(m.ny):
@@ -73,7 +74,7 @@ class TestAssembly:
         assert div.sum() == pytest.approx(2.0, abs=1e-12)
 
     def test_rigid_modes_are_energy_free(self):
-        m = build_rect_mesh(3, 3, 1, 1, 1.0 / 3.0)
+        m = RectMesh(3, 3, 1, 1, 1.0 / 3.0)
         ops = assemble(m, MU, LAM)
         for mode in (
             np.concatenate([np.ones(m.n_nodes), np.zeros(m.n_nodes)]),
@@ -82,7 +83,7 @@ class TestAssembly:
             assert abs(mode @ (ops.A_uu @ mode)) < 1e-12
 
     def test_pressure_norm_is_l2(self, rng):
-        m = build_rect_mesh(7, 4, 2.0, 3.0, 0.0)
+        m = RectMesh(7, 4, 2.0, 3.0, 0.0)
         ops = assemble(m, MU, LAM)
         p = rng.standard_normal(m.n_cells)
         assert ops.pressure_norm(p) ** 2 == pytest.approx(
@@ -90,7 +91,7 @@ class TestAssembly:
         )
 
     def test_flux_norm_of_constant_field(self):
-        m = build_rect_mesh(6, 3, 2.0, 1.5, 0.0)
+        m = RectMesh(6, 3, 2.0, 1.5, 0.0)
         ops = assemble(m, MU, LAM)
         q = np.zeros(m.n_edges)
         q[: m.n_vedges] = 3.0
@@ -98,21 +99,21 @@ class TestAssembly:
         assert ops.flux_norm(q) ** 2 == pytest.approx(13.0 * 2.0 * 1.5, rel=1e-10)
 
     def test_uniform_dilation(self):
-        m = build_rect_mesh(3, 2, 1.5, 1.0, 0.5)
+        m = RectMesh(3, 2, 1.5, 1.0, 0.5)
         ops = assemble(m, MU, LAM)
         u = np.concatenate([m.node_coords[:, 0], m.node_coords[:, 1]])
         div = (ops.D_pu @ u) / ops.M_p
         assert np.max(np.abs(div - 2.0)) < 1e-12
 
     def test_assembly_is_deterministic(self):
-        a = assemble(build_rect_mesh(5, 5, 1, 1, 0.2), MU, LAM)
-        b = assemble(build_rect_mesh(5, 5, 1, 1, 0.2), MU, LAM)
+        a = assemble(RectMesh(5, 5, 1, 1, 0.2), MU, LAM)
+        b = assemble(RectMesh(5, 5, 1, 1, 0.2), MU, LAM)
         for name in ("M_q", "D_pq", "D_pu", "A_uu", "M_u"):
             diff = getattr(a, name) - getattr(b, name)
             assert abs(diff).max() == 0.0
 
     def test_weighted_flux_mass_matches_brute_force(self, rng):
-        m = build_rect_mesh(3, 2, 1.0, 1.0, 0.0)
+        m = RectMesh(3, 2, 1.0, 1.0, 0.0)
         ops = assemble(m, MU, LAM)
         w = rng.uniform(0.5, 2.0, m.n_cells)
         dense = np.zeros((m.n_edges, m.n_edges))
@@ -124,7 +125,7 @@ class TestAssembly:
         assert np.abs(ops.weighted_flux_mass(w).toarray() - dense).max() < 1e-15
 
     def test_constrained_elasticity_is_spd(self, rng):
-        ops = assemble(build_rect_mesh(4, 4, 1, 1, 0.25), MU, LAM)
+        ops = assemble(RectMesh(4, 4, 1, 1, 0.25), MU, LAM)
         x = rng.standard_normal(len(ops.free_u))
         assert x @ (ops.A_ff @ x) > 0
         assert abs(ops.A_ff - ops.A_ff.T).max() <= 1e-14 * abs(ops.A_ff).max()
@@ -157,7 +158,7 @@ class TestSolvers:
 
     def test_mixed_darcy_against_dense_oracle(self, rng):
         # assembled saddle system [[M_q, -D^T], [D, 0]] + mass regularization
-        m = build_rect_mesh(4, 4, 1, 1, 0.25)
+        m = RectMesh(4, 4, 1, 1, 0.25)
         ops = assemble(m, MU, LAM)
         nq, npp = m.n_edges, m.n_cells
         block = sp.block_array(
@@ -184,7 +185,7 @@ class TestSolvers:
     def test_free_flux_matrix_matches_sliced_assembly(self, rng):
         # cell blocks w_c M_c + col_c d^T summed over the free edges equal
         # the sliced global assembly
-        m = build_rect_mesh(4, 3, 1, 1, 0.25)
+        m = RectMesh(4, 3, 1, 1, 0.25)
         ops = assemble(m, MU, LAM)
         w = rng.uniform(0.5, 2.0, m.n_cells)
         col = rng.standard_normal((m.n_cells, 4))
@@ -202,7 +203,7 @@ class TestSolvers:
 class TestNestedDissection:
     @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 4), (5, 3), (8, 8)])
     def test_orderings_are_permutations(self, nx, ny):
-        ops = assemble(build_rect_mesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
+        ops = assemble(RectMesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
         n_p, n_qf, n_uf = ops.mesh.n_cells, len(ops.free_q), len(ops.free_u)
         for order, n in ((ops.order, n_p + n_qf + n_uf), (ops.flux_order, n_qf),
                          (ops.elastic_order, n_uf)):
@@ -210,7 +211,7 @@ class TestNestedDissection:
 
     @pytest.mark.parametrize("nx, ny", [(8, 8), (16, 5)])
     def test_no_entry_couples_the_halves_of_a_bisection(self, nx, ny, rng):
-        mesh = build_rect_mesh(nx, ny, 1.0, 1.0, 1.0)
+        mesh = RectMesh(nx, ny, 1.0, 1.0, 1.0)
         ops = assemble(mesh, MU, LAM)
         nc, n_qf = mesh.n_cells, len(ops.free_q)
         coupled = ops.coupled_matrix(rng.uniform(1.0, 2.0, (nc, 13)),
@@ -263,7 +264,7 @@ class TestNestedDissection:
             assert lu.L.nnz + lu.U.nnz <= own
 
     def test_backward_error_holds_in_the_original_numbering(self, rng):
-        m = build_rect_mesh(12, 10, 1, 1, 0.25)
+        m = RectMesh(12, 10, 1, 1, 0.25)
         ops = assemble(m, MU, LAM)
         d = ops.local_divergence
         blocks = (rng.uniform(0.5, 2.0, m.n_cells)[:, None, None] * ops.local_flux_mass

@@ -7,11 +7,11 @@ import sympy
 
 from porosplit import constitutive as laws
 from porosplit.fem import assemble
-from porosplit.mesh import build_rect_mesh
+from porosplit.mesh import RectMesh
 from porosplit.model import (
+    DenseReducedProblem,
     PoroState,
     ScaleGuardError,
-    dense_reduced,
     gravity_loads,
     inflow_rate,
     initial_state,
@@ -56,7 +56,7 @@ class TestInitialState:
         assert np.all(init.q == 0.0)
 
     def test_gravity_flux_satisfies_darcy(self):
-        mesh = build_rect_mesh(6, 5, 1.0, 1.0, 0.5)
+        mesh = RectMesh(6, 5, 1.0, 1.0, 0.5)
         ops = assemble(mesh, MU, LAM)
         params = replace(smooth_params(), g=(0.3, -1.0))
         init = initial_state(mesh, params, P0_SMOOTH, ops)
@@ -99,7 +99,7 @@ class TestResiduals:
     def test_single_cell_hand_evaluation(self):
         # one unit cell; all flux dofs and all but the top-uy displacement
         # dofs are constrained, so only r_p and two r_u entries are live
-        mesh = build_rect_mesh(1, 1, 1.0, 1.0, 1.0)
+        mesh = RectMesh(1, 1, 1.0, 1.0, 1.0)
         ops = assemble(mesh, MU, LAM)
         params = smooth_params(alpha=0.7, inv_n=0.05, tau=0.1)
         vg = params.vg
@@ -152,7 +152,7 @@ class TestResiduals:
     def test_saturated_regime_reduces_to_linear_biot(self, rng):
         # with p >= 0 everywhere the mass residual must coincide with an
         # independently coded linear (incompressible-fluid) volume balance
-        mesh = build_rect_mesh(3, 3, 1.0, 1.0, 1.0 / 3.0)
+        mesh = RectMesh(3, 3, 1.0, 1.0, 1.0 / 3.0)
         ops = assemble(mesh, MU, LAM)
         params = smooth_params(alpha=0.8, inv_n=0.02)
         prev = initial_state(mesh, params, 4.0, ops)
@@ -185,7 +185,7 @@ class TestResiduals:
 class TestNewtonBlocks:
     @pytest.mark.parametrize("inv_n", [0.0, 0.1], ids=["incompressible", "storage"])
     def test_matches_directional_finite_differences(self, inv_n, rng):
-        mesh = build_rect_mesh(4, 4, 1.0, 1.0, 0.25)
+        mesh = RectMesh(4, 4, 1.0, 1.0, 0.25)
         ops = assemble(mesh, MU, LAM)
         params = smooth_params(alpha=1.0, inv_n=inv_n)
         prev = initial_state(mesh, params, P0_SMOOTH, ops)
@@ -222,7 +222,7 @@ class TestNewtonBlocks:
     def test_saturated_pressure_block(self):
         # fully saturated: ds/dp = 0 and s = 1, so the pressure block is
         # (1/N) M_p exactly
-        mesh = build_rect_mesh(3, 3, 1.0, 1.0, 1.0 / 3.0)
+        mesh = RectMesh(3, 3, 1.0, 1.0, 1.0 / 3.0)
         ops = assemble(mesh, MU, LAM)
         params = smooth_params(alpha=1.0, inv_n=0.25)
         prev = initial_state(mesh, params, 2.0, ops)
@@ -279,7 +279,7 @@ class TestNewtonBlocks:
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_clamped_derivative_is_flagged(self):
-        mesh = build_rect_mesh(2, 2, 1.0, 1.0, 0.5)
+        mesh = RectMesh(2, 2, 1.0, 1.0, 0.5)
         ops = assemble(mesh, MU, LAM)
         params = hoelder_params(alpha=0.5)
         prev = initial_state(mesh, params, P0_HOELDER, ops)
@@ -336,14 +336,14 @@ class TestDenseReduced:
     def test_scale_guard(self):
         mesh, ops, params, init = setup_problem(10, 10)
         with pytest.raises(ScaleGuardError):
-            dense_reduced(ops, params, init)
+            DenseReducedProblem(ops, params, init)
 
     def test_compact_form_at_three_field_solution(self):
-        mesh = build_rect_mesh(2, 2, 1.0, 1.0, 0.5)
+        mesh = RectMesh(2, 2, 1.0, 1.0, 0.5)
         ops = assemble(mesh, MU, LAM)
         params = smooth_params(alpha=1.0)
         init = settled_initial_state(mesh, params, P0_SMOOTH, ops)
-        problem = dense_reduced(ops, params, init)
+        problem = DenseReducedProblem(ops, params, init)
         scheme = SchemeConfig(kind="newton", eps_abs=1e-13, eps_rel=1e-13)
         state, report = run_time_step(scheme, None, init, params, ops)
         assert report.converged
@@ -353,11 +353,11 @@ class TestDenseReduced:
         assert np.max(np.abs(defect)) < 1e-10
 
     def test_jacobian_symmetry_and_spectrum(self, rng):
-        mesh = build_rect_mesh(3, 3, 1.0, 1.0, 1.0 / 3.0)
+        mesh = RectMesh(3, 3, 1.0, 1.0, 1.0 / 3.0)
         ops = assemble(mesh, MU, LAM)
         params = smooth_params(alpha=1.0, inv_n=0.05)
         init = initial_state(mesh, params, P0_SMOOTH, ops)
-        problem = dense_reduced(ops, params, init)
+        problem = DenseReducedProblem(ops, params, init)
         lipschitz_floor = None
         for _ in range(10):
             p = rng.uniform(-9.0, -0.5, mesh.n_cells)
@@ -374,11 +374,11 @@ class TestDenseReduced:
         assert lipschitz_floor is not None and lipschitz_floor > 1e-6
 
     def test_jacobian_matches_finite_differences(self, rng):
-        mesh = build_rect_mesh(2, 2, 1.0, 1.0, 0.5)
+        mesh = RectMesh(2, 2, 1.0, 1.0, 0.5)
         ops = assemble(mesh, MU, LAM)
         params = smooth_params(alpha=0.7, inv_n=0.03)
         init = initial_state(mesh, params, P0_SMOOTH, ops)
-        problem = dense_reduced(ops, params, init)
+        problem = DenseReducedProblem(ops, params, init)
         p = rng.uniform(-9.0, -2.0, mesh.n_cells)
         jac = problem.jacobian_b(p)
         h = 1e-6

@@ -10,6 +10,7 @@ from porosplit.model import (
     initial_state,
     newton_blocks,
     prescribed_flux,
+    pressure_coefficient,
     residuals,
     settled_initial_state,
 )
@@ -22,13 +23,13 @@ from porosplit.schemes import (
     fsl_local_iteration,
     fsmp_iteration,
     fsnewton_iteration,
-    lscheme_parameter,
     newton_iteration,
     run_time_step,
     run_transient,
+    split_iteration,
 )
 
-from conftest import LAM, MU, P0_SMOOTH, VG_SMOOTH, natural, setup_problem, smooth_params
+from conftest import LAM, MU, P0_SMOOTH, natural, setup_problem
 
 
 class TestFixedStressBeta:
@@ -47,27 +48,13 @@ class TestFixedStressBeta:
         )
 
 
-class TestLschemeParameter:
-    def test_plain_variant_recovers_lipschitz_constant(self):
-        params = smooth_params(alpha=1.0)
-        scheme = SchemeConfig(kind="fsl", l_mode="global")
-        # combined stabilization L + beta equals L_s + beta
-        assert lscheme_parameter(scheme, params) == pytest.approx(
-            VG_SMOOTH.saturation_lipschitz(), rel=1e-14
-        )
-
-    def test_halved_variant(self):
-        params = smooth_params(alpha=1.0)
-        beta = fixed_stress_beta(MU, LAM, 1.0)
-        scheme = SchemeConfig(kind="fsl", L_scale=0.5, l_mode="global")
-        L = lscheme_parameter(scheme, params)
-        assert L + beta == pytest.approx(
-            0.5 * (VG_SMOOTH.saturation_lipschitz() + beta), rel=1e-14
-        )
-
-    def test_explicit_value_wins(self):
-        params = smooth_params()
-        assert lscheme_parameter(SchemeConfig(kind="fsl", L=0.321), params) == 0.321
+class TestSchemeConfig:
+    def test_given_L_takes_no_scale(self):
+        # L_scale scales the local bound only; with a given L it would be
+        # silently ignored
+        assert SchemeConfig(kind="fsl", L=0.3).L_scale == 1.0
+        with pytest.raises(ValueError, match="L_scale"):
+            SchemeConfig(kind="fsl", L=0.3, L_scale=0.5)
 
 
 ITERATIONS = {
@@ -119,7 +106,7 @@ class TestSingleIterations:
         laws.reset_derivative_call_counts()
         for scheme in (
             SchemeConfig(kind="fsl"),
-            SchemeConfig(kind="fsl", l_mode="global"),
+            SchemeConfig(kind="fsl", L=params.vg.saturation_lipschitz()),
         ):
             result = run_transient(scheme, None, init, params, ops, n_steps=2)
             assert result.completed
@@ -139,23 +126,18 @@ class TestSingleIterations:
         assert fsn.average_iterations <= 1.4 * newton.average_iterations
 
     def test_saturated_fs_pressure_coefficient_reduces_to_beta(self):
-        # s = 1 and 1/N = 0: the modified-Picard coefficient is beta_FS
+        # s = 1, ds/dp = 0 and 1/N = 0: the modified-Picard coefficient is
+        # beta_FS M_p, and FS-MP is the split step with that diagonal
         mesh, ops, params, _ = setup_problem(3, 3, alpha=1.0, width=1.0 / 3.0)
         prev = initial_state(mesh, params, 3.0, ops)
         state = PoroState(p=np.full(mesh.n_cells, 6.0), q=np.zeros(mesh.n_edges),
                           u=np.zeros(2 * mesh.n_nodes), time=params.tau)
-        new_state, inc, _ = fsmp_iteration(state, prev, params, ops)
-        # cross-check: the FSL iteration with L chosen so that the constant
-        # diagonal equals beta must produce the same update
         beta = fixed_stress_beta(MU, LAM, 1.0)
-        ref, inc_ref, _ = fsl_iteration(state, prev, params, ops, L=beta)
-        # fsl assembles (L + beta); compensate by solving with L -> 0+ ...
-        # instead compare against a manual run with the same coefficient
-        from porosplit.schemes import _split_step
-
-        manual, inc_manual, _ = _split_step(
-            state, prev, params, ops, lambda parts: beta * ops.M_p, False
-        )
+        sd = laws.saturation_derivative(state.p, params.vg)
+        cpp = pressure_coefficient(state, prev, params, ops, sd, beta)
+        assert np.array_equal(cpp, beta * ops.M_p)
+        new_state, _, _ = fsmp_iteration(state, prev, params, ops)
+        manual, _, _ = split_iteration(state, prev, params, ops, beta * ops.M_p)
         assert np.allclose(new_state.p, manual.p, rtol=0, atol=1e-14)
         assert np.allclose(new_state.q, manual.q, rtol=0, atol=1e-14)
 
@@ -302,7 +284,7 @@ class TestRunTimeStep:
         # transient at the first iteration)
         mesh, ops, params, _ = setup_problem(5, 5, width=0.2)
         init = settled_initial_state(mesh, params, P0_SMOOTH, ops)
-        scheme = SchemeConfig(kind="fsl", l_mode="global")
+        scheme = SchemeConfig(kind="fsl", L=params.vg.saturation_lipschitz())
         state, report = run_time_step(scheme, None, init, params, ops)
         assert report.converged and report.iterations > 1
         dp = [inc[0] for inc in report.increment_norms]
@@ -312,7 +294,7 @@ class TestRunTimeStep:
         # a starved iteration budget must surface as a status, not an error
         mesh, ops, params, init = setup_problem(4, 4, width=0.25, scenario="hoelder",
                                                 alpha=0.1)
-        scheme = SchemeConfig(kind="fsl", l_mode="global", max_iters=12)
+        scheme = SchemeConfig(kind="fsl", L=params.vg.saturation_lipschitz(), max_iters=12)
         result = run_transient(scheme, None, init, params, ops)
         assert not result.completed
         assert result.fail_step == 1
