@@ -29,16 +29,17 @@ class TestMesh:
         assert m.n_cells == 2500
         assert len(m.boundary_edges["inflow"]) == 10
 
-    def test_boundary_edges_by_enumeration(self):
-        # brute force: a boundary edge is referenced by exactly one cell,
-        # every other edge by two
+    def test_interior_edges_by_enumeration(self):
+        # brute force: an interior edge is referenced by exactly two cells,
+        # a boundary edge by one
         m = RectMesh(2, 2, 1, 1, 0.5)
         counts = np.zeros(m.n_edges, dtype=int)
         for edges in m.cell_edges:
             counts[edges] += 1
-        assert np.array_equal(np.nonzero(counts == 1)[0], m.all_boundary_edges)
-        assert np.count_nonzero(counts == 2) == 4
-        assert np.all((counts == 1) | (counts == 2))
+        interior = np.setdiff1d(np.arange(m.n_edges), m.all_boundary_edges)
+        assert np.array_equal(np.nonzero(counts == 2)[0], interior)
+        assert len(interior) == 4
+        assert np.all(counts[m.all_boundary_edges] == 1)
 
     def test_misaligned_inflow_rejected(self):
         with pytest.raises(MeshAlignmentError):

@@ -29,7 +29,7 @@ from porosplit.schemes import (
     split_iteration,
 )
 
-from conftest import LAM, MU, P0_SMOOTH, natural, setup_problem
+from conftest import LAM, MU, P0_SMOOTH, VG_SMOOTH, natural, setup_problem
 
 
 class TestFixedStressBeta:
@@ -56,6 +56,50 @@ class TestSchemeConfig:
         with pytest.raises(ValueError, match="L_scale"):
             SchemeConfig(kind="fsl", L=0.3, L_scale=0.5)
 
+
+
+def first_sweep(**fsl):
+    """Pressure after one FSL sweep from the 5x5 initial state, with the
+    stabilization that ``run_time_step`` picks for ``SchemeConfig(**fsl)``."""
+    _, ops, params, prev = setup_problem(5, 5, alpha=1.0)
+    scheme = SchemeConfig(kind="fsl", max_iters=1, **fsl)
+    state, report = run_time_step(scheme, None, prev, params, ops)
+    assert report.iterations == 1
+    return state.p, prev, params, ops
+
+
+class TestLschemeParameter:
+    def test_plain_variant_recovers_lipschitz_constant(self):
+        # L=None weights the saturation Lipschitz constant L_s itself
+        p, prev, params, ops = first_sweep()
+        beta = fixed_stress_beta(MU, LAM, 1.0)
+        cpp = pressure_coefficient(prev, prev, params, ops,
+                                   VG_SMOOTH.saturation_lipschitz(), beta)
+        ref, _, _ = split_iteration(prev, prev, params, ops, cpp)
+        np.testing.assert_allclose(p, ref.p, rtol=1e-14, atol=0.0)
+
+    def test_halved_variant(self):
+        # L_scale = 0.5 halves L_s and beta_FS; with 1/N = 0 the whole
+        # coefficient is half the plain one
+        p, prev, params, ops = first_sweep(L_scale=0.5)
+        assert params.inv_n == 0.0
+        beta = fixed_stress_beta(MU, LAM, 1.0)
+        l_s = VG_SMOOTH.saturation_lipschitz()
+        plain = pressure_coefficient(prev, prev, params, ops, l_s, beta)
+        cpp = pressure_coefficient(prev, prev, params, ops, 0.5 * l_s, 0.5 * beta)
+        np.testing.assert_allclose(cpp, 0.5 * plain, rtol=1e-14, atol=0.0)
+        ref, _, _ = split_iteration(prev, prev, params, ops, cpp)
+        np.testing.assert_allclose(p, ref.p, rtol=1e-14, atol=0.0)
+
+    def test_explicit_value_wins(self):
+        # a given L selects the constant diagonal (L + 1/N + beta_FS) M_p
+        p, prev, params, ops = first_sweep(L=0.321)
+        beta = fixed_stress_beta(MU, LAM, 1.0)
+        cpp = (0.321 + params.inv_n + beta) * ops.M_p
+        ref, _, _ = split_iteration(prev, prev, params, ops, cpp)
+        np.testing.assert_allclose(p, ref.p, rtol=1e-14, atol=0.0)
+        local, _, _ = fsl_local_iteration(prev, prev, params, ops)
+        assert np.abs(p - local.p).max() > 1e-8
 
 ITERATIONS = {
     "newton": newton_iteration,
