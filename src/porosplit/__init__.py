@@ -19,14 +19,11 @@ from .constitutive import (
 from .fem import DiscreteOperators, SparseFactor, assemble
 from .mesh import RectMesh
 from .model import (
-    DenseReducedProblem,
     PhysicsParams,
     PoroState,
     inflow_rate,
     initial_state,
     newton_blocks,
-    residuals,
-    settled_initial_state,
     volume_conservation_gap,
 )
 from .schemes import (

@@ -30,26 +30,24 @@ import numpy as np
 
 __all__ = ["AndersonConfig", "AndersonWindow", "mixing_weights"]
 
+COND_CAP = 1e10   # condition-number cap of the mixing least squares
+
 
 @dataclass(frozen=True)
 class AndersonConfig:
-    """Acceleration depth m >= 0, window mode, and the condition-number cap
-    of the mixing least squares."""
+    """Acceleration depth m >= 0 and window mode."""
 
     depth: int = 0
     mode: str = "windowed"
-    cond_cap: float = 1e10
 
     def __post_init__(self):
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
         if self.mode not in ("windowed", "restarted"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.cond_cap <= 0:
-            raise ValueError("cond_cap must be positive")
 
 
-def mixing_weights(increments: np.ndarray, cond_cap: float = 1e10):
+def mixing_weights(increments: np.ndarray, cond_cap: float = COND_CAP):
     """Constrained least-squares mixing weights for the given increment
     columns (oldest first, newest last).
 
@@ -104,10 +102,6 @@ class AndersonWindow:
         self._increments: list[np.ndarray] = []
         self._iteration = 0
 
-    @property
-    def depth_now(self) -> int:
-        return len(self._images) - 1
-
     def _target_depth(self) -> int:
         i, m = self._iteration, self.config.depth
         if self.config.mode == "restarted":
@@ -126,9 +120,7 @@ class AndersonWindow:
         keep = self._target_depth() + 1  # restart flushes older entries
         self._images = self._images[-keep:]
         self._increments = self._increments[-keep:]
-        alpha, fallback = mixing_weights(
-            np.column_stack(self._increments), self.config.cond_cap
-        )
+        alpha, fallback = mixing_weights(np.column_stack(self._increments))
         iterate = alpha @ np.vstack(self._images)
         return iterate, alpha, fallback
 

@@ -10,7 +10,8 @@ Pointwise material laws shared by every linearization scheme:
 
 All functions accept scalars or numpy arrays and are pure.  Calls to the two
 derivative evaluators are counted globally so that derivative-free schemes can
-assert that they never touch them.
+assert that they never touch them (the counts never reset; callers compare
+two readings).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "porosity",
     "capillary_pressure",
     "derivative_call_counts",
-    "reset_derivative_call_counts",
 ]
 
 DERIVATIVE_CAP = 1e12
@@ -44,17 +44,12 @@ class InvalidInput(ValueError):
 
 
 # Instrumentation: number of calls to derivative evaluators.  The L-scheme
-# family advertises that it is derivative-free; tests assert these stay at 0.
+# family advertises that it is derivative-free; tests assert these stay put.
 _derivative_calls = {"saturation_derivative": 0, "mobility_derivative_wrt_p": 0}
 
 
 def derivative_call_counts() -> dict:
     return dict(_derivative_calls)
-
-
-def reset_derivative_call_counts() -> None:
-    for key in _derivative_calls:
-        _derivative_calls[key] = 0
 
 
 @dataclass(frozen=True)
@@ -210,7 +205,6 @@ def mobility_derivative_wrt_p(p, vg: VanGenuchtenModel, cap: float = DERIVATIVE_
     clamped = ~np.isfinite(out) | (np.abs(out) > cap)
     if np.any(clamped):
         out[clamped] = np.sign(np.where(np.isnan(out[clamped]), 1.0, out[clamped])) * cap
-        out[clamped & ~np.isfinite(out)] = cap
     if scalar:
         return float(out), bool(clamped)
     return out, clamped

@@ -8,7 +8,10 @@ Mass and divergence matrices are exact on rectangles; the plane-strain
 elasticity stiffness uses tensor-product 2-point Gauss, which is exact for
 Q1.  Dirichlet data follows the injection scenario: prescribed normal flux
 on every boundary edge, roller supports (u.n = 0) on left/right/bottom,
-traction-free top.
+traction-free top.  The RT0 mass is encoded once, as the cell block
+``local_flux_mass``: ``M_q`` is scattered from it, and the mobility-weighted
+mass is only ever applied cell by cell (``weighted_flux_mass``) or summed
+into a factored matrix.
 
 Every sparse matrix is factored in one geometric nested-dissection
 ordering of the free dofs [p | q_free | u_free], computed once per mesh
@@ -206,6 +209,15 @@ class _FixedPattern:
         return sp.csc_array((data, self._indices, self._indptr), shape=(self.n, self.n))
 
 
+def _scatter(local: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_array:
+    """n x n matrix summed from one k x k block per cell (identical on a
+    uniform grid) at the cell's dofs (n_cells, k); zero entries of the
+    block are left out."""
+    r, c = np.nonzero(local)
+    rows, cols = dofs[:, r].ravel(), dofs[:, c].ravel()
+    return sp.csr_array((np.tile(local[r, c], len(dofs)), (rows, cols)), shape=(n, n))
+
+
 class DiscreteOperators:
     """Assembled mass/divergence/stiffness operators for one mesh.
 
@@ -218,7 +230,8 @@ class DiscreteOperators:
         A_uu: plane-strain elasticity stiffness (unconstrained).
         fixed_q/free_q: constrained/free flux dofs (all boundary edges fixed).
         fixed_u/free_u: constrained/free displacement dofs (rollers).
-        local_flux_mass: per-cell RT0 mass (4x4, cell_edges order).
+        local_flux_mass: per-cell RT0 mass (4x4, cell_edges order), from
+            which every RT0 mass is summed.
         local_divergence: per-cell row of D_pq (cell_edges order).
         local_displacement_divergence: per-cell row of D_pu (x then y of the
             cell_nodes).
@@ -240,24 +253,14 @@ class DiscreteOperators:
 
         self.M_p = np.full(nc, area)
 
-        # RT0 mass: per cell the (W,E) and (S,N) pairs couple by
-        # area * [[1/3, 1/6], [1/6, 1/3]]
+        # RT0 mass: per cell only the (W,E) and (S,N) pairs couple
         ce = mesh.cell_edges
-        pair_local = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]]) * area
-        rows, cols, vals = [], [], []
-        for a_col, b_col in ((0, 1), (2, 3)):
-            for (la, lb), v in np.ndenumerate(pair_local):
-                rows.append(ce[:, (a_col, b_col)[la]])
-                cols.append(ce[:, (a_col, b_col)[lb]])
-                vals.append(np.full(nc, v))
-        self.M_q = sp.csr_array(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(mesh.n_edges, mesh.n_edges),
-        )
+        self.local_flux_mass = np.zeros((4, 4))
+        self.local_flux_mass[:2, :2] = self.local_flux_mass[2:, 2:] = (
+            np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]]) * area)
+        self.M_q = _scatter(self.local_flux_mass, ce, mesh.n_edges)
 
         self.local_divergence = np.array([-mesh.hy, mesh.hy, -mesh.hx, mesh.hx])
-        self.local_flux_mass = np.zeros((4, 4))
-        self.local_flux_mass[:2, :2] = self.local_flux_mass[2:, 2:] = pair_local
         self.D_pq = sp.csr_array(
             (
                 np.tile(self.local_divergence, nc),
@@ -271,13 +274,13 @@ class DiscreteOperators:
         self.local_displacement_divergence = np.array(
             [-mesh.hy, mesh.hy, mesh.hy, -mesh.hy, -mesh.hx, -mesh.hx, mesh.hx, mesh.hx]
         ) / 2.0
-        rows = np.repeat(np.arange(nc), 8)
-        cols = np.concatenate([cn, cn + mesh.n_nodes], axis=1).ravel()
-        vals = np.tile(self.local_displacement_divergence, nc)
-        self.D_pu = sp.csr_array((vals, (rows, cols)), shape=(nc, 2 * mesh.n_nodes))
-
-        self.A_uu = self._assemble_elasticity()
-        self.M_u = self._assemble_vector_mass()
+        nodal = np.concatenate([cn, cn + mesh.n_nodes], axis=1)
+        self.D_pu = sp.csr_array(
+            (np.tile(self.local_displacement_divergence, nc),
+             (np.repeat(np.arange(nc), 8), nodal.ravel())),
+            shape=(nc, 2 * mesh.n_nodes))
+        self.A_uu = _scatter(self._elasticity_block(), nodal, 2 * mesh.n_nodes)
+        self.M_u = _scatter(self._vector_mass_block(), nodal, 2 * mesh.n_nodes)
 
         self.fixed_q = mesh.all_boundary_edges
         free_q_mask = np.ones(mesh.n_edges, dtype=bool)
@@ -295,16 +298,6 @@ class DiscreteOperators:
         self._elastic_factor = None
 
         self.D_pq_f = self.D_pq[:, self.free_q]
-
-        # scratch index arrays for the weighted flux mass factory
-        pat = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-        self._wq_rows = np.concatenate(
-            [ce[:, pair][:, pat[:, 0]].ravel() for pair in ((0, 1), (2, 3))]
-        )
-        self._wq_cols = np.concatenate(
-            [ce[:, pair][:, pat[:, 1]].ravel() for pair in ((0, 1), (2, 3))]
-        )
-        self._wq_local = np.array([1 / 3, 1 / 6, 1 / 6, 1 / 3]) * area
 
         # one nested-dissection ordering of the coupled free dofs
         # [p | q_free | u_free]; the flux and elasticity orderings are its
@@ -344,10 +337,10 @@ class DiscreteOperators:
         dN_deta = np.array([[-(1 - x) / 4, -(1 + x) / 4, (1 + x) / 4, (1 - x) / 4] for x, _ in pts])
         return dN_dxi * (2.0 / self.mesh.hx), dN_deta * (2.0 / self.mesh.hy)
 
-    def _assemble_elasticity(self):
-        mesh = self.mesh
+    def _elasticity_block(self):
+        """Plane-strain stiffness of one cell (x then y of its nodes)."""
         dndx, dndy = self._q1_gradients()
-        w = mesh.cell_area / 4.0  # equal Gauss weights, jacobian hx*hy/4 times weight 1
+        w = self.mesh.cell_area / 4.0  # equal Gauss weights, jacobian hx*hy/4 times weight 1
         D = np.array(
             [
                 [2 * self.mu + self.lam, self.lam, 0.0],
@@ -363,28 +356,17 @@ class DiscreteOperators:
             B[2, :4] = dndy[g]
             B[2, 4:] = dndx[g]
             K += w * B.T @ D @ B
-        return self._scatter_nodal(K)
+        return K
 
-    def _assemble_vector_mass(self):
-        mesh = self.mesh
-        m_scalar = (mesh.cell_area / 36.0) * np.array(
+    def _vector_mass_block(self):
+        """Q1 vector mass of one cell (x then y of its nodes)."""
+        m_scalar = (self.mesh.cell_area / 36.0) * np.array(
             [[4, 2, 1, 2], [2, 4, 2, 1], [1, 2, 4, 2], [2, 1, 2, 4]], dtype=float
         )
         M = np.zeros((8, 8))
         M[:4, :4] = m_scalar
         M[4:, 4:] = m_scalar
-        return self._scatter_nodal(M)
-
-    def _scatter_nodal(self, local):
-        """Scatter one 8x8 per-cell block (identical on a uniform grid)."""
-        mesh = self.mesh
-        cn = mesh.cell_nodes
-        dofs = np.concatenate([cn, cn + mesh.n_nodes], axis=1)  # (nc, 8)
-        rows = np.repeat(dofs, 8, axis=1).ravel()
-        cols = np.tile(dofs, (1, 8)).ravel()
-        vals = np.tile(local.ravel(), mesh.n_cells)
-        n = 2 * mesh.n_nodes
-        return sp.csr_array((vals, (rows, cols)), shape=(n, n))
+        return M
 
     @functools.cached_property
     def _coupled_pattern(self):
@@ -416,16 +398,12 @@ class DiscreteOperators:
 
     # -- factories and solves --------------------------------------------
 
-    def weighted_flux_mass(self, cell_weights: np.ndarray) -> sp.csr_array:
-        """RT0 mass matrix with piecewise-constant cell weights."""
-        w = np.asarray(cell_weights, dtype=float)
-        if w.shape != (self.mesh.n_cells,):
-            raise ValueError("need one weight per cell")
-        data = np.concatenate([np.outer(w, self._wq_local).ravel()] * 2)
-        return sp.csr_array(
-            (data, (self._wq_rows, self._wq_cols)),
-            shape=(self.mesh.n_edges, self.mesh.n_edges),
-        )
+    def weighted_flux_mass(self, cell_weights: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """K(w) q for the RT0 mass K(w) with piecewise-constant cell weights
+        w, summed cell by cell from local_flux_mass; no matrix is built."""
+        ce = self.mesh.cell_edges
+        local = cell_weights[:, None] * (q[ce] @ self.local_flux_mass)
+        return np.bincount(ce.ravel(), weights=local.ravel(), minlength=self.mesh.n_edges)
 
     def free_flux_matrix(self, blocks: np.ndarray) -> sp.csc_array:
         """Sum of per-cell 4x4 blocks (nc, 4, 4), rows and columns in
@@ -449,25 +427,6 @@ class DiscreteOperators:
         values = np.concatenate([p_row.ravel(), p_col.ravel(),
                                  np.outer(flux_weights, mass_pairs).ravel()])
         return pattern.matrix(stiffness_data + pattern.data(values))
-
-    def flux_mass_cell_action(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell local RT0 mass action on q.
-
-        Returns (edge indices (nc,4), values (nc,4)) such that summing the
-        values into the edge indices reproduces M_q @ q cellwise.  Used for
-        the mobility-derivative coupling block of Newton-type schemes.
-        """
-        ql = q[self.mesh.cell_edges]
-        area = self.mesh.cell_area
-        vals = np.column_stack(
-            [
-                area * (ql[:, 0] / 3 + ql[:, 1] / 6),
-                area * (ql[:, 0] / 6 + ql[:, 1] / 3),
-                area * (ql[:, 2] / 3 + ql[:, 3] / 6),
-                area * (ql[:, 2] / 6 + ql[:, 3] / 3),
-            ]
-        )
-        return self.mesh.cell_edges, vals
 
     def elastic_solve(self, rhs_free: np.ndarray) -> np.ndarray:
         """Solve the constrained elasticity system; the factorization is

@@ -119,10 +119,12 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.eps_abs <= 0 or self.eps_rel <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.L is not None and self.L <= 0:
+        if not (self.eps_abs > 0 and self.eps_rel > 0):
+            raise ValueError("tolerances eps_abs and eps_rel must be positive")
+        if self.L is not None and not self.L > 0:
             raise ValueError("L must be positive")
+        if not self.L_scale > 0:
+            raise ValueError("L_scale must be positive")
         if self.L is not None and self.L_scale != 1.0:
             raise ValueError("L_scale scales the local bound; it cannot apply to a given L")
 
@@ -165,7 +167,7 @@ def _flow_rhs(state, params, ops, parts, t_new):
     dq = np.zeros(ops.mesh.n_edges)
     dq[ops.fixed_q] = prescribed_flux(ops, params, t_new) - state.q[ops.fixed_q]
     rhs_p = parts.r_p - params.tau * (ops.D_pq @ dq)
-    rhs_q = (parts.r_q - parts.kinv @ dq)[ops.free_q]
+    rhs_q = (parts.r_q - ops.weighted_flux_mass(parts.kinv, dq))[ops.free_q]
     return dq, rhs_p, rhs_q
 
 
@@ -192,9 +194,7 @@ def _flow_solve(state, params, ops, parts, cpp, coupling, t_new):
     dq, rhs_p, rhs_q = _flow_rhs(state, params, ops, parts, t_new)
     d = ops.local_divergence
     arm = d if coupling is None else d - coupling
-    with np.errstate(divide="ignore"):
-        kinv = 1.0 / parts.mobility
-    blocks = (kinv[:, None, None] * ops.local_flux_mass
+    blocks = (parts.kinv[:, None, None] * ops.local_flux_mass
               + (params.tau / cpp)[:, None, None] * (arm[..., :, None] * d))
     pushed = np.bincount(ops.mesh.cell_edges.ravel(),
                          weights=(arm * (rhs_p / cpp)[:, None]).ravel(),
@@ -411,11 +411,7 @@ def run_time_step(scheme: SchemeConfig, accel: AndersonConfig | None,
     if accepted is None:
         return current, report
 
-    pe_new = accepted.pore_pressure(params) if params.inv_n != 0.0 else None
-    pe_prev = prev.pore_pressure(params) if params.inv_n != 0.0 else None
-    porosity = prev.porosity + porosity_increment(
-        accepted.u, prev.u, pe_new, pe_prev, params, ops
-    )
+    porosity = prev.porosity + porosity_increment(accepted, prev, params, ops)
     return replace(accepted, porosity=porosity), report
 
 

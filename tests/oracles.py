@@ -1,0 +1,175 @@
+"""Dense and compositional oracles the tests check the solver against.
+
+None of this runs in a solve.  ``DenseReducedProblem`` is the exactly
+eliminated single-field form of a time step on oracle-scale meshes: the flux
+and displacement blocks are inverted densely, giving the compact problem
+
+  b(p) + tau D K(p) (f_q + D^T p) = f_p,
+
+whose L-scheme iteration must coincide with the fixed-stress L-scheme on the
+full three-field system.  Its dense K blocks are summed from the cell block
+``local_flux_mass`` here, not through the solver's flux-mass action.
+"""
+
+import numpy as np
+import scipy.linalg
+
+from porosplit import constitutive as laws
+from porosplit.model import (
+    PoroState,
+    flow_parts,
+    gravity_loads,
+    initial_state,
+    mech_residual,
+    prescribed_flux,
+)
+
+
+class ScaleGuardError(ValueError):
+    """Raised when the dense single-field oracle is asked for too large a mesh."""
+
+
+def dense_flux_mass(ops, cell_weights) -> np.ndarray:
+    """Dense RT0 mass matrix with piecewise-constant cell weights."""
+    ce = ops.mesh.cell_edges
+    out = np.zeros((ops.mesh.n_edges, ops.mesh.n_edges))
+    np.add.at(out, (ce[:, :, None], ce[:, None, :]),
+              np.asarray(cell_weights)[:, None, None] * ops.local_flux_mass)
+    return out
+
+
+def residuals(state, prev, params, ops):
+    """Residual vectors (r_p, r_q, r_u) of the coupled step at ``state``,
+    with the porosity frozen at ``prev``.  Rows of constrained flux and
+    displacement dofs are zeroed."""
+    parts = flow_parts(state, prev, params, ops)
+    return parts.r_p, parts.r_q, mech_residual(state, state.u, params, ops)
+
+
+def settled_initial_state(mesh, params, p0, ops) -> PoroState:
+    """Initial state whose displacement already satisfies the discrete
+    mechanics equation at p0 (the instantaneously settled configuration).
+
+    The plain initial state (u = 0) leaves a nonzero mechanics residual on
+    the traction-free boundary, which the first time step then resolves;
+    exact-equivalence studies against the single-field form need the settled
+    variant.
+    """
+    state = initial_state(mesh, params, p0, ops)
+    pe = state.pore_pressure(params)
+    _, f_u = gravity_loads(ops, params)
+    rhs = (f_u + params.alpha * (ops.D_pu.T @ pe))[ops.free_u]
+    u = np.zeros(2 * mesh.n_nodes)
+    u[ops.free_u] = ops.elastic_solve(rhs)
+    return PoroState(p=state.p, q=state.q, u=u, time=0.0, porosity=state.porosity)
+
+
+class DenseReducedProblem:
+    """Exactly-eliminated pressure-only form of the step on a tiny mesh.
+
+    Flux and displacement are inverted densely, so the step becomes
+    b(p) + tau D K(p) (f_q(p) + D^T p) = f_p with
+
+      b(p)   = S(p) phi_vec(p),
+      phi_vec(p) = c0 + (alpha^2 Dpu Auu^{-1} Dpu^T + (1/N) M_p) pE(p),
+      K(p)   = (k_w^{-1}-weighted RT0 mass, free block)^{-1},
+      f_q(p) = gravity load minus the coupling of constrained flux dofs.
+
+    Only the free flux dofs remain in D; contributions of boundary dofs
+    (prescribed inflow) are folded into f_q and f_p.
+    """
+
+    MAX_CELLS = 64
+
+    def __init__(self, ops, params, init):
+        mesh = ops.mesh
+        if mesh.n_cells > self.MAX_CELLS:
+            raise ScaleGuardError(
+                f"dense oracle is limited to {self.MAX_CELLS} cells, got {mesh.n_cells}"
+            )
+        self.ops = ops
+        self.params = params
+        self.area = ops.M_p.copy()
+
+        a_lu = scipy.linalg.lu_factor(ops.A_ff.toarray())
+        dpu_f = ops.D_pu[:, ops.free_u].toarray()
+        f_q0, f_u0 = gravity_loads(ops, params)
+        self.f_q0_f = f_q0[ops.free_q]
+        alpha = params.alpha
+        self.P2 = alpha**2 * dpu_f @ scipy.linalg.lu_solve(a_lu, dpu_f.T)
+        pe0 = init.pore_pressure(params)
+        self.c0 = (
+            self.area * params.law.phi0
+            + alpha * dpu_f @ scipy.linalg.lu_solve(a_lu, f_u0[ops.free_u])
+            - alpha * (ops.D_pu @ init.u)
+            - params.inv_n * self.area * pe0
+        )
+        self.D_f = ops.D_pq[:, ops.free_q].toarray()
+        self.D_b = ops.D_pq[:, ops.fixed_q].toarray()
+
+    # -- constitutive wrappers -----------------------------------------
+
+    def saturation(self, p):
+        return laws.saturation(p, self.params.vg)
+
+    def pore_pressure(self, p):
+        return laws.equivalent_pore_pressure(p, self.params.vg)
+
+    def phi_vec(self, p):
+        """Area-integrated porosity at mechanics-consistent displacement."""
+        pe = self.pore_pressure(p)
+        return self.c0 + self.P2 @ pe + self.params.inv_n * self.area * pe
+
+    def b(self, p):
+        return self.saturation(p) * self.phi_vec(p)
+
+    def jacobian_b(self, p):
+        """Dense Jacobian of b: diag(s' phi_vec) + S (P2 + (1/N) M_p) S."""
+        s = self.saturation(p)
+        sd = laws.saturation_derivative(p, self.params.vg)
+        core = self.P2 + self.params.inv_n * np.diag(self.area)
+        return np.diag(sd * self.phi_vec(p)) + (s[:, None] * core) * s[None, :]
+
+    # -- flux elimination ------------------------------------------------
+
+    def _flux_blocks(self, p):
+        s = self.saturation(p)
+        kinv = dense_flux_mass(self.ops, 1.0 / laws.mobility(s, self.params.vg))
+        free_q = self.ops.free_q
+        return kinv[np.ix_(free_q, free_q)], kinv[np.ix_(free_q, self.ops.fixed_q)]
+
+    def f_p(self, phi_prev, s_prev, t):
+        qbar = prescribed_flux(self.ops, self.params, t)
+        return self.area * phi_prev * s_prev - self.params.tau * (self.D_b @ qbar)
+
+    def compact_residual(self, p, phi_prev, s_prev, t):
+        """Defect of b(p) + tau D K(p) (f_q + D^T p) - f_p."""
+        k_ff, k_fb = self._flux_blocks(p)
+        qbar = prescribed_flux(self.ops, self.params, t)
+        rhs = self.f_q0_f - k_fb @ qbar + self.D_f.T @ p
+        q_f = np.linalg.solve(k_ff, rhs)
+        return (
+            self.b(p) + self.params.tau * (self.D_f @ q_f)
+            - self.f_p(phi_prev, s_prev, t)
+        )
+
+    def lscheme_step(self, p_old, phi_prev, s_prev, t, L_total):
+        """One constant-stabilization iteration of the compact problem:
+
+        L_total M_p (p - p_old) + b(p_old)
+            + tau D K(p_old) (f_q(p_old) + D^T p) = f_p.
+        """
+        tau = self.params.tau
+        k_ff, k_fb = self._flux_blocks(p_old)
+        k = np.linalg.inv(k_ff)
+        qbar = prescribed_flux(self.ops, self.params, t)
+        f_q = self.f_q0_f - k_fb @ qbar
+        lhs = L_total * np.diag(self.area) + tau * self.D_f @ k @ self.D_f.T
+        rhs = (
+            self.f_p(phi_prev, s_prev, t)
+            - self.b(p_old)
+            - tau * self.D_f @ (k @ f_q)
+            + L_total * self.area * p_old
+        )
+        return np.linalg.solve(lhs, rhs)
+

@@ -23,18 +23,11 @@ from porosplit.aa_theory import (
 from porosplit.anderson import AndersonConfig
 from porosplit.fem import assemble
 from porosplit.mesh import RectMesh
-from porosplit.model import (
-    DenseReducedProblem,
-    PoroState,
-    initial_state,
-    newton_blocks,
-    residuals,
-    settled_initial_state,
-    volume_conservation_gap,
-)
+from porosplit.model import PoroState, initial_state, newton_blocks, volume_conservation_gap
 from porosplit.schemes import SchemeConfig, fixed_stress_beta, run_transient
 
 from conftest import LAM, MU, P0_HOELDER, P0_SMOOTH, VG_SMOOTH, natural, setup_problem
+from oracles import DenseReducedProblem, residuals, settled_initial_state
 
 PLAIN_SCHEMES = ("newton", "fsnewton", "fsmp", "fsl")
 ALPHAS = (0.1, 0.5, 1.0)
@@ -56,33 +49,33 @@ def test1_runs():
     constitutive-derivative calls."""
     runs = {}
     counters = {}
-    mesh, ops, params_by_alpha, inits = {}, {}, {}, {}
+
+    def counted(key, *args):
+        """runs[key] = run_transient(*args); counters[key] = the derivative
+        calls it made."""
+        before = laws.derivative_call_counts()
+        runs[key] = run_transient(*args)
+        after = laws.derivative_call_counts()
+        counters[key] = {name: after[name] - before[name] for name in after}
+
     m25 = RectMesh(25, 25, 1.0, 1.0, 0.2)
     ops25 = assemble(m25, MU, LAM)
     for alpha in ALPHAS:
         _, _, params, init = setup_problem(25, 25, alpha=alpha)
         for kind in PLAIN_SCHEMES:
-            if kind == "fsl":
-                laws.reset_derivative_call_counts()
             scheme = SchemeConfig(kind=kind)
-            runs[(kind, 0, alpha)] = run_transient(scheme, None, init, params, ops25)
             if kind == "fsl":
-                counters[(kind, 0, alpha)] = laws.derivative_call_counts()
+                counted((kind, 0, alpha), scheme, None, init, params, ops25)
+            else:
+                runs[(kind, 0, alpha)] = run_transient(scheme, None, init, params, ops25)
 
     _, _, params1, init1 = setup_problem(25, 25, alpha=1.0)
-    laws.reset_derivative_call_counts()
-    runs[("fsl", 10, 1.0)] = run_transient(
-        SchemeConfig(kind="fsl"), AndersonConfig(depth=10), init1, params1, ops25
-    )
-    counters[("fsl", 10, 1.0)] = laws.derivative_call_counts()
+    counted(("fsl", 10, 1.0), SchemeConfig(kind="fsl"), AndersonConfig(depth=10),
+            init1, params1, ops25)
 
     _, _, params50, init50 = setup_problem(50, 50, alpha=1.0)
     ops50 = assemble(RectMesh(50, 50, 1.0, 1.0, 0.2), MU, LAM)
-    laws.reset_derivative_call_counts()
-    runs[("fsl50", 0, 1.0)] = run_transient(
-        SchemeConfig(kind="fsl"), None, init50, params50, ops50
-    )
-    counters[("fsl50", 0, 1.0)] = laws.derivative_call_counts()
+    counted(("fsl50", 0, 1.0), SchemeConfig(kind="fsl"), None, init50, params50, ops50)
 
     operators = {25: ops25, 50: ops50}
     params_all = {(25, a): setup_problem(25, 25, alpha=a)[2] for a in ALPHAS}

@@ -67,16 +67,16 @@ class TestAndersonWindow:
     def test_window_never_exceeds_depth(self, rng):
         window = AndersonWindow(AndersonConfig(depth=3))
         for i in range(12):
-            window.push(rng.standard_normal(5), rng.standard_normal(5))
-            assert window.depth_now <= 3
+            _, alpha, _ = window.push(rng.standard_normal(5), rng.standard_normal(5))
+            assert len(alpha) - 1 <= 3
 
     def test_restarted_depth_sequence_pairs_plain_and_accelerated(self, rng):
         # depth pattern 0, 1, 0, 1, ... : one plain step, one mixed step
         window = AndersonWindow(AndersonConfig(depth=1, mode="restarted"))
         depths = []
         for _ in range(8):
-            window.push(rng.standard_normal(4), rng.standard_normal(4))
-            depths.append(window.depth_now)
+            _, alpha, _ = window.push(rng.standard_normal(4), rng.standard_normal(4))
+            depths.append(len(alpha) - 1)
         assert depths == [0, 1, 0, 1, 0, 1, 0, 1]
 
     def test_restarted_matches_explicit_alpha_on_linear_map(self, rng):

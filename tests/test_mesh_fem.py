@@ -10,6 +10,7 @@ from porosplit.model import newton_blocks
 from porosplit.schemes import fixed_stress_beta, fsl_local_iteration
 
 from conftest import LAM, MU, natural, setup_problem
+from oracles import dense_flux_mass
 
 
 class TestMesh:
@@ -114,16 +115,27 @@ class TestAssembly:
             assert abs(diff).max() == 0.0
 
     def test_weighted_flux_mass_matches_brute_force(self, rng):
-        m = RectMesh(3, 2, 1.0, 1.0, 0.0)
-        ops = assemble(m, MU, LAM)
-        w = rng.uniform(0.5, 2.0, m.n_cells)
-        dense = np.zeros((m.n_edges, m.n_edges))
-        local = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]]) * m.cell_area
-        for c in range(m.n_cells):
-            for pair in ((0, 1), (2, 3)):
-                idx = m.cell_edges[c, list(pair)]
-                dense[np.ix_(idx, idx)] += w[c] * local
-        assert np.abs(ops.weighted_flux_mass(w).toarray() - dense).max() < 1e-15
+        # the action K(w) q against the brute-force matrix, column by column
+        # and on a random q; the second mesh has other cell sides on a
+        # non-unit domain and a cell of weight 0
+        for m, zero_cell in ((RectMesh(3, 2, 1.0, 1.0, 0.0), None),
+                             (RectMesh(4, 3, 2.0, 0.6, 0.5), 5)):
+            ops = assemble(m, MU, LAM)
+            w = rng.uniform(0.5, 2.0, m.n_cells)
+            if zero_cell is not None:
+                w[zero_cell] = 0.0
+            dense = np.zeros((m.n_edges, m.n_edges))
+            local = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]]) * m.cell_area
+            for c in range(m.n_cells):
+                for pair in ((0, 1), (2, 3)):
+                    idx = m.cell_edges[c, list(pair)]
+                    dense[np.ix_(idx, idx)] += w[c] * local
+            columns = np.column_stack([ops.weighted_flux_mass(w, e) for e in np.eye(m.n_edges)])
+            assert np.abs(columns - dense).max() < 1e-15
+            q = rng.uniform(-1.0, 1.0, m.n_edges)
+            assert np.abs(ops.weighted_flux_mass(w, q) - dense @ q).max() < 1e-15
+            unweighted = ops.weighted_flux_mass(np.ones(m.n_cells), q)
+            assert np.abs(ops.M_q @ q - unweighted).max() < 1e-15
 
     def test_constrained_elasticity_is_spd(self, rng):
         ops = assemble(RectMesh(4, 4, 1, 1, 0.25), MU, LAM)
@@ -195,8 +207,8 @@ class TestSolvers:
             (col.ravel(), (m.cell_edges.ravel(), np.repeat(np.arange(m.n_cells), 4))),
             shape=(m.n_edges, m.n_cells),
         )
-        full = ops.weighted_flux_mass(w) + cols @ ops.D_pq
-        expected = full[ops.free_q][:, ops.free_q].toarray()
+        full = dense_flux_mass(ops, w) + (cols @ ops.D_pq).toarray()
+        expected = full[np.ix_(ops.free_q, ops.free_q)]
         got = natural(ops.free_flux_matrix(blocks), ops.flux_order).toarray()
         assert np.abs(got - expected).max() < 1e-14
 

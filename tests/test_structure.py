@@ -3,6 +3,10 @@ reads a private (underscore) name of another module.  A private helper that
 another module needs is made public and listed in its owner's ``__all__``."""
 
 import ast
+import io
+import re
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -83,3 +87,41 @@ def f(state, _local):
         "from model import _flow_parts", "from fem import _helper",
         "laws._cache", "fem._x", "aa._window",
     ])
+
+
+# Public names without a caller in the package or the benchmark, kept on
+# purpose: the README documents them as API of the theory lab.
+UNCALLED_API = {("aa_theory", "propagation_eigenvalues")}
+BENCHMARK = PACKAGE.parents[1] / "perfbench"
+
+
+def _exported(module: str) -> list:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _name_tokens(source: str) -> Counter:
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return Counter(tok.string for tok in tokens if tok.type == tokenize.NAME)
+
+
+def uncalled_exports() -> list:
+    """``module.name`` of every name in a package module's ``__all__`` that
+    no other NAME token of the package modules (``__init__`` aside) uses and
+    no benchmark script mentions.  The definition itself is one token."""
+    uses = Counter()
+    for module in MODULES:
+        if module != "__init__":
+            uses += _name_tokens((PACKAGE / f"{module}.py").read_text())
+    bench = "\n".join(p.read_text() for p in sorted(BENCHMARK.glob("*.py")))
+    return [f"{module}.{name}" for module in MODULES for name in _exported(module)
+            if uses[name] < 2 and (module, name) not in UNCALLED_API
+            and not re.search(rf"\b{name}\b", bench)]
+
+
+def test_every_export_has_a_caller():
+    assert uncalled_exports() == []
