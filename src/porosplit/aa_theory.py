@@ -60,12 +60,11 @@ def contraction_factor(l1: float, l2: float) -> float:
     """Worst-case 4-iteration contraction factor r(l1, l2) >= 0."""
     if l1 == 0.0 or l2 == 0.0:
         raise SingularConfiguration("eigenvalues must be nonzero")
-    den = abs(l1 * (l1 - 1.0)) + abs(l2 * (l2 - 1.0))
-    if den == 0.0:
+    if abs(l1 * (l1 - 1.0)) + abs(l2 * (l2 - 1.0)) == 0.0:
         raise SingularConfiguration(
             f"degenerate eigenvalue pair ({l1}, {l2}): zero denominator"
         )
-    return float(l1**2 * l2**2 * (l2 - l1) ** 2 / den**2)
+    return float(_contraction_grid(l1, l2))
 
 
 def propagation_eigenvalues(lams, betas) -> np.ndarray:
@@ -142,10 +141,10 @@ class RichardsonResult:
 
 
 def richardson_aa_experiment(pair: SpectralPair, n_quads: int) -> RichardsonResult:
-    """Run ``4 * n_quads`` iterations of restarted depth-1 acceleration on
-    the Richardson iteration F(x) = A x with A = diag(lam1, lam2) and error
-    beta1 v1 + beta2 v2, recording the error norm every 4 iterations; plain
-    Richardson is run alongside for comparison."""
+    """Run ``4 * n_quads`` iterations of AA*(1), a depth-1 window replaced
+    every two pushes, on the Richardson iteration F(x) = A x with A =
+    diag(lam1, lam2) and error beta1 v1 + beta2 v2, recording the error norm
+    every 4 iterations; plain Richardson is run alongside for comparison."""
     if n_quads < 1:
         raise ValueError("n_quads must be >= 1")
     A = np.diag([pair.lam1, pair.lam2])
@@ -160,10 +159,11 @@ def richardson_aa_experiment(pair: SpectralPair, n_quads: int) -> RichardsonResu
         return A @ x
 
     n_iter = 4 * n_quads
-    window = AndersonWindow(AndersonConfig(depth=1, mode="restarted"))
     x = e0.copy()
     aa_full = [np.linalg.norm(x - x_star)]
-    for _ in range(n_iter):
+    for i in range(n_iter):
+        if i % 2 == 0:  # restart: a plain step, then one depth-1 step
+            window = AndersonWindow(AndersonConfig(depth=1))
         image = fixed_point(x)
         x = window.push(image, image - x)[0]
         aa_full.append(np.linalg.norm(x - x_star))

@@ -3,10 +3,11 @@
 Windowed AA(m) keeps the last m+1 fixed-point images F(x) together with
 their increments F(x) - x.  The next iterate is the affine combination
 sum_k alpha_k F(x^k) whose mixed increment has minimal Euclidean (optionally
-diagonally weighted) norm subject to sum_k alpha_k = 1.  The restarted
-variant AA*(m) flushes its stores every m+1 iterations; for m = 1 it
-alternates one plain with one accelerated step.  Depth 0 is an exact
-pass-through of the underlying iteration.
+diagonally weighted) norm subject to sum_k alpha_k = 1.  Depth 0 is an
+exact pass-through of the underlying iteration.  A restart is always the
+owner replacing the window by a fresh one: the restarted variant AA*(m) is
+a window replaced every m+1 pushes (for m = 1, one plain step, then one
+accelerated step).
 
 The constrained least squares is solved in the unconstrained difference
 formulation: with newest column f_last, minimize over gamma
@@ -16,10 +17,10 @@ plain-step fallback instead of an exception: acceleration may degrade an
 iteration, so a guarded step is preferable to a failure.
 
 The window itself never judges the iterates it mixes.  The iteration
-driver of ``porosplit.schemes`` replaces a window of depth two or more by
-a fresh one (a restart: the next iterate is a plain step) whenever the
-increment at an iterate it returned exceeds ``AA_RESTART_FACTOR`` times
-the previous increment; the theory lab drives an unguarded window.
+driver of ``porosplit.schemes`` replaces a window of depth two or more
+whenever the increment at an iterate it returned exceeds
+``AA_RESTART_FACTOR`` times the previous increment; the theory lab
+(``porosplit.aa_theory``) replaces its depth-1 window every two pushes.
 """
 
 from __future__ import annotations
@@ -35,25 +36,22 @@ COND_CAP = 1e10   # condition-number cap of the mixing least squares
 
 @dataclass(frozen=True)
 class AndersonConfig:
-    """Acceleration depth m >= 0 and window mode."""
+    """Acceleration depth m >= 0."""
 
     depth: int = 0
-    mode: str = "windowed"
 
     def __post_init__(self):
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
-        if self.mode not in ("windowed", "restarted"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def mixing_weights(increments: np.ndarray, cond_cap: float = COND_CAP):
+def mixing_weights(increments: np.ndarray):
     """Constrained least-squares mixing weights for the given increment
     columns (oldest first, newest last).
 
     Minimizes ||F alpha||_2 subject to sum alpha = 1 via the difference
-    reformulation.  Returns (alpha, fallback); on rank deficiency beyond the
-    condition cap alpha degenerates to (0, ..., 0, 1), i.e. a plain step.
+    reformulation.  Returns (alpha, fallback); on rank deficiency beyond
+    COND_CAP alpha degenerates to (0, ..., 0, 1), i.e. a plain step.
     """
     F = np.atleast_2d(np.asarray(increments, dtype=float))
     if F.ndim != 2 or F.shape[1] < 1:
@@ -78,7 +76,7 @@ def mixing_weights(increments: np.ndarray, cond_cap: float = COND_CAP):
     if not np.all(np.isfinite(diffs)):
         return plain, True
     cond = np.linalg.cond(diffs)
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > COND_CAP:
         return plain, True
     gamma, *_ = np.linalg.lstsq(diffs, -newest, rcond=None)
     alpha = np.empty(m + 1)
@@ -88,7 +86,7 @@ def mixing_weights(increments: np.ndarray, cond_cap: float = COND_CAP):
 
 
 class AndersonWindow:
-    """Image/increment store owned by one iteration driver.
+    """Sliding store of the last depth+1 images and increments.
 
     ``weights`` is an optional positive diagonal (e.g. mass-matrix diagonal)
     under which the mixing norm is taken, so that for PDE iterates the
@@ -100,24 +98,16 @@ class AndersonWindow:
         self._scale = None if weights is None else np.sqrt(np.asarray(weights, dtype=float))
         self._images: list[np.ndarray] = []
         self._increments: list[np.ndarray] = []
-        self._iteration = 0
-
-    def _target_depth(self) -> int:
-        i, m = self._iteration, self.config.depth
-        if self.config.mode == "restarted":
-            return min((i - 1) % (m + 1), m)
-        return min(i - 1, m)
 
     def push(self, image: np.ndarray, increment: np.ndarray):
         """Store one fixed-point application and return the next iterate.
 
         Returns (iterate, alpha, fallback).
         """
-        self._iteration += 1
         scaled = increment if self._scale is None else self._scale * increment
         self._images.append(np.asarray(image, dtype=float))
         self._increments.append(np.asarray(scaled, dtype=float))
-        keep = self._target_depth() + 1  # restart flushes older entries
+        keep = self.config.depth + 1
         self._images = self._images[-keep:]
         self._increments = self._increments[-keep:]
         alpha, fallback = mixing_weights(np.column_stack(self._increments))

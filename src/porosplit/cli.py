@@ -41,7 +41,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_plane(args) -> int:
     rect = (args.l1_min, args.l1_max, args.l2_min, args.l2_max)
-    sample = sample_planes(rect, args.resolution)
+    try:
+        sample = sample_planes(rect, args.resolution)
+    except ValueError as exc:  # a resolution below 2
+        raise ConfigError(str(exc)) from exc
     sample.write_csv(args.out)
     frac = float(np.mean(sample.converging))
     print(f"sampled {args.resolution}x{args.resolution} plane over {rect}; "
@@ -50,15 +53,19 @@ def _cmd_plane(args) -> int:
 
 
 def _cmd_richardson(args) -> int:
-    pair = SpectralPair(args.lam1, args.lam2)
-    result = richardson_aa_experiment(pair, args.blocks)
+    try:  # zero or degenerate eigenvalues, or fewer than one block
+        pair = SpectralPair(args.lam1, args.lam2)
+        result = richardson_aa_experiment(pair, args.blocks)
+        bound = result.bound
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"eigenvalues ({pair.lam1:g}, {pair.lam2:g}): "
-          f"4-step bound r = {result.bound:.6g}")
+          f"4-step bound r = {bound:.6g}")
     print(f"{'iter':>6} {'accelerated':>14} {'plain':>14}")
     for k, i in enumerate(range(0, 4 * args.blocks + 1, 4)):
         print(f"{i:>6} {result.aa_errors[k]:>14.6e} {result.plain_errors[k]:>14.6e}")
     worst = np.max(result.block_ratios) if len(result.block_ratios) else 0.0
-    print(f"worst observed 4-step ratio: {worst:.6g} (bound {result.bound:.6g})")
+    print(f"worst observed 4-step ratio: {worst:.6g} (bound {bound:.6g})")
     return 0
 
 

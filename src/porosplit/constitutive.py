@@ -167,12 +167,12 @@ def mobility(s, vg: VanGenuchtenModel):
     return _maybe_scalar(out, scalar)
 
 
-def mobility_derivative_wrt_p(p, vg: VanGenuchtenModel, cap: float = DERIVATIVE_CAP):
-    """d k_w(s_w(p)) / d p via the chain rule, clamped to +-cap.
+def mobility_derivative_wrt_p(p, vg: VanGenuchtenModel):
+    """d k_w(s_w(p)) / d p via the chain rule, clamped to +-DERIVATIVE_CAP.
 
     Near the transition p -> 0- the derivative behaves like |p|^(n-2) and is
     unbounded for n_vg < 2 (Hoelder-continuous mobility).  Overflowing values
-    are clamped to the finite sentinel ``cap`` and flagged instead of
+    are clamped to the finite sentinel DERIVATIVE_CAP and flagged instead of
     producing NaN/inf, so Newton-type schemes fail by divergence detection
     rather than by arithmetic faults.
 
@@ -202,9 +202,10 @@ def mobility_derivative_wrt_p(p, vg: VanGenuchtenModel, cap: float = DERIVATIVE_
                 + 2.0 * np.sqrt(s) * bracket * m * big * theta ** (m - 1.0) * s ** (big - 1.0)
             )
             out[wet] = dkds * dsdp
-    clamped = ~np.isfinite(out) | (np.abs(out) > cap)
+    clamped = ~np.isfinite(out) | (np.abs(out) > DERIVATIVE_CAP)
     if np.any(clamped):
-        out[clamped] = np.sign(np.where(np.isnan(out[clamped]), 1.0, out[clamped])) * cap
+        out[clamped] = (np.sign(np.where(np.isnan(out[clamped]), 1.0, out[clamped]))
+                        * DERIVATIVE_CAP)
     if scalar:
         return float(out), bool(clamped)
     return out, clamped

@@ -209,13 +209,13 @@ class _FixedPattern:
         return sp.csc_array((data, self._indices, self._indptr), shape=(self.n, self.n))
 
 
-def _scatter(local: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_array:
-    """n x n matrix summed from one k x k block per cell (identical on a
-    uniform grid) at the cell's dofs (n_cells, k); zero entries of the
-    block are left out."""
+def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp.csr_array:
+    """Matrix summed from one block ``local`` per cell (identical on a
+    uniform grid) at the cell's row dofs (n_cells, k_r) and column dofs
+    (n_cells, k_c); zero entries of the block are left out."""
     r, c = np.nonzero(local)
-    rows, cols = dofs[:, r].ravel(), dofs[:, c].ravel()
-    return sp.csr_array((np.tile(local[r, c], len(dofs)), (rows, cols)), shape=(n, n))
+    return sp.csr_array((np.tile(local[r, c], len(rows)),
+                         (rows[:, r].ravel(), cols[:, c].ravel())), shape=shape)
 
 
 class DiscreteOperators:
@@ -258,16 +258,11 @@ class DiscreteOperators:
         self.local_flux_mass = np.zeros((4, 4))
         self.local_flux_mass[:2, :2] = self.local_flux_mass[2:, 2:] = (
             np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]]) * area)
-        self.M_q = _scatter(self.local_flux_mass, ce, mesh.n_edges)
+        self.M_q = _scatter(self.local_flux_mass, ce, ce, (mesh.n_edges, mesh.n_edges))
 
+        cells = np.arange(nc)[:, None]
         self.local_divergence = np.array([-mesh.hy, mesh.hy, -mesh.hx, mesh.hx])
-        self.D_pq = sp.csr_array(
-            (
-                np.tile(self.local_divergence, nc),
-                (np.repeat(np.arange(nc), 4), ce.ravel()),
-            ),
-            shape=(nc, mesh.n_edges),
-        )
+        self.D_pq = _scatter(self.local_divergence[None, :], cells, ce, (nc, mesh.n_edges))
 
         # integrated Q1 divergence: values per x then y of (SW, SE, NE, NW)
         cn = mesh.cell_nodes
@@ -275,12 +270,11 @@ class DiscreteOperators:
             [-mesh.hy, mesh.hy, mesh.hy, -mesh.hy, -mesh.hx, -mesh.hx, mesh.hx, mesh.hx]
         ) / 2.0
         nodal = np.concatenate([cn, cn + mesh.n_nodes], axis=1)
-        self.D_pu = sp.csr_array(
-            (np.tile(self.local_displacement_divergence, nc),
-             (np.repeat(np.arange(nc), 8), nodal.ravel())),
-            shape=(nc, 2 * mesh.n_nodes))
-        self.A_uu = _scatter(self._elasticity_block(), nodal, 2 * mesh.n_nodes)
-        self.M_u = _scatter(self._vector_mass_block(), nodal, 2 * mesh.n_nodes)
+        n_u = 2 * mesh.n_nodes
+        self.D_pu = _scatter(self.local_displacement_divergence[None, :], cells, nodal,
+                             (nc, n_u))
+        self.A_uu = _scatter(self._elasticity_block(), nodal, nodal, (n_u, n_u))
+        self.M_u = _scatter(self._vector_mass_block(), nodal, nodal, (n_u, n_u))
 
         self.fixed_q = mesh.all_boundary_edges
         free_q_mask = np.ones(mesh.n_edges, dtype=bool)
@@ -295,7 +289,6 @@ class DiscreteOperators:
         self.free_u = np.nonzero(free_u_mask)[0]
 
         self.A_ff = self.A_uu[np.ix_(self.free_u, self.free_u)].tocsc()
-        self._elastic_factor = None
 
         self.D_pq_f = self.D_pq[:, self.free_q]
 
@@ -318,6 +311,14 @@ class DiscreteOperators:
         self.order = entry[order]
         self.flux_order = self.order[(self.order >= n_p) & (self.order < n_p + n_qf)] - n_p
         self.elastic_order = self.order[self.order >= n_p + n_qf] - n_p - n_qf
+        try:
+            # a singular constrained stiffness means the roller constraints
+            # failed to remove all rigid modes
+            self._elastic_factor = SparseFactor(
+                self.A_ff[self.elastic_order][:, self.elastic_order], self.elastic_order,
+                symmetric=True)
+        except LinearSolveError as exc:
+            raise ValueError(f"constrained elasticity block is singular: {exc}") from exc
 
         # fixed pattern of free-flux matrices from 4x4 cell blocks, in
         # flux_order
@@ -429,12 +430,8 @@ class DiscreteOperators:
         return pattern.matrix(stiffness_data + pattern.data(values))
 
     def elastic_solve(self, rhs_free: np.ndarray) -> np.ndarray:
-        """Solve the constrained elasticity system; the factorization is
-        computed once and reused (the stiffness never changes)."""
-        if self._elastic_factor is None:
-            order = self.elastic_order
-            self._elastic_factor = SparseFactor(self.A_ff[order][:, order], order,
-                                                symmetric=True)
+        """Solve the constrained elasticity system with the factorization
+        computed at assembly (the stiffness never changes)."""
         return self._elastic_factor.solve(rhs_free)
 
     # -- norms -------------------------------------------------------------
@@ -457,11 +454,4 @@ class DiscreteOperators:
 
 def assemble(mesh: RectMesh, mu: float, lam: float) -> DiscreteOperators:
     """Assemble all discrete operators for the injection scenario."""
-    ops = DiscreteOperators(mesh, mu, lam)
-    try:
-        # factorize eagerly: a singular constrained stiffness means the
-        # roller constraints failed to remove all rigid modes
-        ops.elastic_solve(np.zeros(len(ops.free_u)))
-    except LinearSolveError as exc:
-        raise ValueError(f"constrained elasticity block is singular: {exc}") from exc
-    return ops
+    return DiscreteOperators(mesh, mu, lam)

@@ -103,7 +103,6 @@ class RectMesh:
         self.left_nodes = np.arange(self.ny + 1) * (self.nx + 1)
         self.right_nodes = self.left_nodes + self.nx
         self.bottom_nodes = np.arange(self.nx + 1)
-        self.top_nodes = self.ny * (self.nx + 1) + np.arange(self.nx + 1)
 
     def __repr__(self):
         return (

@@ -25,11 +25,11 @@ and relative L2 criteria on the increments.  Anderson acceleration is
 applied as post-processing on the concatenated mass-weighted coefficient
 vector; the raw scheme increment at the current (possibly accelerated)
 iterate drives the convergence test, and the accepted state is always the
-plain image, so depth 0 is bitwise identical to the unaccelerated scheme.
+plain image.  Depth 0 runs the unaccelerated scheme, with no window.
 
 Restart rule: at depth m >= 2, whenever the total increment at an iterate
 the window returned exceeds AA_RESTART_FACTOR times the total at the
-previous iterate, the window is replaced by an empty one before the new
+previous iterate, the window is replaced by a fresh one before the new
 image is stored, so the next iterate is the plain image and the depth
 builds up again.  Extrapolating through a non-contractive stretch of the map (cells
 switching to full saturation, say) can blow the increment up while the
@@ -141,7 +141,6 @@ class IterationReport:
     aa_fallbacks: list = field(default_factory=list)      # plain-step fallback per push
     aa_restarts: list = field(default_factory=list)       # iterations that flushed the store
     failure: str | None = None
-    p_trace: list | None = None
 
     @property
     def converged(self) -> bool:
@@ -340,17 +339,16 @@ def _state_from_vector(vec, ops, t_new) -> PoroState:
 
 
 def run_time_step(scheme: SchemeConfig, accel: AndersonConfig | None,
-                  prev: PoroState, params: PhysicsParams, ops: DiscreteOperators,
-                  trace: bool = False):
-    """Iterate one scheme (optionally through the Anderson post-processor)
-    over a single time step.  Failures terminate the loop and are reported
-    in the IterationReport, never raised."""
+                  prev: PoroState, params: PhysicsParams, ops: DiscreteOperators):
+    """Iterate one scheme (through the Anderson post-processor at depth >= 1,
+    plain at depth 0 or None) over a single time step.  Failures terminate
+    the loop and are reported in the IterationReport, never raised."""
     t_new = prev.time + params.tau
     step = _iteration_fn(scheme)
     window = None
-    if accel is not None:
+    if accel is not None and accel.depth > 0:
         window = AndersonWindow(accel, weights=ops.aa_weights)
-    report = IterationReport(p_trace=[prev.p.copy()] if trace else None)
+    report = IterationReport()
     current = prev
     accepted = None
     totals = []
@@ -379,8 +377,6 @@ def run_time_step(scheme: SchemeConfig, accel: AndersonConfig | None,
         if converged(inc, state_norms, scheme.eps_abs, scheme.eps_rel):
             accepted = image
             report.termination = "converged"
-            if trace:
-                report.p_trace.append(image.p.copy())
             break
         if total > GROWTH_FACTOR * max(totals[0], 1e-300):
             report.termination = "diverged"
@@ -405,8 +401,6 @@ def run_time_step(scheme: SchemeConfig, accel: AndersonConfig | None,
             current = _state_from_vector(vec, ops, t_new)
         else:
             current = image
-        if trace:
-            report.p_trace.append(current.p.copy())
 
     if accepted is None:
         return current, report
@@ -433,16 +427,15 @@ class TransientResult:
         return sum(counts) / len(counts) if counts else float("nan")
 
 
-def run_transient(scheme: SchemeConfig, accel: AndersonConfig | None,
-                  init: PoroState, params: PhysicsParams, ops: DiscreteOperators,
-                  n_steps: int | None = None, trace: bool = False) -> TransientResult:
-    """March n_steps backward-Euler steps from the initial state, stopping
-    at the first non-converged step (the failure is data, not an error)."""
-    n_steps = params.n_steps if n_steps is None else n_steps
+def run_transient(scheme: SchemeConfig, accel: AndersonConfig | None, init: PoroState,
+                  params: PhysicsParams, ops: DiscreteOperators) -> TransientResult:
+    """March backward-Euler steps up to params.T from the initial state,
+    stopping at the first non-converged step (the failure is data, not an
+    error)."""
     states = [init]
     reports = []
-    for n in range(1, n_steps + 1):
-        state, report = run_time_step(scheme, accel, states[-1], params, ops, trace=trace)
+    for n in range(1, params.n_steps + 1):
+        state, report = run_time_step(scheme, accel, states[-1], params, ops)
         reports.append(report)
         if not report.converged:
             return TransientResult(states, reports, False, n, report.termination)

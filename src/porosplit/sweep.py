@@ -58,12 +58,12 @@ class SweepReport:
 def _run_combo(config: ScenarioConfig, ops, scheme_name: str, depth: int, alpha: float):
     params = config.params_for(alpha)
     init = initial_state(ops.mesh, params, config.p0, ops)
-    accel = AndersonConfig(depth=depth) if depth > 0 else None
-    result = run_transient(config.scheme_config(scheme_name), accel, init, params, ops)
+    result = run_transient(config.scheme_config(scheme_name), AndersonConfig(depth=depth),
+                           init, params, ops)
     counts = result.iterations_per_step
     if result.completed:
-        row = SweepRow(scheme_name, depth, alpha, "ok", None,
-                       float(np.mean(counts)), counts)
+        row = SweepRow(scheme_name, depth, alpha, "ok", None, result.average_iterations,
+                       counts)
     else:
         row = SweepRow(scheme_name, depth, alpha, result.fail_status,
                        result.fail_step, None, counts)

@@ -1,7 +1,10 @@
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from porosplit import schemes
 from porosplit.constitutive import PorosityLaw, VanGenuchtenModel
 from porosplit.fem import assemble
 from porosplit.mesh import RectMesh
@@ -44,6 +47,29 @@ def setup_problem(nx, ny, alpha=1.0, width=0.2, scenario="smooth", **kw):
         params = hoelder_params(alpha=alpha, **kw)
         init = initial_state(mesh, params, P0_HOELDER, ops)
     return mesh, ops, params, init
+
+
+@contextlib.contextmanager
+def pressure_iterates(name):
+    """Record the pressure iterates of the iteration function
+    ``schemes.<name>`` while the block runs: one list per time step, the
+    pressure it was first called with followed by the pressure of every
+    image it returned.  Without acceleration every image is the next
+    iterate, so each list is the step's iterate sequence up to the
+    accepted state."""
+    steps = {}
+    inner = getattr(schemes, name)
+
+    def recording(state, prev, *args, **kwargs):
+        image, inc, res = inner(state, prev, *args, **kwargs)
+        steps.setdefault(prev.time, [state.p.copy()]).append(image.p.copy())
+        return image, inc, res
+
+    traces = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schemes, name, recording)
+        yield traces
+    traces.extend(steps.values())
 
 
 def natural(matrix, order):

@@ -26,7 +26,16 @@ from porosplit.mesh import RectMesh
 from porosplit.model import PoroState, initial_state, newton_blocks, volume_conservation_gap
 from porosplit.schemes import SchemeConfig, fixed_stress_beta, run_transient
 
-from conftest import LAM, MU, P0_HOELDER, P0_SMOOTH, VG_SMOOTH, natural, setup_problem
+from conftest import (
+    LAM,
+    MU,
+    P0_HOELDER,
+    P0_SMOOTH,
+    VG_SMOOTH,
+    natural,
+    pressure_iterates,
+    setup_problem,
+)
 from oracles import DenseReducedProblem, residuals, settled_initial_state
 
 PLAIN_SCHEMES = ("newton", "fsnewton", "fsmp", "fsl")
@@ -87,7 +96,8 @@ def test1_runs():
 @pytest.fixture(scope="session")
 def contraction_traces():
     """Constant-parameter FSL (L = L_s, assembled diagonal L_s + beta_FS)
-    traced on both grids for the contraction witness."""
+    on both grids, with the pressure iterates of every step, for the
+    contraction witness."""
     out = {}
     for nx in (25, 50):
         _, _, params, _ = setup_problem(nx, nx, alpha=1.0)
@@ -95,9 +105,10 @@ def contraction_traces():
         ops = assemble(mesh, MU, LAM)
         init = settled_initial_state(mesh, params, P0_SMOOTH, ops)
         scheme = SchemeConfig(kind="fsl", L=VG_SMOOTH.saturation_lipschitz())
-        result = run_transient(scheme, None, init, params, ops, trace=True)
+        with pressure_iterates("fsl_iteration") as traces:
+            result = run_transient(scheme, None, init, params, ops)
         assert result.completed
-        out[nx] = (result, ops)
+        out[nx] = (traces, ops)
     return out
 
 
@@ -198,14 +209,15 @@ def test_criterion_05_reduced_equivalence():
     t0 = time.perf_counter()
     mesh = RectMesh(2, 2, 1.0, 1.0, 0.5)
     ops = assemble(mesh, MU, LAM)
-    _, _, params, _ = setup_problem(2, 2, width=0.5, alpha=1.0)
+    _, _, params, _ = setup_problem(2, 2, width=0.5, alpha=1.0, T=0.3)
     init = settled_initial_state(mesh, params, P0_SMOOTH, ops)
 
     L = VG_SMOOTH.saturation_lipschitz()
     beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
     scheme = SchemeConfig(kind="fsl", L=L)
-    full = run_transient(scheme, None, init, params, ops, n_steps=3, trace=True)
-    assert full.completed
+    with pressure_iterates("fsl_iteration") as traces:
+        full = run_transient(scheme, None, init, params, ops)
+    assert full.completed and len(traces) == 3
 
     problem = DenseReducedProblem(ops, params, init)
     phi_prev = init.porosity.copy()
@@ -213,9 +225,8 @@ def test_criterion_05_reduced_equivalence():
     p_reduced = init.p.copy()
     worst = 0.0
     compared = 0
-    for n, rep in enumerate(full.reports, start=1):
+    for n, trace in enumerate(traces, start=1):
         t = n * params.tau
-        trace = rep.p_trace
         p_iter = p_reduced.copy()
         for i in range(1, len(trace)):
             p_iter = problem.lscheme_step(p_iter, phi_prev, s_prev, t,
@@ -402,10 +413,9 @@ def test_criterion_09_round_off_robustness(hoelder_nominal, p0_scale):
 
 def test_criterion_10_contraction_witness(contraction_traces):
     medians = {}
-    for nx, (result, ops) in contraction_traces.items():
+    for nx, (traces, ops) in contraction_traces.items():
         ratios = []
-        for rep in result.reports:
-            trace = rep.p_trace
+        for trace in traces:
             p_star = trace[-1]
             errs = np.array([ops.pressure_norm(p - p_star) for p in trace[:-1]])
             floor = 1e-12 * max(ops.pressure_norm(p_star), 1.0)

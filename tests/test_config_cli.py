@@ -160,6 +160,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "0.5625" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["richardson", "--blocks", "0"],
+        ["richardson", "--lam1", "0"],
+        ["plane", "--resolution", "1"],
+    ])
+    def test_invalid_theory_arguments_are_configuration_errors(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
     def test_check_verb(self, monkeypatch):
         assert main(["check"]) == 0
         monkeypatch.setattr(checks, "run_quick_checks", lambda verbose=False: 1)

@@ -131,14 +131,16 @@ class TestMobilityDerivative:
             assert not clamped
             assert value == pytest.approx(fd, rel=1e-5)
 
-    def test_hoelder_blowup(self):
+    def test_hoelder_blowup(self, monkeypatch):
         # |p|^(n-2) growth for n < 2: direct evaluation crosses 1e6 near -1e-14
         value, _ = mobility_derivative_wrt_p(-1e-14, VG_HOELDER)
         assert abs(value) > 1e6
         # ... and the default 1e12 cap engages deeper in the transition
         value, clamped = mobility_derivative_wrt_p(-1e-24, VG_HOELDER)
         assert clamped and abs(value) == 1e12
-        value, clamped = mobility_derivative_wrt_p(-1e-14, VG_HOELDER, cap=1e6)
+        # the cap is read at call time
+        monkeypatch.setattr(laws, "DERIVATIVE_CAP", 1e6)
+        value, clamped = mobility_derivative_wrt_p(-1e-14, VG_HOELDER)
         assert clamped and abs(value) == 1e6
 
     def test_never_nan(self):

@@ -320,9 +320,8 @@ class TestVolumeConservation:
         assert np.max(np.abs(volume_conservation_gap(state, init, params, ops))) <= 1e-13
 
     def test_identity_along_a_run(self):
-        mesh, ops, params, init = setup_problem(5, 5, alpha=1.0)
-        result = run_transient(SchemeConfig(kind="fsmp"), None, init, params, ops,
-                               n_steps=4)
+        mesh, ops, params, init = setup_problem(5, 5, alpha=1.0, T=0.4)
+        result = run_transient(SchemeConfig(kind="fsmp"), None, init, params, ops)
         assert result.completed
         for prev, state in zip(result.states, result.states[1:]):
             gap = volume_conservation_gap(state, prev, params, ops)

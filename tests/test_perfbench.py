@@ -58,7 +58,7 @@ def test_benchmark_hooks_see_every_iteration(name, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    mesh, ops, params, init = setup_problem(4, 4, width=0.25)  # assembly calls elastic_solve
+    mesh, ops, params, init = setup_problem(4, 4, width=0.25)
     names = _iteration_functions()
     assert expected in names
     for attr in names:

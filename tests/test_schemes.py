@@ -27,7 +27,7 @@ from porosplit.schemes import (
     split_iteration,
 )
 
-from conftest import LAM, MU, P0_SMOOTH, VG_SMOOTH, natural, setup_problem
+from conftest import LAM, MU, P0_SMOOTH, VG_SMOOTH, natural, pressure_iterates, setup_problem
 from oracles import dense_flux_mass, residuals, settled_initial_state
 
 
@@ -154,24 +154,22 @@ class TestSingleIterations:
         assert report.converged and report.iterations == 1
 
     def test_fsl_evaluates_no_derivatives(self):
-        mesh, ops, params, init = setup_problem(4, 4, width=0.25)
+        mesh, ops, params, init = setup_problem(4, 4, width=0.25, T=0.2)
         before = laws.derivative_call_counts()
         for scheme in (
             SchemeConfig(kind="fsl"),
             SchemeConfig(kind="fsl", L=params.vg.saturation_lipschitz()),
         ):
-            result = run_transient(scheme, None, init, params, ops, n_steps=2)
+            result = run_transient(scheme, None, init, params, ops)
             assert result.completed
         assert laws.derivative_call_counts() == before
 
     def test_fs_schemes_track_each_other_at_weak_coupling(self):
         # with weak coupling and smooth laws the added mobility derivative
         # makes the split Newton track the monolithic one closely
-        mesh, ops, params, init = setup_problem(8, 8, alpha=0.1, width=0.25)
-        newton = run_transient(SchemeConfig(kind="newton"), None, init, params, ops,
-                               n_steps=5)
-        fsn = run_transient(SchemeConfig(kind="fsnewton"), None, init, params, ops,
-                            n_steps=5)
+        mesh, ops, params, init = setup_problem(8, 8, alpha=0.1, width=0.25, T=0.5)
+        newton = run_transient(SchemeConfig(kind="newton"), None, init, params, ops)
+        fsn = run_transient(SchemeConfig(kind="fsnewton"), None, init, params, ops)
         assert newton.completed and fsn.completed
         assert fsn.average_iterations <= 1.4 * newton.average_iterations
 
@@ -298,25 +296,25 @@ class TestRunTimeStep:
 
     def test_aa0_is_bitwise_identical(self):
         mesh, ops, params, init = setup_problem(5, 5, width=0.2)
-        plain, rep_plain = run_time_step(SchemeConfig(kind="fsmp"), None, init,
-                                         params, ops, trace=True)
-        wrapped, rep_wrapped = run_time_step(
-            SchemeConfig(kind="fsmp"), AndersonConfig(depth=0), init, params, ops,
-            trace=True,
-        )
+        with pressure_iterates("fsmp_iteration") as trace_plain:
+            plain, rep_plain = run_time_step(SchemeConfig(kind="fsmp"), None, init,
+                                             params, ops)
+        with pressure_iterates("fsmp_iteration") as trace_wrapped:
+            wrapped, rep_wrapped = run_time_step(
+                SchemeConfig(kind="fsmp"), AndersonConfig(depth=0), init, params, ops)
         assert rep_plain.iterations == rep_wrapped.iterations
         assert np.all(plain.p == wrapped.p)
         assert np.all(plain.q == wrapped.q)
         assert np.all(plain.u == wrapped.u)
-        for a, b in zip(rep_plain.p_trace, rep_wrapped.p_trace):
+        assert len(trace_plain[0]) == len(trace_wrapped[0]) == rep_plain.iterations + 1
+        for a, b in zip(trace_plain[0], trace_wrapped[0]):
             assert np.all(a == b)
 
     def test_acceleration_reduces_lscheme_iterations(self):
-        mesh, ops, params, init = setup_problem(8, 8, width=0.25)
-        plain = run_transient(SchemeConfig(kind="fsl"), None, init, params, ops,
-                              n_steps=3)
+        mesh, ops, params, init = setup_problem(8, 8, width=0.25, T=0.3)
+        plain = run_transient(SchemeConfig(kind="fsl"), None, init, params, ops)
         accel = run_transient(SchemeConfig(kind="fsl"), AndersonConfig(depth=5),
-                              init, params, ops, n_steps=3)
+                              init, params, ops)
         assert plain.completed and accel.completed
         assert accel.average_iterations < plain.average_iterations
 
@@ -392,18 +390,21 @@ class TestAndersonRestart:
 
         # test1 at alpha = 1: the opening iteration's settlement jump grows
         # the increment, but the depth-0 run stays the plain scheme
-        mesh, ops, params, init = setup_problem(4, 4, width=0.25)
-        plain = run_transient(self.FSL2, None, init, params, ops, n_steps=2,
-                              trace=True)
-        zero = run_transient(self.FSL2, AndersonConfig(depth=0), init, params, ops,
-                             n_steps=2, trace=True)
+        mesh, ops, params, init = setup_problem(4, 4, width=0.25, T=0.2)
+        with pressure_iterates("fsl_local_iteration") as trace_plain:
+            plain = run_transient(self.FSL2, None, init, params, ops)
+        with pressure_iterates("fsl_local_iteration") as trace_zero:
+            zero = run_transient(self.FSL2, AndersonConfig(depth=0), init, params, ops)
         assert any(self.growth(rep) for rep in zero.reports)
         assert plain.iterations_per_step == zero.iterations_per_step
         for a, b in zip(plain.reports, zero.reports):
             assert b.aa_restarts == []
             assert not any(b.aa_fallbacks)
             assert a.increment_norms == b.increment_norms
-            for pa, pb in zip(a.p_trace, b.p_trace):
+        assert len(trace_plain) == len(trace_zero) == 2
+        for ta, tb in zip(trace_plain, trace_zero):
+            assert len(ta) == len(tb)
+            for pa, pb in zip(ta, tb):
                 assert np.array_equal(pa, pb)
         for a, b in zip(plain.states, zero.states):
             assert np.array_equal(a.p, b.p)
