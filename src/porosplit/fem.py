@@ -13,16 +13,19 @@ traction-free top.  The RT0 mass is encoded once, as the cell block
 mass is only ever applied cell by cell (``weighted_flux_mass``) or summed
 into a factored matrix.
 
-Every sparse matrix is factored in one geometric nested-dissection
-ordering of the free dofs [p | q_free | u_free], computed once per mesh
-(``nested_dissection``); the flux-only and elasticity matrices use its
-restriction to their dofs.  Matrices that change every iteration are summed
-from per-cell entries onto a sparsity pattern built once per mesh, already
-in that ordering (``free_flux_matrix``, ``coupled_matrix``).  Every
-sparse solve goes through ``SparseFactor``: an LU in the given ordering
-with a normwise backward-error contract of 1e-12 and iterative refinement,
-two-sided equilibration and threshold pivoting for general matrices, and a
-symmetric variant (unit-diagonal scaling, diagonal pivots) for SPD ones.
+Every sparse matrix is factored in one ordering of the free dofs
+[p | q_free | u_free] per mesh: their geometric nested dissection
+(``nested_dissection``), with each pressure dof moved to directly after the
+last of its cell's free edges, so that Newton's pressure pivot (zero on
+saturated cells) holds the fill of its edges when it is eliminated; the
+flux-only and elasticity matrices use its restriction to their dofs.
+Matrices that change every iteration are summed from per-cell entries onto
+a sparsity pattern built once per mesh, already in that ordering
+(``free_flux_matrix``, ``coupled_matrix``).  Every sparse solve goes
+through ``SparseFactor``: an LU in the given ordering with a normwise
+backward-error contract of 1e-12 and iterative refinement, two-sided
+equilibration and threshold pivoting for general matrices, and a symmetric
+variant (unit-diagonal scaling, diagonal pivots) for SPD ones.
 """
 
 from __future__ import annotations
@@ -66,16 +69,17 @@ class SparseFactor:
     (two-sided diagonal scaling) before factorization, since
     mobility-weighted flow blocks can span many orders of magnitude between
     rows, and pivots off the diagonal only when the diagonal entry falls
-    below PIVOT_THRESHOLD times the largest of its column.  With
-    ``symmetric=True`` the matrix must be symmetric positive definite: it is
-    scaled symmetrically to unit diagonal and factored with diagonal pivots,
-    which keeps the fill of a Cholesky factor.  Iterative refinement
+    below PIVOT_THRESHOLD times the largest of its column (Newton's test1
+    factors never do).  The scale factors are read off the CSC arrays.
+    With ``symmetric=True`` the matrix must be symmetric positive definite:
+    it is scaled symmetrically to unit diagonal and factored with diagonal
+    pivots, which keeps the fill of a Cholesky factor.  Iterative refinement
     handles the remaining ill-conditioning in both cases.
     """
 
     def __init__(self, matrix, order, symmetric: bool = False):
-        self.matrix = matrix.tocsc()
-        self.matrix.sum_duplicates()  # SuperLU needs sorted row indices
+        self.matrix = m = matrix.tocsc()
+        m.sum_duplicates()  # SuperLU needs sorted row indices
         self.order = order
         if symmetric:
             diag = self.matrix.diagonal()
@@ -83,12 +87,15 @@ class SparseFactor:
                 raise LinearSolveError("symmetric factorization needs a positive diagonal")
             self._dr = self._dc = 1.0 / np.sqrt(diag)
         else:
-            absm = abs(self.matrix)
-            row_max = absm.max(axis=1).toarray().ravel()
+            absd = np.abs(m.data)
+            row_max = np.zeros(m.shape[0])
+            np.maximum.at(row_max, m.indices, absd)
             self._dr = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
-            col_max = abs(sp.diags_array(self._dr) @ self.matrix).max(axis=0).toarray().ravel()
+            filled = np.diff(m.indptr) > 0
+            col_max = np.zeros(m.shape[1])
+            col_max[filled] = np.maximum.reduceat(absd * self._dr[m.indices],
+                                                  m.indptr[:-1][filled])
             self._dc = 1.0 / np.sqrt(np.where(col_max > 0, col_max, 1.0))
-        m = self.matrix
         scaled = sp.csc_array(
             (m.data * self._dr[m.indices] * np.repeat(self._dc, np.diff(m.indptr)),
              m.indices, m.indptr), shape=m.shape)
@@ -133,7 +140,7 @@ class SparseFactor:
         return out
 
 
-def nested_dissection(xy: np.ndarray, last: np.ndarray):
+def nested_dissection(xy: np.ndarray):
     """Geometric nested-dissection ordering (George, SIAM J. Numer. Anal.
     1973) of dofs at integer half-grid coordinates ``xy`` (n, 2): cells
     odd/odd, edges mixed, nodes even/even.
@@ -142,10 +149,7 @@ def nested_dissection(xy: np.ndarray, last: np.ndarray):
     coordinate) nearest its middle.  Every coupling of a P0/RT0/Q1 matrix
     stays inside one cell's closure, so the dofs on that line separate the
     two halves exactly; they are ordered after both.  A box of at most
-    LEAF_SIZE dofs is a leaf, ordered with the dofs flagged in ``last``
-    after the others: a pressure dof whose Newton diagonal vanishes
-    (saturated cells, 1/N = 0) then picks up fill from its edges before it
-    is eliminated.
+    LEAF_SIZE dofs is a leaf, whose dofs keep their order in ``xy``.
 
     Returns the order (position -> dof) and the bisections as rows
     (start, mid, stop) of order positions: the halves are
@@ -170,8 +174,7 @@ def nested_dissection(xy: np.ndarray, last: np.ndarray):
                     pieces.append(idx)
                     filled += len(idx)
                     return
-        tail = last[idx]
-        pieces.extend((idx[~tail], idx[tail]))
+        pieces.append(idx)
         filled += len(idx)
 
     n = len(xy)
@@ -235,9 +238,9 @@ class DiscreteOperators:
         local_divergence: per-cell row of D_pq (cell_edges order).
         local_displacement_divergence: per-cell row of D_pu (x then y of the
             cell_nodes).
-        order: nested-dissection ordering of the coupled free dofs
-            [p | q_free | u_free] (position -> dof), bisections its
-            bisections (see ``nested_dissection``).
+        order: ordering of the coupled free dofs [p | q_free | u_free]
+            (position -> dof): their nested dissection, with each pressure
+            dof moved to directly after the last of its cell's free edges.
         flux_order/elastic_order: its restrictions to the free flux and
             free displacement dofs, numbered within them.
     """
@@ -307,8 +310,15 @@ class DiscreteOperators:
         # and y dofs of a node stay adjacent (less elasticity fill)
         entry = np.concatenate([np.arange(n_p + n_qf), n_p + n_qf + np.lexsort(
             (self.free_u // mesh.n_nodes, self.free_u % mesh.n_nodes))])
-        order, self.bisections = nested_dissection(xy[entry], entry < n_p)
-        self.order = entry[order]
+        order = entry[nested_dissection(xy[entry])[0]]
+        # each pressure dof moves to directly after the last of its cell's
+        # free edges; key is twice the position, ties keep their order
+        key = 2 * np.argsort(order)
+        last_edge = np.full(mesh.n_edges, -1)
+        last_edge[self.free_q] = key[n_p:n_p + n_qf]
+        last_edge = last_edge[ce].max(axis=1)
+        key[:n_p] = np.where(last_edge >= 0, last_edge + 1, key[:n_p])
+        self.order = order[np.argsort(key[order], kind="stable")]
         self.flux_order = self.order[(self.order >= n_p) & (self.order < n_p + n_qf)] - n_p
         self.elastic_order = self.order[self.order >= n_p + n_qf] - n_p - n_qf
         try:

@@ -4,10 +4,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from porosplit import constitutive as laws
-from porosplit.fem import LinearSolveError, SparseFactor, assemble
+from porosplit.fem import LinearSolveError, SparseFactor, assemble, nested_dissection
 from porosplit.mesh import MeshAlignmentError, RectMesh
 from porosplit.model import newton_blocks
-from porosplit.schemes import fixed_stress_beta, fsl_local_iteration
+from porosplit.schemes import fixed_stress_beta, fsl_local_iteration, newton_iteration
 
 from conftest import LAM, MU, natural, setup_problem
 from oracles import dense_flux_mass
@@ -195,6 +195,25 @@ class TestSolvers:
         with pytest.raises(LinearSolveError):
             SparseFactor(sp.csr_array(np.diag([1.0, -2.0])), np.arange(2), symmetric=True)
 
+    def test_equilibration_matches_the_sparse_matrix_formula(self, rng, monkeypatch):
+        # rows and columns spanning many orders of magnitude, one empty row
+        # and one empty column; the matrix is singular, so the LU itself
+        # is left out
+        dense = (rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.15)
+                 * 10.0 ** rng.uniform(-8, 8, (40, 1)) * 10.0 ** rng.uniform(-4, 4, 40))
+        dense[7, :] = 0.0
+        dense[:, 23] = 0.0
+        a = sp.csc_array(dense)
+        monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: None)
+        factor = SparseFactor(a, np.arange(40))
+        row_max = abs(a).max(axis=1).toarray().ravel()
+        dr = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
+        col_max = abs(sp.diags_array(dr) @ a).max(axis=0).toarray().ravel()
+        dc = 1.0 / np.sqrt(np.where(col_max > 0, col_max, 1.0))
+        assert dr[7] == dc[23] == 1.0
+        assert np.array_equal(factor._dr, dr)
+        assert np.array_equal(factor._dc, dc)
+
     def test_free_flux_matrix_matches_sliced_assembly(self, rng):
         # cell blocks w_c M_c + col_c d^T summed over the free edges equal
         # the sliced global assembly
@@ -222,11 +241,48 @@ class TestNestedDissection:
                          (ops.elastic_order, n_uf)):
             assert np.array_equal(np.sort(order), np.arange(n))
 
+    @pytest.mark.parametrize("nx, ny", [(1, 4), (5, 3), (8, 8), (16, 5), (25, 25)])
+    def test_pressure_follows_its_last_free_edge(self, nx, ny):
+        mesh = RectMesh(nx, ny, 1.0, 1.0, 1.0)
+        ops = assemble(mesh, MU, LAM)
+        nc, n_qf = mesh.n_cells, len(ops.free_q)
+        position = np.argsort(ops.order)
+        edge_position = np.full(mesh.n_edges, -1)
+        edge_position[ops.free_q] = position[nc:nc + n_qf]
+        for cell, edges in enumerate(mesh.cell_edges):
+            last = edge_position[edges].max()
+            assert last >= 0
+            assert position[cell] > last
+            assert np.all(ops.order[last + 1:position[cell]] < nc)
+        assert np.array_equal(ops.flux_order, ops.order[(ops.order >= nc)
+                                                         & (ops.order < nc + n_qf)] - nc)
+        assert np.array_equal(ops.elastic_order, ops.order[ops.order >= nc + n_qf] - nc - n_qf)
+
+    def test_newton_factor_pivots_on_the_diagonal(self):
+        # 25x25 test1, first two Newton iterates of step 1: every pressure
+        # pivot holds the fill of its edges when it is eliminated
+        mesh, ops, params, init = setup_problem(25, 25)
+        state = init
+        for _ in range(2):
+            state, _, _ = newton_iteration(state, init, params, ops)
+            matrix = newton_blocks(state, init, params, ops).matrix
+            lu = SparseFactor(matrix, ops.order).lu
+            assert np.array_equal(lu.perm_r, np.arange(matrix.shape[0]))
+
     @pytest.mark.parametrize("nx, ny", [(8, 8), (16, 5)])
     def test_no_entry_couples_the_halves_of_a_bisection(self, nx, ny, rng):
         mesh = RectMesh(nx, ny, 1.0, 1.0, 1.0)
         ops = assemble(mesh, MU, LAM)
         nc, n_qf = mesh.n_cells, len(ops.free_q)
+        # half-grid coordinates of the coupled free dofs [p | q_free |
+        # u_free]: cells odd/odd, edges mixed, nodes even/even
+        c, v, h, k = (np.arange(n) for n in (nc, mesh.n_vedges, mesh.n_hedges, mesh.n_nodes))
+        edge_xy = np.concatenate([np.column_stack([2 * (v % (nx + 1)), 2 * (v // (nx + 1)) + 1]),
+                                  np.column_stack([2 * (h % nx) + 1, 2 * (h // nx)])])
+        node_xy = np.column_stack([2 * (k % (nx + 1)), 2 * (k // (nx + 1))])
+        xy = np.concatenate([np.column_stack([2 * (c % nx) + 1, 2 * (c // nx) + 1]),
+                             edge_xy[ops.free_q], np.tile(node_xy, (2, 1))[ops.free_u]])
+        order, bisections = nested_dissection(xy)
         coupled = ops.coupled_matrix(rng.uniform(1.0, 2.0, (nc, 13)),
                                      rng.uniform(1.0, 2.0, (nc, 12)), rng.uniform(1.0, 2.0, nc))
         flux = ops.free_flux_matrix(rng.uniform(1.0, 2.0, (nc, 4, 4)))
@@ -238,11 +294,11 @@ class TestNestedDissection:
                                    (natural(flux, ops.flux_order).nonzero(), nc),
                                    (ops.A_ff.nonzero(), nc + n_qf))
         ]
-        assert len(ops.bisections) >= 3
-        for start, mid, stop in ops.bisections:
-            side = np.zeros(len(ops.order), dtype=int)
-            side[ops.order[start:mid]] = 1
-            side[ops.order[mid:stop]] = 2
+        assert len(bisections) >= 3
+        for start, mid, stop in bisections:
+            side = np.zeros(len(order), dtype=int)
+            side[order[start:mid]] = 1
+            side[order[mid:stop]] = 2
             for rows, cols in entries:
                 assert not np.any(side[rows] * side[cols] == 2)
 
