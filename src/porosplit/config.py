@@ -203,8 +203,6 @@ def load_config(path) -> ScenarioConfig:
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except OSError:
-        raise
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

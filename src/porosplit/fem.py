@@ -19,9 +19,9 @@ Every sparse matrix is factored in one ordering of the free dofs
 last of its cell's free edges, so that Newton's pressure pivot (zero on
 saturated cells) holds the fill of its edges when it is eliminated; the
 flux-only and elasticity matrices use its restriction to their dofs.
-Matrices that change every iteration are summed from per-cell entries onto
+Matrices that change every iteration are summed from dense cell blocks onto
 a sparsity pattern built once per mesh, already in that ordering
-(``free_flux_matrix``, ``coupled_matrix``).  Every sparse solve goes
+(``flux_pattern``, ``coupled_pattern``).  Every sparse solve goes
 through ``SparseFactor``: an LU in the given ordering with a normwise
 backward-error contract of 1e-12 and iterative refinement, two-sided
 equilibration and threshold pivoting for general matrices, and a symmetric
@@ -81,13 +81,14 @@ class SparseFactor:
         self.matrix = m = matrix.tocsc()
         m.sum_duplicates()  # SuperLU needs sorted row indices
         self.order = order
+        absd = np.abs(m.data)
+        self._mat_norm = np.bincount(m.indices, absd, m.shape[0]).max(initial=0.0)
         if symmetric:
             diag = self.matrix.diagonal()
             if not np.all((diag > 0) & np.isfinite(diag)):
                 raise LinearSolveError("symmetric factorization needs a positive diagonal")
             self._dr = self._dc = 1.0 / np.sqrt(diag)
         else:
-            absd = np.abs(m.data)
             row_max = np.zeros(m.shape[0])
             np.maximum.at(row_max, m.indices, absd)
             self._dr = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
@@ -99,7 +100,6 @@ class SparseFactor:
         scaled = sp.csc_array(
             (m.data * self._dr[m.indices] * np.repeat(self._dc, np.diff(m.indptr)),
              m.indices, m.indptr), shape=m.shape)
-        self._mat_norm = None
         try:
             self.lu = spla.splu(scaled, permc_spec="NATURAL",
                                 diag_pivot_thresh=0.0 if symmetric else PIVOT_THRESHOLD,
@@ -113,9 +113,8 @@ class SparseFactor:
     def _relative_residual(self, x, rhs):
         # normwise backward error: scale-robust form of the relative
         # residual (plain |Ax-b|/|b| has no attainable 1e-12 floor once the
-        # rhs is small against |A| |x| in double precision)
-        if self._mat_norm is None:
-            self._mat_norm = abs(self.matrix).sum(axis=1).max()
+        # rhs is small against |A| |x| in double precision); |A| is the
+        # max row sum
         denom = np.linalg.norm(rhs) + self._mat_norm * np.linalg.norm(x)
         return np.linalg.norm(self.matrix @ x - rhs) / denom
 
@@ -185,30 +184,38 @@ def nested_dissection(xy: np.ndarray):
     return order, np.array(bisections, dtype=int).reshape(-1, 3)
 
 
-class _FixedPattern:
-    """CSC pattern of an n x n matrix summed from entries at fixed
-    positions (rows, cols); entries at a negative position are dropped.
-    Only the data array is summed per matrix."""
+class _CellPattern:
+    """CSC pattern of an n x n matrix summed from dense per-cell blocks
+    (n_cells, k, k) over the cell's dofs ``dofs`` (n_cells, k), given as
+    positions in the factor ordering with -1 for a constrained dof.  Only
+    entries inside the structural nonzeros ``mask`` (k, k) and between
+    free dofs are stored; every other block entry is summed into one spare
+    slot past the end and dropped.  ``constant`` (rows, cols, values), at
+    distinct pattern positions, is added to every matrix."""
 
-    def __init__(self, rows, cols, n):
-        rows, cols = np.ravel(rows), np.ravel(cols)
-        kept = (rows >= 0) & (cols >= 0)
+    def __init__(self, dofs, mask, n, constant=None):
+        k = dofs.shape[1]
+        rows = np.broadcast_to(dofs[:, :, None], (len(dofs), k, k)).ravel()
+        cols = np.broadcast_to(dofs[:, None, :], (len(dofs), k, k)).ravel()
+        kept = (rows >= 0) & (cols >= 0) & np.tile(mask.ravel(), len(dofs))
         keys, slot = np.unique(cols[kept] * n + rows[kept], return_inverse=True)
         self.n = n
-        # dropped entries are summed into one spare slot past the end
         self._slot = np.full(len(rows), len(keys))
         self._slot[kept] = slot
         self._indices = keys % n
         self._indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+        self._constant = None
+        if constant is not None:
+            rows, cols, values = constant
+            self._constant = (np.searchsorted(keys, cols * n + rows), values)
 
-    def data(self, values: np.ndarray) -> np.ndarray:
-        """Data array of the sum of ``values``, given for the leading
-        entries of the pattern (the others count as zero)."""
-        values = values.ravel()
-        return np.bincount(self._slot[:len(values)], weights=values,
+    def matrix(self, blocks: np.ndarray) -> sp.csc_array:
+        """Sum of ``blocks`` (n_cells, k, k), plus the constant."""
+        data = np.bincount(self._slot, weights=blocks.ravel(),
                            minlength=len(self._indices) + 1)[:-1]
-
-    def matrix(self, data: np.ndarray) -> sp.csc_array:
+        if self._constant is not None:
+            slot, values = self._constant
+            data[slot] += values
         return sp.csc_array((data, self._indices, self._indptr), shape=(self.n, self.n))
 
 
@@ -243,10 +250,13 @@ class DiscreteOperators:
             dof moved to directly after the last of its cell's free edges.
         flux_order/elastic_order: its restrictions to the free flux and
             free displacement dofs, numbered within them.
+        flux_pattern/coupled_pattern: sum cell blocks into the free-flux
+            matrix (4x4 blocks in cell_edges order; in flux_order) and the
+            coupled matrix (13x13, see ``coupled_pattern``; in ``order``).
     """
 
     def __init__(self, mesh: RectMesh, mu: float, lam: float):
-        if mu <= 0 or lam < 0:
+        if not (mu > 0 and lam >= 0):
             raise ValueError("require mu > 0 and lambda >= 0")
         self.mesh = mesh
         self.mu = float(mu)
@@ -330,13 +340,9 @@ class DiscreteOperators:
         except LinearSolveError as exc:
             raise ValueError(f"constrained elasticity block is singular: {exc}") from exc
 
-        # fixed pattern of free-flux matrices from 4x4 cell blocks, in
-        # flux_order
         flux_position = np.full(mesh.n_edges, -1)
         flux_position[self.free_q[self.flux_order]] = np.arange(n_qf)
-        local = flux_position[ce]
-        self._flux_pattern = _FixedPattern(np.repeat(local, 4, axis=1), np.tile(local, (1, 4)),
-                                           n_qf)
+        self.flux_pattern = _CellPattern(flux_position[ce], np.ones((4, 4), bool), n_qf)
 
     # -- assembly helpers ------------------------------------------------
 
@@ -380,10 +386,12 @@ class DiscreteOperators:
         return M
 
     @functools.cached_property
-    def _coupled_pattern(self):
-        """Fixed pattern, in ``order``, of the coupled matrices summed from
-        each cell's pressure row and column and weighted flux mass, and the
-        data of the constrained stiffness in it.  Built on first use: only
+    def coupled_pattern(self) -> _CellPattern:
+        """Pattern, in ``order``, of the coupled matrices summed from 13x13
+        cell blocks over [pressure, cell_edges, x then y of cell_nodes],
+        with the constrained stiffness A_ff as constant.  The mask holds
+        the pressure row and column, the RT0 mass and the stiffness
+        nonzeros, so no q-u entry is stored.  Built on first use: only
         monolithic Newton factors coupled matrices."""
         mesh = self.mesh
         n_p, n_e = mesh.n_cells, mesh.n_edges
@@ -391,21 +399,14 @@ class DiscreteOperators:
         free = np.concatenate([np.arange(n_p), n_p + self.free_q, n_p + n_e + self.free_u])
         position = np.full(n_p + n_e + 2 * mesh.n_nodes, -1)
         position[free[self.order]] = np.arange(len(free))
-        cell = position[np.concatenate([np.arange(n_p)[:, None], n_p + mesh.cell_edges,
+        dofs = position[np.concatenate([np.arange(n_p)[:, None], n_p + mesh.cell_edges,
                                         n_p + n_e + cn, n_p + n_e + mesh.n_nodes + cn], axis=1)]
-        pairs = np.nonzero(self.local_flux_mass)
+        mask = sp.block_diag(([[1.0]], self.local_flux_mass, self._elasticity_block())).toarray()
+        mask[0, :] = mask[:, 0] = 1.0
         stiffness = self.A_ff.tocoo()
         u_position = position[n_p + n_e + self.free_u]
-        pattern = _FixedPattern(
-            np.concatenate([np.repeat(cell[:, :1], 13, axis=1).ravel(), cell[:, 1:].ravel(),
-                            cell[:, 1 + pairs[0]].ravel(), u_position[stiffness.row]]),
-            np.concatenate([cell.ravel(), np.repeat(cell[:, :1], 12, axis=1).ravel(),
-                            cell[:, 1 + pairs[1]].ravel(), u_position[stiffness.col]]),
-            len(free),
-        )
-        stiffness_data = pattern.data(
-            np.concatenate([np.zeros(n_p * (13 + 12 + len(pairs[0]))), stiffness.data]))
-        return pattern, stiffness_data, self.local_flux_mass[pairs]
+        constant = (u_position[stiffness.row], u_position[stiffness.col], stiffness.data)
+        return _CellPattern(dofs, mask != 0, len(free), constant)
 
     # -- factories and solves --------------------------------------------
 
@@ -415,29 +416,6 @@ class DiscreteOperators:
         ce = self.mesh.cell_edges
         local = cell_weights[:, None] * (q[ce] @ self.local_flux_mass)
         return np.bincount(ce.ravel(), weights=local.ravel(), minlength=self.mesh.n_edges)
-
-    def free_flux_matrix(self, blocks: np.ndarray) -> sp.csc_array:
-        """Sum of per-cell 4x4 blocks (nc, 4, 4), rows and columns in
-        cell_edges order, restricted to the free flux dofs; rows and
-        columns in ``flux_order``.
-
-        The sparsity pattern is fixed at assembly, so only the data array
-        is summed here."""
-        return self._flux_pattern.matrix(self._flux_pattern.data(blocks))
-
-    def coupled_matrix(self, p_row: np.ndarray, p_col: np.ndarray,
-                       flux_weights: np.ndarray) -> sp.csc_array:
-        """Matrix over the coupled free dofs [p | q_free | u_free], rows
-        and columns in ``order``: the sum over cells of the pressure row
-        ``p_row`` (nc, 13) over the cell's pressure, its cell_edges and the
-        x then y displacement of its cell_nodes, the pressure column
-        ``p_col`` (nc, 12) over the same dofs but the pressure, and the
-        weighted flux mass flux_weights[c] * local_flux_mass, plus the
-        constrained stiffness A_ff.  Constrained dofs are dropped."""
-        pattern, stiffness_data, mass_pairs = self._coupled_pattern
-        values = np.concatenate([p_row.ravel(), p_col.ravel(),
-                                 np.outer(flux_weights, mass_pairs).ravel()])
-        return pattern.matrix(stiffness_data + pattern.data(values))
 
     def elastic_solve(self, rhs_free: np.ndarray) -> np.ndarray:
         """Solve the constrained elasticity system with the factorization

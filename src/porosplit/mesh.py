@@ -31,9 +31,9 @@ class RectMesh:
     tagged as inflow.  The strip must align with cell edges."""
 
     def __init__(self, nx: int, ny: int, Lx: float, Ly: float, inflow_width: float):
-        if nx < 1 or ny < 1:
+        if not (nx >= 1 and ny >= 1):
             raise ValueError("nx and ny must be >= 1")
-        if Lx <= 0 or Ly <= 0:
+        if not (Lx > 0 and Ly > 0):
             raise ValueError("Lx and Ly must be positive")
         if not 0.0 <= inflow_width <= Lx:
             raise ValueError("inflow_width must lie in [0, Lx]")

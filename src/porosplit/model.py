@@ -67,8 +67,8 @@ class PhysicsParams:
     T: float = 1.0
 
     def __post_init__(self):
-        if self.tau <= 0 or self.T < self.tau or self.mu <= 0:
-            raise ValueError("require tau > 0, T >= tau, mu > 0")
+        if not (self.tau > 0 and self.T >= self.tau and self.mu > 0 and self.lam >= 0):
+            raise ValueError("require tau > 0, T >= tau, mu > 0, lambda >= 0")
 
     @property
     def alpha(self) -> float:
@@ -88,9 +88,9 @@ class PoroState:
     """Coefficient vectors of one time level (or nonlinear iterate).
 
     Accepted time levels carry the porosity field; working iterates may not.
-    States are immutable snapshots: a changed field makes a new state
-    (``dataclasses.replace``).  Saturation and pore pressure are evaluated
-    lazily and cached, or passed in when already known.
+    Saturation and pore pressure are cached on first use (or passed in) for
+    the params of that call: a new pressure or van Genuchten model needs a
+    new state, not ``dataclasses.replace``, which copies the cache.
     """
 
     p: np.ndarray
@@ -149,19 +149,17 @@ def gravity_loads(ops: DiscreteOperators, params: PhysicsParams):
 
 
 def initial_state(mesh: RectMesh, params: PhysicsParams, p0: float,
-                  ops: DiscreteOperators | None = None) -> PoroState:
+                  ops: DiscreteOperators) -> PoroState:
     """Uniform initial state: p = p0, u = 0, q from the stationary Darcy
     problem at p0 (identically zero without gravity)."""
     p = np.full(mesh.n_cells, float(p0))
     u = np.zeros(2 * mesh.n_nodes)
     q = np.zeros(mesh.n_edges)
     if params.g != (0.0, 0.0):
-        if ops is None:
-            raise ValueError("gravity-driven initial flux needs assembled operators")
         kinv = 1.0 / laws.mobility(laws.saturation(p, params.vg), params.vg)
         f_q, _ = gravity_loads(ops, params)
         rhs = (f_q + ops.D_pq.T @ p)[ops.free_q]
-        kff = ops.free_flux_matrix(kinv[:, None, None] * ops.local_flux_mass)
+        kff = ops.flux_pattern.matrix(kinv[:, None, None] * ops.local_flux_mass)
         q[ops.free_q] = SparseFactor(kff, ops.flux_order, symmetric=True).solve(rhs)
     porosity = np.full(mesh.n_cells, params.law.phi0)
     return PoroState(p=p, q=q, u=u, time=0.0, porosity=porosity)
@@ -286,10 +284,16 @@ def newton_blocks(state: PoroState, prev: PoroState, params: PhysicsParams,
     coupling, clamped = mobility_coupling(state, params, ops, parts)
     d = ops.local_divergence
     apu = params.alpha * parts.sat[:, None] * ops.local_displacement_divergence
-    p_row = np.hstack([cpp[:, None], np.broadcast_to(params.tau * d, coupling.shape), apu])
-    p_col = np.hstack([coupling - d, -apu])
+    # the u-u block stays zero: the stiffness is the pattern's constant
+    blocks = np.zeros((ops.mesh.n_cells, 13, 13))
+    blocks[:, 0, 0] = cpp
+    blocks[:, 0, 1:5] = params.tau * d
+    blocks[:, 0, 5:] = apu
+    blocks[:, 1:5, 0] = coupling - d
+    blocks[:, 5:, 0] = -apu
+    blocks[:, 1:5, 1:5] = parts.kinv[:, None, None] * ops.local_flux_mass
     return NewtonBlocks(
-        matrix=ops.coupled_matrix(p_row, p_col, parts.kinv),
+        matrix=ops.coupled_pattern.matrix(blocks),
         derivative_clamped=clamped,
         parts=parts,
     )

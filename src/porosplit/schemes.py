@@ -147,11 +147,11 @@ class IterationReport:
         return self.termination == "converged"
 
 
-def fixed_stress_beta(mu: float, lam: float, alpha: float, d: int = 2) -> float:
-    """Fixed-stress stabilization alpha^2 / (2 mu / d + lambda)."""
-    if mu <= 0 or d not in (2, 3):
-        raise ValueError("require mu > 0 and d in {2, 3}")
-    return alpha**2 / (2.0 * mu / d + lam)
+def fixed_stress_beta(mu: float, lam: float, alpha: float) -> float:
+    """Fixed-stress stabilization alpha^2 / (2 mu / d + lambda) for d = 2."""
+    if not (mu > 0 and lam >= 0 and alpha >= 0):
+        raise ValueError("require mu > 0, lambda >= 0 and alpha >= 0")
+    return alpha**2 / (mu + lam)
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +199,7 @@ def _flow_solve(state, params, ops, parts, cpp, coupling, t_new):
                          weights=(arm * (rhs_p / cpp)[:, None]).ravel(),
                          minlength=ops.mesh.n_edges)
     spd = coupling is None and np.all(cpp > 0.0)
-    factor = SparseFactor(ops.free_flux_matrix(blocks), ops.flux_order, symmetric=spd)
+    factor = SparseFactor(ops.flux_pattern.matrix(blocks), ops.flux_order, symmetric=spd)
     dq_free = factor.solve(rhs_q + pushed[ops.free_q])
     dq[ops.free_q] = dq_free
     dp = (rhs_p - params.tau * (ops.D_pq_f @ dq_free)) / cpp

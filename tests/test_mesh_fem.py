@@ -42,6 +42,11 @@ class TestMesh:
         assert len(interior) == 4
         assert np.all(counts[m.all_boundary_edges] == 1)
 
+    @pytest.mark.parametrize("Lx, Ly", [(0.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.nan)])
+    def test_invalid_lengths_rejected(self, Lx, Ly):
+        with pytest.raises(ValueError, match="positive"):
+            RectMesh(2, 2, Lx, Ly, 0.0)
+
     def test_misaligned_inflow_rejected(self):
         with pytest.raises(MeshAlignmentError):
             RectMesh(8, 8, 1, 1, 0.2)
@@ -58,6 +63,11 @@ class TestAssembly:
     def test_unit_cell_pressure_mass(self):
         ops = assemble(RectMesh(1, 1, 1, 1, 1), MU, LAM)
         assert ops.M_p == pytest.approx([1.0])
+
+    @pytest.mark.parametrize("mu, lam", [(0.0, LAM), (MU, -1.0), (np.nan, LAM), (MU, np.nan)])
+    def test_invalid_lame_parameters_rejected(self, mu, lam):
+        with pytest.raises(ValueError, match="require mu > 0"):
+            assemble(RectMesh(2, 2, 1, 1, 0.5), mu, lam)
 
     def test_divergence_theorem(self):
         # RT0 interpolant of v = (x, y): integrated divergence is 2 |T| per
@@ -228,8 +238,74 @@ class TestSolvers:
         )
         full = dense_flux_mass(ops, w) + (cols @ ops.D_pq).toarray()
         expected = full[np.ix_(ops.free_q, ops.free_q)]
-        got = natural(ops.free_flux_matrix(blocks), ops.flux_order).toarray()
+        got = natural(ops.flux_pattern.matrix(blocks), ops.flux_order).toarray()
         assert np.abs(got - expected).max() < 1e-14
+
+
+def coupled_dofs(ops):
+    """Each cell's dofs [pressure, cell_edges, x then y of cell_nodes] in
+    the full numbering [p | q | u], and the free dofs [p | q_free |
+    u_free] in it."""
+    mesh = ops.mesh
+    nc, ne, nn = mesh.n_cells, mesh.n_edges, mesh.n_nodes
+    cn = mesh.cell_nodes
+    dofs = np.concatenate([np.arange(nc)[:, None], nc + mesh.cell_edges,
+                           nc + ne + cn, nc + ne + nn + cn], axis=1)
+    free = np.concatenate([np.arange(nc), nc + ops.free_q, nc + ne + ops.free_u])
+    return dofs, free
+
+
+class TestCellPattern:
+    def test_coupled_matrix_matches_dense_assembly(self, rng):
+        # random 13x13 blocks summed densely over the structural nonzeros
+        # (no q-u coupling, RT0 mass pairs only) and the free dofs, plus
+        # the constrained stiffness
+        m = RectMesh(4, 3, 1, 1, 0.25)
+        ops = assemble(m, MU, LAM)
+        dofs, free = coupled_dofs(ops)
+        blocks = rng.uniform(1.0, 2.0, (m.n_cells, 13, 13))
+        kept = blocks.copy()
+        kept[:, 1:5, 5:] = kept[:, 5:, 1:5] = 0.0
+        kept[:, 1:5, 1:5] *= ops.local_flux_mass != 0
+        dense = np.zeros((m.n_cells + m.n_edges + 2 * m.n_nodes,) * 2)
+        np.add.at(dense, (dofs[:, :, None], dofs[:, None, :]), kept)
+        expected = dense[np.ix_(free, free)]
+        n_uf = len(ops.free_u)
+        expected[-n_uf:, -n_uf:] += ops.A_ff.toarray()
+        got = natural(ops.coupled_pattern.matrix(blocks), ops.order).toarray()
+        assert np.abs(got - expected).max() < 1e-13
+
+    def test_coupled_pattern_stores_no_flux_displacement_entry(self):
+        m = RectMesh(25, 25, 1, 1, 0.2)
+        ops = assemble(m, MU, LAM)
+        matrix = ops.coupled_pattern.matrix(np.ones((m.n_cells, 13, 13)))
+        assert matrix.nnz == 40149
+        rows, cols = natural(matrix, ops.order).nonzero()
+        # kind 0, 1, 2 for p, q, u: only a q-u pair sums to 3
+        kind = np.repeat([0, 1, 2], [m.n_cells, len(ops.free_q), len(ops.free_u)])
+        assert not np.any(kind[rows] + kind[cols] == 3)
+
+    def test_masked_and_constrained_entries_are_dropped(self, rng):
+        m = RectMesh(5, 4, 1, 1, 0.2)
+        ops = assemble(m, MU, LAM)
+        dofs, free = coupled_dofs(ops)
+        is_free = np.zeros(m.n_cells + m.n_edges + 2 * m.n_nodes, dtype=bool)
+        is_free[free] = True
+        outside = np.zeros((13, 13), dtype=bool)
+        outside[1:5, 5:] = outside[5:, 1:5] = True
+        outside[1:5, 1:5] = ops.local_flux_mass == 0
+        constrained = ~is_free[dofs]
+        dropped = outside | constrained[:, :, None] | constrained[:, None, :]
+        is_free_edge = is_free[m.n_cells + m.cell_edges]
+        cases = [
+            (ops.coupled_pattern, dropped),
+            (ops.flux_pattern, ~is_free_edge[:, :, None] | ~is_free_edge[:, None, :]),
+        ]
+        for pattern, drop in cases:
+            assert drop.any()
+            blocks = rng.uniform(1.0, 2.0, drop.shape)
+            noisy = np.where(drop, rng.uniform(-1e6, 1e6, drop.shape), blocks)
+            assert np.array_equal(pattern.matrix(noisy).data, pattern.matrix(blocks).data)
 
 
 class TestNestedDissection:
@@ -283,9 +359,8 @@ class TestNestedDissection:
         xy = np.concatenate([np.column_stack([2 * (c % nx) + 1, 2 * (c // nx) + 1]),
                              edge_xy[ops.free_q], np.tile(node_xy, (2, 1))[ops.free_u]])
         order, bisections = nested_dissection(xy)
-        coupled = ops.coupled_matrix(rng.uniform(1.0, 2.0, (nc, 13)),
-                                     rng.uniform(1.0, 2.0, (nc, 12)), rng.uniform(1.0, 2.0, nc))
-        flux = ops.free_flux_matrix(rng.uniform(1.0, 2.0, (nc, 4, 4)))
+        coupled = ops.coupled_pattern.matrix(rng.uniform(1.0, 2.0, (nc, 13, 13)))
+        flux = ops.flux_pattern.matrix(rng.uniform(1.0, 2.0, (nc, 4, 4)))
         # nonzero positions of each pattern in the coupled numbering
         # [p | q_free | u_free]
         entries = [
@@ -312,8 +387,8 @@ class TestNestedDissection:
         kinv = 1.0 / laws.mobility(state.saturation(params), params.vg)
         cpp = ops.M_p * fixed_stress_beta(params.mu, params.lam, params.alpha)
         d = ops.local_divergence
-        flux = ops.free_flux_matrix(kinv[:, None, None] * ops.local_flux_mass
-                                    + (params.tau / cpp)[:, None, None] * np.outer(d, d))
+        flux = ops.flux_pattern.matrix(kinv[:, None, None] * ops.local_flux_mass
+                                       + (params.tau / cpp)[:, None, None] * np.outer(d, d))
         eo = ops.elastic_order
         cases = [
             (flux, ops.flux_order, True),
@@ -338,7 +413,7 @@ class TestNestedDissection:
         d = ops.local_divergence
         blocks = (rng.uniform(0.5, 2.0, m.n_cells)[:, None, None] * ops.local_flux_mass
                   + rng.uniform(1.0, 1e3, m.n_cells)[:, None, None] * np.outer(d, d))
-        matrix = ops.free_flux_matrix(blocks)
+        matrix = ops.flux_pattern.matrix(blocks)
         rhs = rng.standard_normal(len(ops.free_q))
         x = SparseFactor(matrix, ops.flux_order, symmetric=True).solve(rhs)
         a = natural(matrix, ops.flux_order)

@@ -38,13 +38,20 @@ class TestFixedStressBeta:
     def test_reference_value(self):
         # E = 30, nu = 0.2 in plane strain: mu = 12.5, lambda = 8.33..,
         # so beta = 1 / 20.833.. = 0.048
-        beta = fixed_stress_beta(MU, LAM, 1.0, d=2)
+        beta = fixed_stress_beta(MU, LAM, 1.0)
         assert beta == pytest.approx(0.048, rel=1e-10)
 
     def test_quadratic_in_alpha(self):
         assert fixed_stress_beta(MU, LAM, 0.5) == pytest.approx(
             fixed_stress_beta(MU, LAM, 1.0) / 4.0, rel=1e-14
         )
+
+    @pytest.mark.parametrize("mu, lam, alpha", [(0.0, LAM, 1.0), (np.nan, LAM, 1.0),
+                                                (MU, -1.0, 1.0), (MU, np.nan, 1.0),
+                                                (MU, LAM, np.nan)])
+    def test_invalid_parameters_rejected(self, mu, lam, alpha):
+        with pytest.raises(ValueError, match="require mu > 0"):
+            fixed_stress_beta(mu, lam, alpha)
 
 
 class TestSchemeConfig:
