@@ -43,7 +43,7 @@ def run_quick_checks(verbose: bool = False) -> int:
     out = window.push(image, image.copy())[0]
     check("depth-0 window is a pass-through", bool(np.all(out == image)))
 
-    config = ScenarioConfig(nx=8, ny=8, inflow_width=0.25, T=0.2).validate()
+    config = ScenarioConfig(nx=8, ny=8, inflow_width=0.25, T=0.2)
     ops = config.operators()
     params = config.params_for(1.0)
     init = initial_state(config.mesh(), params, config.p0, ops)

@@ -4,7 +4,9 @@ Two built-in injection scenarios are provided.  ``test1`` has Lipschitz
 mobility (smooth van Genuchten exponent), ``test2`` the same geometry with a
 Hoelder-continuous mobility and weaker inflow; ``custom`` starts from the
 ``test1`` defaults and expects overrides.  Any key may be overridden in the
-file; unknown keys are rejected with their full path.
+file; unknown keys are rejected with their full path.  Every construction of a
+``ScenarioConfig``, ``dataclasses.replace`` included, is checked: an out-of-range
+or non-finite value (but ``N = inf``, incompressible) raises ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class ConfigError(ValueError):
     """Invalid configuration; the message carries the offending key path."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str = "test1"
     nx: int = 25
@@ -72,7 +74,7 @@ class ScenarioConfig:
     out_dir: str = "out"
     fields: str = "none"
 
-    def validate(self):
+    def __post_init__(self):
         checks = [
             (self.scenario in ("test1", "test2", "custom"), "scenario.name"),
             (self.nx >= 1 and self.ny >= 1, "scenario.nx/ny"),
@@ -95,11 +97,11 @@ class ScenarioConfig:
             (all(d >= 0 for d in self.depths), "sweep.depths"),
             (self.workers >= 1, "sweep.workers"),
             (self.fields in ("none", "csv", "vtk"), "output.fields"),
-        ]
+        ] + [(math.isfinite(value), _PATHS[name]) for name, value in vars(self).items()
+             if isinstance(value, float) and name != "N"]
         for ok, path in checks:
             if not ok:
                 raise ConfigError(f"{path}: value out of range")
-        return self
 
     # -- derived objects -------------------------------------------------
 
@@ -143,57 +145,38 @@ _TEST2_OVERRIDES = dict(p0=-15.3, a_vg=0.627, n_vg=1.4, q_star=-0.175)
 
 SCHEMA_VERSION = 1
 
-_SECTIONS = {
-    "scenario": {
-        "name": str, "nx": int, "ny": int, "lx": float, "ly": float,
-        "inflow_width": float, "schema_version": int,
-    },
-    "physics": {
-        "e": float, "nu": float, "p0": float, "phi0": float, "a_vg": float,
-        "n_vg": float, "kappa": float, "mu_w": float, "gx": float, "gy": float,
-        "rho_w": float, "rho_b": float, "alpha": "float_list", "n": float,
-        "q_star": float,
-    },
-    "numerics": {
-        "tau": float, "t": float, "eps_abs": float, "eps_rel": float,
-        "max_iters": int,
-    },
-    "sweep": {"schemes": "str_list", "depths": "int_list", "workers": int},
-    "output": {"dir": str, "fields": str},
+# Every INI key by section, with the field it sets; the field's default
+# gives the type a value is read as.  schema_version sets no field.
+_KEYS = {
+    "scenario": {"name": "scenario", "nx": "nx", "ny": "ny", "lx": "Lx", "ly": "Ly",
+                 "inflow_width": "inflow_width", "schema_version": "schema_version"},
+    "physics": {"e": "E", "nu": "nu", "p0": "p0", "phi0": "phi0", "a_vg": "a_vg",
+                "n_vg": "n_vg", "kappa": "kappa", "mu_w": "mu_w", "gx": "gx", "gy": "gy",
+                "rho_w": "rho_w", "rho_b": "rho_b", "alpha": "alphas", "n": "N",
+                "q_star": "q_star"},
+    "numerics": {"tau": "tau", "t": "T", "eps_abs": "eps_abs", "eps_rel": "eps_rel",
+                 "max_iters": "max_iters"},
+    "sweep": {"schemes": "schemes", "depths": "depths", "workers": "workers"},
+    "output": {"dir": "out_dir", "fields": "fields"},
 }
-
-_ATTR = {
-    ("scenario", "name"): "scenario", ("scenario", "lx"): "Lx",
-    ("scenario", "ly"): "Ly", ("physics", "e"): "E", ("physics", "n"): "N",
-    ("physics", "alpha"): "alphas", ("numerics", "t"): "T",
-    ("output", "dir"): "out_dir",
-}
+_PATHS = {name: f"{section}.{key}" for section, keys in _KEYS.items()
+          for key, name in keys.items()}
 
 
-def _parse(kind, raw, path):
+def _parse(default, raw, path):
+    """``raw`` read as the type of ``default``; a comma list for a tuple."""
     try:
-        if kind is float:
-            return float(raw)
-        if kind is int:
-            return int(raw)
-        if kind is str:
-            return raw.strip()
-        items = [s.strip() for s in raw.split(",") if s.strip()]
-        if kind == "float_list":
-            return tuple(float(s) for s in items)
-        if kind == "int_list":
-            return tuple(int(s) for s in items)
-        return tuple(items)
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(s.strip()) for s in raw.split(",") if s.strip())
+        return type(default)(raw.strip())
     except ValueError as exc:
         raise ConfigError(f"{path}: cannot parse {raw!r}") from exc
 
 
 def default_config(scenario: str = "test1") -> ScenarioConfig:
     """Built-in defaults of one of the named scenarios."""
-    config = ScenarioConfig(scenario=scenario)
-    if scenario == "test2":
-        config = replace(config, **_TEST2_OVERRIDES)
-    return config.validate()
+    overrides = _TEST2_OVERRIDES if scenario == "test2" else {}
+    return ScenarioConfig(scenario=scenario, **overrides)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -208,20 +191,15 @@ def load_config(path) -> ScenarioConfig:
 
     overrides = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _KEYS:
             raise ConfigError(f"{section}: unknown section")
-        known = _SECTIONS[section]
         for key, raw in parser.items(section):
-            if key not in known:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"{section}.{key}: unknown key")
-            attr = _ATTR.get((section, key), key)
-            overrides[attr] = _parse(known[key], raw, f"{section}.{key}")
+            name = _KEYS[section][key]
+            overrides[name] = _parse(getattr(ScenarioConfig, name, SCHEMA_VERSION),
+                                     raw, f"{section}.{key}")
 
     if overrides.pop("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError("scenario.schema_version: unsupported schema version")
-    scenario = overrides.pop("scenario", "test1")
-    config = default_config(scenario) if scenario != "custom" else ScenarioConfig(
-        scenario="custom"
-    )
-    config = replace(config, **overrides)
-    return config.validate()
+    return replace(default_config(overrides.pop("scenario", "test1")), **overrides)

@@ -88,9 +88,10 @@ class PoroState:
     """Coefficient vectors of one time level (or nonlinear iterate).
 
     Accepted time levels carry the porosity field; working iterates may not.
-    Saturation and pore pressure are cached on first use (or passed in) for
-    the params of that call: a new pressure or van Genuchten model needs a
-    new state, not ``dataclasses.replace``, which copies the cache.
+    Saturation and pore pressure are cached with the pressure array and van
+    Genuchten model they were computed from, so ``dataclasses.replace`` with
+    a new ``p`` or a call with another model recomputes them.  Editing
+    ``state.p`` in place is not supported.
     """
 
     p: np.ndarray
@@ -98,18 +99,21 @@ class PoroState:
     u: np.ndarray
     time: float
     porosity: np.ndarray | None = None
-    _sat: np.ndarray | None = field(default=None, repr=False)
-    _pe: np.ndarray | None = field(default=None, repr=False)
+    _sat: tuple | None = field(default=None, repr=False)  # (p, vg, values)
+    _pe: tuple | None = field(default=None, repr=False)
+
+    def _cached(self, name: str, law, vg: VanGenuchtenModel) -> np.ndarray:
+        hit = getattr(self, name)
+        if hit is None or hit[0] is not self.p or hit[1] != vg:
+            hit = (self.p, vg, law(self.p, vg))
+            object.__setattr__(self, name, hit)
+        return hit[2]
 
     def saturation(self, params: PhysicsParams) -> np.ndarray:
-        if self._sat is None:
-            object.__setattr__(self, "_sat", laws.saturation(self.p, params.vg))
-        return self._sat
+        return self._cached("_sat", laws.saturation, params.vg)
 
     def pore_pressure(self, params: PhysicsParams) -> np.ndarray:
-        if self._pe is None:
-            object.__setattr__(self, "_pe", laws.equivalent_pore_pressure(self.p, params.vg))
-        return self._pe
+        return self._cached("_pe", laws.equivalent_pore_pressure, params.vg)
 
     def vector(self) -> np.ndarray:
         return np.concatenate([self.p, self.q, self.u])

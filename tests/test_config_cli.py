@@ -1,11 +1,15 @@
 import csv
+import math
+import re
+from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from porosplit import checks
 from porosplit.cli import main
-from porosplit.config import ConfigError, ScenarioConfig, load_config
+from porosplit.config import _KEYS, ConfigError, ScenarioConfig, default_config, load_config
 from porosplit.export import cell_flux_vectors, write_cell_csv, write_point_csv, write_vtk
 from porosplit.mesh import RectMesh
 from porosplit.sweep import SweepReport, SweepRow, emit_report, run_sweep
@@ -65,11 +69,43 @@ class TestLoadConfig:
         assert mu == pytest.approx(12.5)
         assert lam == pytest.approx(25.0 / 3.0)
 
+    def test_infinite_biot_modulus_loads(self, tmp_path):
+        assert load_config(write(tmp_path, "[physics]\nn = inf\n")).N == math.inf
+
+    def test_custom_starts_from_test1(self, tmp_path):
+        config = load_config(write(tmp_path, "[scenario]\nname = custom\n"))
+        assert config == replace(default_config("test1"), scenario="custom")
+
+    def test_readme_example_is_the_test1_default(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        assert load_config(write(tmp_path, block)) == default_config("test1")
+
+
+class TestScenarioConfig:
+    @pytest.mark.parametrize("change, path", [
+        (dict(nu=0.5), "physics.nu"), (dict(N=0.0), "physics.N"),
+        (dict(p0=math.nan), "physics.p0"), (dict(q_star=math.inf), "physics.q_star"),
+        (dict(Lx=math.inf), "scenario.lx"), (dict(tau=0.2, T=0.1), "numerics.T"),
+    ])
+    def test_replace_is_checked(self, change, path):
+        with pytest.raises(ConfigError, match=f"^{path}: value out of range$"):
+            replace(default_config("test1"), **change)
+
+    def test_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            default_config("test1").nu = 0.5
+
+    def test_every_field_has_one_key(self):
+        names = [name for keys in _KEYS.values() for key, name in keys.items()
+                 if key != "schema_version"]
+        assert sorted(names) == sorted(f.name for f in fields(ScenarioConfig))
+
 
 SMALL = ScenarioConfig(
     nx=4, ny=4, inflow_width=0.25, T=0.2,
     schemes=("newton", "fsl"), depths=(0, 1), alphas=(1.0,),
-).validate()
+)
 
 
 class TestSweep:
@@ -91,8 +127,6 @@ class TestSweep:
         assert open(pa["csv"]).read() == open(pb["csv"]).read()
 
     def test_worker_pool_matches_serial(self, tmp_path):
-        from dataclasses import replace
-
         serial = run_sweep(SMALL)
         parallel = run_sweep(replace(SMALL, workers=2))
         for r1, r2 in zip(serial.rows, parallel.rows):
@@ -142,6 +176,15 @@ class TestCli:
         bad = tmp_path / "bad.ini"
         bad.write_text("[numerics]\ntau = -3\n")
         assert main(["run", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("p0", "nan"), ("gy", "nan"), ("e", "inf"), ("q_star", "inf"),
+    ])
+    def test_non_finite_value_is_a_configuration_error(self, tmp_path, capsys, key, value):
+        bad = write(tmp_path, f"[physics]\n{key} = {value}\n")
+        assert main(["run", "--config", bad, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: physics.{key}: value out of range\n")
 
     def test_io_error_exit_code(self, tmp_path):
         missing = tmp_path / "missing.ini"
@@ -199,8 +242,6 @@ class TestExport:
         assert "RECTILINEAR_GRID" in vtk and "VECTORS displacement" in vtk
 
     def test_sweep_field_export(self, tmp_path):
-        from dataclasses import replace
-
         config = replace(SMALL, schemes=("newton",), depths=(0,),
                          fields="vtk", out_dir=str(tmp_path / "fields"))
         run_sweep(config)

@@ -76,6 +76,27 @@ class TestInitialState:
         with pytest.raises(FrozenInstanceError):
             init.porosity = None
 
+    def test_cached_laws_follow_pressure_and_model(self):
+        mesh, ops, params, init = setup_problem(2, 2, width=0.5)
+        assert init.saturation(params) == pytest.approx(0.40, abs=1e-3)
+        wet = replace(init, p=np.zeros_like(init.p))
+        assert np.all(wet.saturation(params) == 1.0)
+        assert np.all(wet.pore_pressure(params) == 0.0)
+        other = replace(params, vg=hoelder_params().vg)
+        for state in (init, wet):
+            assert np.array_equal(state.saturation(other), laws.saturation(state.p, other.vg))
+            assert np.array_equal(state.pore_pressure(other),
+                                  laws.equivalent_pore_pressure(state.p, other.vg))
+
+    def test_replace_keeping_pressure_reuses_cache(self, monkeypatch):
+        mesh, ops, params, init = setup_problem(2, 2, width=0.5)
+        sat, pe = init.saturation(params), init.pore_pressure(params)
+        monkeypatch.setattr(laws, "saturation", None)
+        monkeypatch.setattr(laws, "equivalent_pore_pressure", None)
+        moved = replace(init, u=init.u + 1.0, porosity=init.porosity + 0.1)
+        assert moved.saturation(params) is sat
+        assert moved.pore_pressure(replace(params, vg=replace(params.vg))) is pe
+
 
 class TestPhysicsParams:
     @pytest.mark.parametrize("field, value", [("tau", np.nan), ("tau", 0.0), ("T", np.nan),
