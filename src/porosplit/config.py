@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .constitutive import PorosityLaw, VanGenuchtenModel
 from .fem import assemble
-from .mesh import RectMesh
+from .mesh import RectMesh, inflow_cells
 from .model import PhysicsParams
 from .schemes import SchemeConfig
 
@@ -76,32 +76,34 @@ class ScenarioConfig:
 
     def __post_init__(self):
         checks = [
-            (self.scenario in ("test1", "test2", "custom"), "scenario.name"),
-            (self.nx >= 1 and self.ny >= 1, "scenario.nx/ny"),
-            (self.Lx > 0 and self.Ly > 0, "scenario.Lx/Ly"),
-            (0 <= self.inflow_width <= self.Lx, "scenario.inflow_width"),
-            (self.E > 0, "physics.E"),
-            (0 <= self.nu < 0.5, "physics.nu"),
-            (0 < self.phi0 < 1, "physics.phi0"),
-            (self.a_vg > 0, "physics.a_vg"),
-            (self.n_vg > 1, "physics.n_vg"),
-            (self.kappa > 0, "physics.kappa"),
-            (self.mu_w > 0, "physics.mu_w"),
-            (all(0 < a <= 1 for a in self.alphas), "physics.alpha"),
-            (self.N > 0, "physics.N"),
-            (self.tau > 0, "numerics.tau"),
-            (self.T >= self.tau, "numerics.T"),
-            (self.eps_abs > 0 and self.eps_rel > 0, "numerics.eps_abs/eps_rel"),
-            (self.max_iters >= 1, "numerics.max_iters"),
-            (all(s in SCHEME_LABELS for s in self.schemes), "sweep.schemes"),
-            (all(d >= 0 for d in self.depths), "sweep.depths"),
-            (self.workers >= 1, "sweep.workers"),
-            (self.fields in ("none", "csv", "vtk"), "output.fields"),
-        ] + [(math.isfinite(value), _PATHS[name]) for name, value in vars(self).items()
+            (self.scenario in ("test1", "test2", "custom"), "scenario"),
+            (self.nx >= 1, "nx"), (self.ny >= 1, "ny"),
+            (self.Lx > 0, "Lx"), (self.Ly > 0, "Ly"),
+            (0 <= self.inflow_width <= self.Lx, "inflow_width"),
+            (self.E > 0, "E"),
+            (0 <= self.nu < 0.5, "nu"),
+            (0 < self.phi0 < 1, "phi0"),
+            (self.a_vg > 0, "a_vg"),
+            (self.n_vg > 1, "n_vg"),
+            (self.kappa > 0, "kappa"),
+            (self.mu_w > 0, "mu_w"),
+            (all(0 < a <= 1 for a in self.alphas), "alphas"),
+            (self.N > 0, "N"),
+            (self.tau > 0, "tau"),
+            (self.T >= self.tau, "T"),
+            (self.eps_abs > 0, "eps_abs"), (self.eps_rel > 0, "eps_rel"),
+            (self.max_iters >= 1, "max_iters"),
+            (all(s in SCHEME_LABELS for s in self.schemes), "schemes"),
+            (all(d >= 0 for d in self.depths), "depths"),
+            (self.workers >= 1, "workers"),
+            (self.fields in ("none", "csv", "vtk"), "fields"),
+        ] + [(math.isfinite(value), name) for name, value in vars(self).items()
              if isinstance(value, float) and name != "N"]
-        for ok, path in checks:
+        for ok, name in checks:
             if not ok:
-                raise ConfigError(f"{path}: value out of range")
+                raise ConfigError(f"{_PATHS[name]}: value out of range")
+        if inflow_cells(self.inflow_width, self.Lx / self.nx) is None:  # needs nx >= 1, finite
+            raise ConfigError(f"{_PATHS['inflow_width']}: value out of range")
 
     # -- derived objects -------------------------------------------------
 

@@ -19,11 +19,18 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MeshAlignmentError", "RectMesh"]
+__all__ = ["MeshAlignmentError", "RectMesh", "inflow_cells"]
 
 
 class MeshAlignmentError(ValueError):
     """Raised when the inflow strip does not align with cell edges."""
+
+
+def inflow_cells(inflow_width: float, hx: float) -> int | None:
+    """Number of cells of width ``hx`` the inflow strip x in [0, inflow_width]
+    covers, or None when the strip does not end on a cell edge."""
+    cells = inflow_width / hx
+    return int(round(cells)) if abs(cells - round(cells)) <= 1e-9 else None
 
 
 class RectMesh:
@@ -42,13 +49,10 @@ class RectMesh:
         self.hx = self.Lx / self.nx
         self.hy = self.Ly / self.ny
         self.inflow_width = float(inflow_width)
-
-        n_inflow_cells = inflow_width / self.hx
-        if abs(n_inflow_cells - round(n_inflow_cells)) > 1e-9:
+        self._n_inflow_cells = inflow_cells(inflow_width, self.hx)
+        if self._n_inflow_cells is None:
             raise MeshAlignmentError(
-                f"inflow_width={inflow_width} is not a multiple of hx={self.hx}"
-            )
-        self._n_inflow_cells = int(round(n_inflow_cells))
+                f"inflow_width={inflow_width} is not a multiple of hx={self.hx}")
 
         self.n_cells = self.nx * self.ny
         self.n_nodes = (self.nx + 1) * (self.ny + 1)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import constitutive as laws
 from .constitutive import PorosityLaw, VanGenuchtenModel
@@ -41,7 +40,6 @@ __all__ = [
     "porosity_increment",
     "pressure_coefficient",
     "mobility_coupling",
-    "NewtonBlocks",
     "newton_blocks",
     "volume_conservation_gap",
 ]
@@ -249,16 +247,6 @@ def pressure_coefficient(state: PoroState, prev: PoroState, params: PhysicsParam
     return ops.M_p * (phi_it * weight + (params.inv_n + beta) * state.saturation(params)**2)
 
 
-@dataclass
-class NewtonBlocks:
-    """Coupled Jacobian over the free dofs [p | q_free | u_free], rows and
-    columns in the operators' nested-dissection ``order``."""
-
-    matrix: sp.csc_array
-    derivative_clamped: bool
-    parts: FlowParts
-
-
 def mobility_coupling(state: PoroState, params: PhysicsParams,
                       ops: DiscreteOperators, parts: FlowParts):
     """Flux-block coupling d/dp [k_w^{-1}(p)] q = -k_w^{-2} k_w'(p) q, with
@@ -275,12 +263,15 @@ def mobility_coupling(state: PoroState, params: PhysicsParams,
 
 
 def newton_blocks(state: PoroState, prev: PoroState, params: PhysicsParams,
-                  ops: DiscreteOperators) -> NewtonBlocks:
-    """Monolithic Newton matrix of the coupled step, linearized at ``state``.
+                  ops: DiscreteOperators):
+    """Monolithic Newton matrix of the coupled step, linearized at ``state``,
+    over the free dofs [p | q_free | u_free] in the operators' ``order``.
 
     The pressure block carries phi^{i-1} ds/dp + (1/N) s^2 with the porosity
     evaluated at the current iterate; the flux block carries the chain-rule
     derivative of k_w^{-1}; the elasticity block is state independent.
+    Returns the matrix, the flow residual parts at ``state`` and the clamp
+    flag of the mobility derivative.
     """
     parts = flow_parts(state, prev, params, ops)
     sd = laws.saturation_derivative(state.p, params.vg)
@@ -296,11 +287,7 @@ def newton_blocks(state: PoroState, prev: PoroState, params: PhysicsParams,
     blocks[:, 1:5, 0] = coupling - d
     blocks[:, 5:, 0] = -apu
     blocks[:, 1:5, 1:5] = parts.kinv[:, None, None] * ops.local_flux_mass
-    return NewtonBlocks(
-        matrix=ops.coupled_pattern.matrix(blocks),
-        derivative_clamped=clamped,
-        parts=parts,
-    )
+    return ops.coupled_pattern.matrix(blocks), parts, clamped
 
 
 def volume_conservation_gap(state: PoroState, prev: PoroState,

@@ -26,6 +26,10 @@ applied as post-processing on the concatenated mass-weighted coefficient
 vector; the raw scheme increment at the current (possibly accelerated)
 iterate drives the convergence test, and the accepted state is always the
 plain image.  Depth 0 runs the unaccelerated scheme, with no window.
+Each iteration leaves one ``IterationRecord``; every exit but convergence
+states its reason in the report's ``failure``: the message of a raised
+solve, a non-finite increment, growth past GROWTH_FACTOR, stagnation or
+the exhausted budget.
 
 Restart rule: at depth m >= 2, whenever the total increment at an iterate
 the window returned exceeds AA_RESTART_FACTOR times the total at the
@@ -44,7 +48,7 @@ iterate with |alpha|_1 > 10 stalls that run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -67,6 +71,7 @@ from .model import (
 
 __all__ = [
     "SchemeConfig",
+    "IterationRecord",
     "IterationReport",
     "fixed_stress_beta",
     "split_iteration",
@@ -129,18 +134,31 @@ class SchemeConfig:
             raise ValueError("L_scale scales the local bound; it cannot apply to a given L")
 
 
-@dataclass
-class IterationReport:
-    """Per-time-step iteration history and termination status."""
+@dataclass(frozen=True)
+class IterationRecord:
+    """One nonlinear iteration: the L2 increment norms (|dp|, |dq|, |du|), the
+    mobility-derivative clamp flag and, when an Anderson push followed, its
+    weights, its plain-step fallback and whether the store restarted first."""
 
-    termination: str = "max_iters"
-    iterations: int = 0
-    increment_norms: list = field(default_factory=list)   # (|dp|, |dq|, |du|) L2
-    residual_norms: list = field(default_factory=list)    # (|r_p|, |r_q|, |r_u|)
-    aa_weights: list = field(default_factory=list)
-    aa_fallbacks: list = field(default_factory=list)      # plain-step fallback per push
-    aa_restarts: list = field(default_factory=list)       # iterations that flushed the store
-    failure: str | None = None
+    increments: tuple
+    clamped: bool
+    aa_weights: tuple | None = None
+    aa_fallback: bool = False
+    aa_restart: bool = False
+
+
+@dataclass(frozen=True)
+class IterationReport:
+    """One time step: a record per iteration and the termination; ``failure``
+    is None exactly when the step converged, and otherwise its reason."""
+
+    termination: str
+    records: tuple
+    failure: str | None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.records)
 
     @property
     def converged(self) -> bool:
@@ -168,11 +186,6 @@ def _flow_rhs(state, params, ops, parts, t_new):
     rhs_p = parts.r_p - params.tau * (ops.D_pq @ dq)
     rhs_q = (parts.r_q - ops.weighted_flux_mass(parts.kinv, dq))[ops.free_q]
     return dq, rhs_p, rhs_q
-
-
-def _residual_norms(parts, r_u, ops):
-    rp = float(np.sqrt(np.sum(parts.r_p**2 / ops.M_p)))
-    return (rp, float(np.linalg.norm(parts.r_q)), float(np.linalg.norm(r_u)))
 
 
 def _flow_solve(state, params, ops, parts, cpp, coupling, t_new):
@@ -206,31 +219,25 @@ def _flow_solve(state, params, ops, parts, cpp, coupling, t_new):
     return dp, dq
 
 
-def _mech_step(p_new, q_new, u_old, params, ops, t_new):
-    """Elasticity update at the new pressure and old displacement."""
-    trial = PoroState(p=p_new, q=q_new, u=u_old, time=t_new)
-    r_u = mech_residual(trial, u_old, params, ops)
-    du = np.zeros_like(u_old)
-    du[ops.free_u] = ops.elastic_solve(r_u[ops.free_u])
-    state = replace(trial, u=u_old + du)
-    return state, du, r_u
-
-
 def split_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
                     ops: DiscreteOperators, cpp: np.ndarray, mobility_block: bool = False):
     """One fixed-stress sweep: the flow solve with diagonal pressure
     coefficient ``cpp`` (plus the mobility-derivative coupling in the flux
     block when ``mobility_block``), then elasticity at the new pressure.
-    Returns the new state, the increment norms and the residual norms."""
+    Returns the new state, the increment norms and the mobility clamp flag."""
     t_new = prev.time + params.tau
     parts = flow_parts(state, prev, params, ops)
-    coupling = None
+    coupling, clamped = None, False
     if mobility_block:
-        coupling, _ = mobility_coupling(state, params, ops, parts)
+        coupling, clamped = mobility_coupling(state, params, ops, parts)
     dp, dq = _flow_solve(state, params, ops, parts, cpp, coupling, t_new)
-    new_state, du, r_u = _mech_step(state.p + dp, state.q + dq, state.u, params, ops, t_new)
+    trial = PoroState(p=state.p + dp, q=state.q + dq, u=state.u, time=t_new)
+    r_u = mech_residual(trial, state.u, params, ops)
+    du = np.zeros_like(state.u)
+    du[ops.free_u] = ops.elastic_solve(r_u[ops.free_u])
+    new_state = replace(trial, u=state.u + du)
     inc = (ops.pressure_norm(dp), ops.flux_norm(dq), ops.disp_norm(du))
-    return new_state, inc, _residual_norms(parts, r_u, ops)
+    return new_state, inc, clamped
 
 
 def _picard_coefficient(state, prev, params, ops):
@@ -280,12 +287,11 @@ def newton_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
                      ops: DiscreteOperators):
     """One monolithic Newton step on the coupled system."""
     t_new = prev.time + params.tau
-    blocks = newton_blocks(state, prev, params, ops)
-    parts = blocks.parts
+    matrix, parts, clamped = newton_blocks(state, prev, params, ops)
     r_u = mech_residual(state, state.u, params, ops)
     dq, rhs_p, rhs_q = _flow_rhs(state, params, ops, parts, t_new)
     rhs = np.concatenate([rhs_p, rhs_q, r_u[ops.free_u]])
-    sol = SparseFactor(blocks.matrix, ops.order).solve(rhs)
+    sol = SparseFactor(matrix, ops.order).solve(rhs)
 
     n_p = ops.mesh.n_cells
     n_qf = len(ops.free_q)
@@ -295,7 +301,7 @@ def newton_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
     du[ops.free_u] = sol[n_p + n_qf:]
     new_state = PoroState(p=state.p + dp, q=state.q + dq, u=state.u + du, time=t_new)
     inc = (ops.pressure_norm(dp), ops.flux_norm(dq), ops.disp_norm(du))
-    return new_state, inc, _residual_norms(parts, r_u, ops)
+    return new_state, inc, clamped
 
 
 def converged(increment_norms, state_norms, eps_abs: float, eps_rel: float) -> bool:
@@ -342,32 +348,30 @@ def run_time_step(scheme: SchemeConfig, accel: AndersonConfig | None,
                   prev: PoroState, params: PhysicsParams, ops: DiscreteOperators):
     """Iterate one scheme (through the Anderson post-processor at depth >= 1,
     plain at depth 0 or None) over a single time step.  Failures terminate
-    the loop and are reported in the IterationReport, never raised."""
+    the loop and are reported with their reason, never raised."""
     t_new = prev.time + params.tau
     step = _iteration_fn(scheme)
     window = None
     if accel is not None and accel.depth > 0:
         window = AndersonWindow(accel, weights=ops.aa_weights)
-    report = IterationReport()
+    records = []
     current = prev
-    accepted = None
     totals = []
+    termination = "max_iters"
+    failure = f"no convergence within max_iters = {scheme.max_iters} iterations"
 
     for i in range(1, scheme.max_iters + 1):
         try:
-            image, inc, res = step(current, prev, params, ops)
+            image, inc, clamped = step(current, prev, params, ops)
         except (LinearSolveError, ResidualError) as exc:
-            report.termination = "diverged"
-            report.failure = str(exc)
+            termination, failure = "diverged", str(exc)
             break
-        report.iterations = i
-        report.increment_norms.append(inc)
-        report.residual_norms.append(res)
+        records.append(IterationRecord(inc, clamped))
         total = sum(inc)
         totals.append(total)
 
         if not np.isfinite(total):
-            report.termination = "diverged"
+            termination, failure = "diverged", f"non-finite increment norms {inc}"
             break
         state_norms = (
             ops.pressure_norm(image.p),
@@ -375,38 +379,38 @@ def run_time_step(scheme: SchemeConfig, accel: AndersonConfig | None,
             ops.disp_norm(image.u),
         )
         if converged(inc, state_norms, scheme.eps_abs, scheme.eps_rel):
-            accepted = image
-            report.termination = "converged"
-            break
+            porosity = prev.porosity + porosity_increment(image, prev, params, ops)
+            return (replace(image, porosity=porosity),
+                    IterationReport("converged", tuple(records), None))
         if total > GROWTH_FACTOR * max(totals[0], 1e-300):
-            report.termination = "diverged"
+            termination = "diverged"
+            failure = (f"increment total {total:.3e} exceeds GROWTH_FACTOR = "
+                       f"{GROWTH_FACTOR:g} times the first, {totals[0]:.3e}")
             break
         if len(totals) > STAGNATION_SPAN + STAGNATION_STREAK and all(
             abs(totals[-1 - k] - totals[-1 - k - STAGNATION_SPAN])
             < STAGNATION_RTOL * totals[-1 - k - STAGNATION_SPAN]
             for k in range(STAGNATION_STREAK)
         ):
-            report.termination = "stagnated"
+            termination = "stagnated"
+            failure = (f"increment total within STAGNATION_RTOL = {STAGNATION_RTOL:g} of "
+                       f"its value STAGNATION_SPAN = {STAGNATION_SPAN} iterations before")
             break
 
         if window is not None:
-            if accel.depth >= 2 and i > 1 and total > AA_RESTART_FACTOR * totals[-2]:
+            restart = accel.depth >= 2 and i > 1 and total > AA_RESTART_FACTOR * totals[-2]
+            if restart:
                 window = AndersonWindow(accel, weights=ops.aa_weights)
-                report.aa_restarts.append(i)
             vec, alpha, fallback = window.push(
                 image.vector(), image.vector() - current.vector()
             )
-            report.aa_weights.append(alpha)
-            report.aa_fallbacks.append(fallback)
+            records[-1] = replace(records[-1], aa_weights=tuple(alpha.tolist()),
+                                  aa_fallback=fallback, aa_restart=restart)
             current = _state_from_vector(vec, ops, t_new)
         else:
             current = image
 
-    if accepted is None:
-        return current, report
-
-    porosity = prev.porosity + porosity_increment(accepted, prev, params, ops)
-    return replace(accepted, porosity=porosity), report
+    return current, IterationReport(termination, tuple(records), failure)
 
 
 @dataclass

@@ -61,9 +61,9 @@ def pressure_iterates(name):
     inner = getattr(schemes, name)
 
     def recording(state, prev, *args, **kwargs):
-        image, inc, res = inner(state, prev, *args, **kwargs)
+        image, inc, clamped = inner(state, prev, *args, **kwargs)
         steps.setdefault(prev.time, [state.p.copy()]).append(image.p.copy())
-        return image, inc, res
+        return image, inc, clamped
 
     traces = []
     with pytest.MonkeyPatch.context() as mp:

@@ -258,11 +258,11 @@ def test_criterion_06_jacobian_validity():
         u = np.zeros(2 * mesh.n_nodes)
         u[ops.free_u] = rng.normal(0.0, 0.01, len(ops.free_u))
         state = PoroState(p=p, q=q, u=u, time=params.tau)
-        blocks = newton_blocks(state, prev, params, ops)
+        matrix, _, _ = newton_blocks(state, prev, params, ops)
         dp = rng.standard_normal(mesh.n_cells)
         dqf = rng.standard_normal(len(ops.free_q))
         duf = rng.standard_normal(len(ops.free_u))
-        action = natural(blocks.matrix, ops.order) @ np.concatenate([dp, dqf, duf])
+        action = natural(matrix, ops.order) @ np.concatenate([dp, dqf, duf])
 
         def shifted(sign):
             qq = q.copy()

@@ -84,9 +84,10 @@ class TestLoadConfig:
 
 class TestScenarioConfig:
     @pytest.mark.parametrize("change, path", [
-        (dict(nu=0.5), "physics.nu"), (dict(N=0.0), "physics.N"),
+        (dict(nu=0.5), "physics.nu"), (dict(N=0.0), "physics.n"),
         (dict(p0=math.nan), "physics.p0"), (dict(q_star=math.inf), "physics.q_star"),
-        (dict(Lx=math.inf), "scenario.lx"), (dict(tau=0.2, T=0.1), "numerics.T"),
+        (dict(Lx=math.inf), "scenario.lx"), (dict(tau=0.2, T=0.1), "numerics.t"),
+        (dict(nx=4, inflow_width=0.3), "scenario.inflow_width"),
     ])
     def test_replace_is_checked(self, change, path):
         with pytest.raises(ConfigError, match=f"^{path}: value out of range$"):
@@ -185,6 +186,16 @@ class TestCli:
         assert main(["run", "--config", bad, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
             f"configuration error: physics.{key}: value out of range\n")
+
+    @pytest.mark.parametrize("text, path", [
+        ("[physics]\ne = -1\n", "physics.e"),
+        # the default inflow_width 0.2 does not end on an edge of 3 cells
+        ("[scenario]\nnx = 3\n", "scenario.inflow_width"),
+    ])
+    def test_out_of_range_value_names_its_key(self, tmp_path, capsys, text, path):
+        bad = write(tmp_path, text)
+        assert main(["run", "--config", bad, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"configuration error: {path}: value out of range\n"
 
     def test_io_error_exit_code(self, tmp_path):
         missing = tmp_path / "missing.ini"

@@ -341,7 +341,7 @@ class TestNestedDissection:
         state = init
         for _ in range(2):
             state, _, _ = newton_iteration(state, init, params, ops)
-            matrix = newton_blocks(state, init, params, ops).matrix
+            matrix, _, _ = newton_blocks(state, init, params, ops)
             lu = SparseFactor(matrix, ops.order).lu
             assert np.array_equal(lu.perm_r, np.arange(matrix.shape[0]))
 
@@ -389,10 +389,11 @@ class TestNestedDissection:
         d = ops.local_divergence
         flux = ops.flux_pattern.matrix(kinv[:, None, None] * ops.local_flux_mass
                                        + (params.tau / cpp)[:, None, None] * np.outer(d, d))
+        coupled, _, _ = newton_blocks(state, init, params, ops)
         eo = ops.elastic_order
         cases = [
             (flux, ops.flux_order, True),
-            (newton_blocks(state, init, params, ops).matrix, ops.order, False),
+            (coupled, ops.order, False),
             (ops.A_ff[eo][:, eo], eo, True),
         ]
         for matrix, order, symmetric in cases:

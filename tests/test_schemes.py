@@ -1,8 +1,12 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from porosplit import constitutive as laws
+from porosplit import schemes
 from porosplit.anderson import AndersonConfig
 from porosplit.fem import LinearSolveError
 from porosplit.model import (
@@ -221,8 +225,8 @@ class TestReducedFlowSolve:
         n_p = ops.mesh.n_cells
         n_qf = len(ops.free_q)
         if kind == "fsnewton":
-            blocks = newton_blocks(state, prev, params, ops)
-            a_qp = natural(blocks.matrix, ops.order)[n_p:n_p + n_qf, :n_p]
+            matrix, _, _ = newton_blocks(state, prev, params, ops)
+            a_qp = natural(matrix, ops.order)[n_p:n_p + n_qf, :n_p]
         else:
             a_qp = -ops.D_pq[:, ops.free_q].T
         kinv = sp.csr_array(dense_flux_mass(ops, 1.0 / laws.mobility(s, params.vg)))
@@ -342,7 +346,7 @@ class TestRunTimeStep:
         scheme = SchemeConfig(kind="fsl", L=params.vg.saturation_lipschitz())
         state, report = run_time_step(scheme, None, init, params, ops)
         assert report.converged and report.iterations > 1
-        dp = [inc[0] for inc in report.increment_norms]
+        dp = [r.increments[0] for r in report.records]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(dp, dp[1:]))
 
     def test_transient_failure_is_data(self):
@@ -354,6 +358,65 @@ class TestRunTimeStep:
         assert not result.completed
         assert result.fail_step == 1
         assert result.fail_status == "max_iters"
+        assert result.reports[-1].failure == "no convergence within max_iters = 12 iterations"
+
+
+class TestTerminationReasons:
+    """``failure`` is None exactly when a step converged; every other exit
+    names the rule or the error that ended it."""
+
+    @pytest.mark.parametrize("n, width, depth, termination, iterations, reason", [
+        (25, 0.2, 1, "diverged", 3, "exceeds GROWTH_FACTOR = 10000 times the first"),
+        (25, 0.2, 0, "stagnated", 79, "STAGNATION_RTOL = 0.01 of its value STAGNATION_SPAN = 20"),
+        (16, 0.25, 10, "stagnated", 213, "STAGNATION_RTOL = 0.01"),
+    ])
+    def test_fsl_on_test2_at_full_coupling(self, n, width, depth, termination, iterations,
+                                            reason):
+        # step 1 of test2 at alpha = 1: AA(1) extrapolates FSL into a blow-up,
+        # plain FSL stalls; AA(10) stalls on 25x25 too (495 iterations), and
+        # on 16x16 in a fifth of the time
+        mesh, ops, params, init = setup_problem(n, n, width=width, scenario="hoelder",
+                                                alpha=1.0)
+        _, report = run_time_step(SchemeConfig(kind="fsl"), AndersonConfig(depth), init,
+                                  params, ops)
+        assert (report.termination, report.iterations) == (termination, iterations)
+        assert reason in report.failure
+
+    def test_converged_step_has_no_failure(self):
+        mesh, ops, params, init = setup_problem(4, 4, width=0.25)
+        _, report = run_time_step(SchemeConfig(kind="fsmp"), None, init, params, ops)
+        assert report.converged and report.failure is None
+
+    def test_raised_solve_keeps_its_message(self, monkeypatch):
+        # the constant FSL coefficient (L + beta_FS) M_p is zero at L = -beta_FS
+        mesh, ops, params, init = setup_problem(4, 4, width=0.25)
+        beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
+        monkeypatch.setattr(schemes, "fsl_iteration",
+                            lambda *args, L: fsl_iteration(*args, L=-beta))
+        _, report = run_time_step(SchemeConfig(kind="fsl", L=1.0), None, init, params, ops)
+        assert report.termination == "diverged" and report.records == ()
+        assert report.failure == "pressure coefficient 0.000e+00 at cell 0 cannot be eliminated"
+
+    def test_non_finite_increment(self, monkeypatch):
+        mesh, ops, params, init = setup_problem(4, 4, width=0.25)
+        step = schemes.fsmp_iteration
+        monkeypatch.setattr(schemes, "fsmp_iteration",
+                            lambda *args: (step(*args)[0], (math.nan, 0.0, 0.0), False))
+        _, report = run_time_step(SchemeConfig(kind="fsmp"), None, init, params, ops)
+        assert (report.termination, report.iterations) == ("diverged", 1)
+        assert report.failure == "non-finite increment norms (nan, 0.0, 0.0)"
+
+
+class TestIterationRecords:
+    def test_only_the_mobility_block_reports_a_clamp(self):
+        # at p = -1e-24 the Hoelder mobility derivative is clamped
+        mesh, ops, params, prev = setup_problem(2, 2, width=0.5, scenario="hoelder",
+                                                alpha=0.5)
+        state = replace(prev, p=np.full(mesh.n_cells, -1e-24), time=params.tau)
+        _, _, clamped = split_iteration(state, prev, params, ops, ops.M_p, mobility_block=True)
+        assert clamped
+        _, _, clamped = fsmp_iteration(state, prev, params, ops)
+        assert not clamped
 
 
 class TestAndersonRestart:
@@ -366,7 +429,7 @@ class TestAndersonRestart:
     @staticmethod
     def growth(report):
         """Iterations whose increment grew past the factor."""
-        totals = [sum(inc) for inc in report.increment_norms]
+        totals = [sum(r.increments) for r in report.records]
         return [i for i in range(2, len(totals) + 1)
                 if totals[i - 1] > AA_RESTART_FACTOR * totals[i - 2]]
 
@@ -375,15 +438,21 @@ class TestAndersonRestart:
                                                 alpha=0.1)
         result = run_transient(self.FSL2, AndersonConfig(depth=3), init, params, ops)
         assert result.completed
-        restarts = [rep.aa_restarts for rep in result.reports]
+        restarts = [[i for i, r in enumerate(rep.records, 1) if r.aa_restart]
+                    for rep in result.reports]
         assert sum(map(len, restarts)) >= 2
         for rep, steps in zip(result.reports, restarts):
             assert steps == self.growth(rep)
-            assert len(rep.aa_fallbacks) == len(rep.aa_weights)
+            # every iteration but the converged last one pushed
+            assert all(r.aa_weights is not None for r in rep.records[:-1])
+            assert rep.records[-1].aa_weights is None
+            for r in rep.records[:-1]:
+                scale = sum(map(abs, r.aa_weights))
+                assert math.fsum(r.aa_weights) == pytest.approx(1.0, abs=1e-12 * scale)
             for i in steps:
                 # the push right after the flush is a plain step
-                assert np.array_equal(rep.aa_weights[i - 1], [1.0])
-                assert not rep.aa_fallbacks[i - 1]
+                assert rep.records[i - 1].aa_weights == (1.0,)
+                assert not rep.records[i - 1].aa_fallback
 
     def test_depths_zero_and_one_never_restart(self):
         mesh, ops, params, init = setup_problem(4, 4, width=0.25, scenario="hoelder",
@@ -393,7 +462,7 @@ class TestAndersonRestart:
         assert one.completed
         # AA(1) iterates do grow past the factor, but are left alone
         assert any(self.growth(rep) for rep in one.reports)
-        assert all(rep.aa_restarts == [] for rep in one.reports)
+        assert not any(r.aa_restart for rep in one.reports for r in rep.records)
 
         # test1 at alpha = 1: the opening iteration's settlement jump grows
         # the increment, but the depth-0 run stays the plain scheme
@@ -405,9 +474,7 @@ class TestAndersonRestart:
         assert any(self.growth(rep) for rep in zero.reports)
         assert plain.iterations_per_step == zero.iterations_per_step
         for a, b in zip(plain.reports, zero.reports):
-            assert b.aa_restarts == []
-            assert not any(b.aa_fallbacks)
-            assert a.increment_norms == b.increment_norms
+            assert a.records == b.records
         assert len(trace_plain) == len(trace_zero) == 2
         for ta, tb in zip(trace_plain, trace_zero):
             assert len(ta) == len(tb)
