@@ -25,7 +25,9 @@ a sparsity pattern built once per mesh, already in that ordering
 through ``SparseFactor``: an LU in the given ordering with a normwise
 backward-error contract of 1e-12 and iterative refinement, two-sided
 equilibration and threshold pivoting for general matrices, and a symmetric
-variant (unit-diagonal scaling, diagonal pivots) for SPD ones.
+variant (unit-diagonal scaling, diagonal pivots) for SPD ones, except that
+the SPD flux-only matrices get a supernodal Cholesky under the same contract,
+on a symbolic analysis built once per mesh on first use (``flux_cholesky``).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import functools
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
 from .mesh import RectMesh
 
@@ -49,6 +52,7 @@ __all__ = [
 SOLVE_TOL = 1e-12
 PIVOT_THRESHOLD = 0.1   # threshold partial pivoting of the general LU
 LEAF_SIZE = 64          # boxes of at most this many dofs are not bisected
+_SUPERNODE_SIZE = 120   # flux dofs of the largest subtree factored as one dense front
 
 
 class LinearSolveError(RuntimeError):
@@ -74,7 +78,8 @@ class SparseFactor:
     With ``symmetric=True`` the matrix must be symmetric positive definite:
     it is scaled symmetrically to unit diagonal and factored with diagonal
     pivots, which keeps the fill of a Cholesky factor.  Iterative refinement
-    handles the remaining ill-conditioning in both cases.
+    handles the remaining ill-conditioning in both cases.  The SPD flux-only
+    matrices get the supernodal Cholesky subclass of ``flux_cholesky``.
     """
 
     def __init__(self, matrix, order, symmetric: bool = False):
@@ -139,6 +144,83 @@ class SparseFactor:
         return out
 
 
+class _Supernodes:
+    """Symbolic analysis of a multifrontal Cholesky (Duff & Reid, ACM TOMS
+    1983; Liu, SIAM Review 1992) on one CSC pattern (both triangles stored)
+    with supernodes [bounds[s], bounds[s + 1]).  A supernode's dense front
+    spans its columns and the rows below them that they or its children's
+    updates reach; its parent owns the first of those rows.  Kept: those
+    rows and flat Fortran-order front positions of the pattern's data and of
+    each child's update; each entry's column; the diagonal's positions."""
+
+    def __init__(self, indices, indptr, bounds):
+        self.columns = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        self.diagonal = np.flatnonzero(indices == self.columns)
+        owner = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        rows_below, children, self.nodes = [], [[] for _ in bounds[:-1]], []
+        for s, (b0, b1) in enumerate(zip(bounds[:-1], bounds[1:])):
+            lo, rows = indptr[b0], indices[indptr[b0]:indptr[b1]]
+            below = np.unique(np.concatenate([rows[rows >= b1]] + [
+                rows_below[c][rows_below[c] >= b1] for c in children[s]]))
+            front = np.concatenate([np.arange(b0, b1), below])
+            f, kept = len(front), np.flatnonzero(rows >= b0)
+            scatter = (self.columns[lo + kept] - b0) * f + np.searchsorted(front, rows[kept])
+            extend = [(c, (m[:, None] + f * m).ravel(order="F"))
+                      for c in children[s] for m in [np.searchsorted(front, rows_below[c])]]
+            self.nodes.append((b0, b1, below, lo + kept, scatter, extend))
+            rows_below.append(below)
+            if len(below):
+                children[owner[below[0]]].append(s)
+
+    def factor(self, data):
+        """Panels (L11, L21) per supernode of the SPD matrix with CSC data
+        ``data``: dpotrf, dtrsm, then dsyrk for the parent's update."""
+        updates, panels = {}, []
+        for s, (b0, b1, below, source, scatter, extend) in enumerate(self.nodes):
+            k, f = b1 - b0, b1 - b0 + len(below)
+            front = np.zeros(f * f)
+            front[scatter] = data[source]
+            for c, at in extend:
+                front[at] += updates.pop(c).ravel(order="K")
+            front = front.reshape(f, f, order="F")
+            l11, info = lapack.dpotrf(front[:k, :k], lower=1)
+            if info:
+                raise LinearSolveError(f"Cholesky pivot {b0 + info - 1} is not positive")
+            l21 = front[k:, :k]
+            if len(below):
+                l21 = blas.dtrsm(1.0, l11, l21, side=1, lower=1, trans_a=1)
+                updates[s] = blas.dsyrk(-1.0, l21, beta=1.0, c=front[k:, k:], lower=1)
+            panels.append((l11, l21))
+        return panels
+
+    def solve(self, panels, x):
+        """L^-T L^-1 x for the ``panels`` of L, overwriting x."""
+        for (b0, b1, below, *_), (l11, l21) in zip(self.nodes, panels):
+            x[b0:b1] = y = blas.dtrsv(l11, x[b0:b1], lower=1)
+            x[below] -= l21 @ y
+        for (b0, b1, below, *_), (l11, l21) in zip(reversed(self.nodes), reversed(panels)):
+            x[b0:b1] = blas.dtrsv(l11, x[b0:b1] - l21.T @ x[below], lower=1, trans=1)
+        return x
+
+
+class _CholeskyFactor(SparseFactor):
+    """SparseFactor of an SPD matrix on the pattern of ``analysis``, scaled
+    to unit diagonal; its constructor replaces the LU's, the solve is shared."""
+
+    def __init__(self, matrix, order, analysis):
+        self.matrix, self.order, self._analysis = matrix, order, analysis
+        self._mat_norm = np.bincount(matrix.indices, abs(matrix.data)).max(initial=0.0)
+        diag = matrix.data[analysis.diagonal]
+        if not np.all((diag > 0) & np.isfinite(diag)):
+            raise LinearSolveError("symmetric factorization needs a positive diagonal")
+        self._dr = self._dc = 1.0 / np.sqrt(diag)
+        self._panels = analysis.factor(
+            matrix.data * self._dr[matrix.indices] * self._dr[analysis.columns])
+
+    def _raw_solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self._dc * self._analysis.solve(self._panels, self._dr * rhs)
+
+
 def nested_dissection(xy: np.ndarray):
     """Geometric nested-dissection ordering (George, SIAM J. Numer. Anal.
     1973) of dofs at integer half-grid coordinates ``xy`` (n, 2): cells
@@ -150,38 +232,34 @@ def nested_dissection(xy: np.ndarray):
     two halves exactly; they are ordered after both.  A box of at most
     LEAF_SIZE dofs is a leaf, whose dofs keep their order in ``xy``.
 
-    Returns the order (position -> dof) and the bisections as rows
-    (start, mid, stop) of order positions: the halves are
-    order[start:mid] and order[mid:stop], their separator follows.
+    Returns the order (position -> dof) and its pieces in postorder, rows
+    (first, mid, start, stop) of order positions: the piece is
+    order[start:stop], after the halves order[first:mid] and
+    order[mid:start] that it separates (empty for a leaf).
     """
-    pieces, bisections = [], []
-    filled = 0
+    pieces, rows = [], []
 
-    def dissect(idx, lo, hi):
-        nonlocal filled
+    def dissect(idx, lo, hi, first):
+        mid = start = first
         if len(idx) > LEAF_SIZE:
             for axis in ((0, 1) if hi[0] - lo[0] >= hi[1] - lo[1] else (1, 0)):
                 line = 2 * ((lo[axis] + hi[axis] + 2) // 4)
                 if lo[axis] < line < hi[axis]:
                     coord = xy[idx, axis]
-                    start = filled
-                    dissect(idx[coord < line], lo, {**hi, axis: line - 1})
-                    mid = filled
-                    dissect(idx[coord > line], {**lo, axis: line + 1}, hi)
-                    bisections.append((start, mid, filled))
+                    mid = dissect(idx[coord < line], lo, {**hi, axis: line - 1}, first)
+                    start = dissect(idx[coord > line], {**lo, axis: line + 1}, hi, mid)
                     idx = idx[coord == line]
-                    pieces.append(idx)
-                    filled += len(idx)
-                    return
+                    break
         pieces.append(idx)
-        filled += len(idx)
+        rows.append((first, mid, start, start + len(idx)))
+        return start + len(idx)
 
     n = len(xy)
     if n:
         lo, hi = xy.min(axis=0), xy.max(axis=0)
-        dissect(np.arange(n), {0: lo[0], 1: lo[1]}, {0: hi[0], 1: hi[1]})
+        dissect(np.arange(n), {0: lo[0], 1: lo[1]}, {0: hi[0], 1: hi[1]}, 0)
     order = np.concatenate(pieces) if pieces else np.zeros(0, dtype=int)
-    return order, np.array(bisections, dtype=int).reshape(-1, 3)
+    return order, np.array(rows, dtype=int).reshape(-1, 4)
 
 
 class _CellPattern:
@@ -320,7 +398,14 @@ class DiscreteOperators:
         # and y dofs of a node stay adjacent (less elasticity fill)
         entry = np.concatenate([np.arange(n_p + n_qf), n_p + n_qf + np.lexsort(
             (self.free_u // mesh.n_nodes, self.free_u % mesh.n_nodes))])
-        order = entry[nested_dissection(xy[entry])[0]]
+        dissection, pieces = nested_dissection(xy[entry])
+        order = entry[dissection]
+        # flux Cholesky supernodes: the pieces restricted to the flux dofs
+        # (contiguous in flux_order), subtrees of <= _SUPERNODE_SIZE merged
+        flux_before = np.concatenate([[0], np.cumsum((order >= n_p) & (order < n_p + n_qf))])
+        pieces = flux_before[pieces]
+        big = pieces[:, 3] - pieces[:, 0] > _SUPERNODE_SIZE
+        self._flux_supernodes = np.unique(np.concatenate([[0, n_qf], pieces[big].ravel()]))
         # each pressure dof moves to directly after the last of its cell's
         # free edges; key is twice the position, ties keep their order
         key = 2 * np.argsort(order)
@@ -343,6 +428,16 @@ class DiscreteOperators:
         flux_position = np.full(mesh.n_edges, -1)
         flux_position[self.free_q[self.flux_order]] = np.arange(n_qf)
         self.flux_pattern = _CellPattern(flux_position[ce], np.ones((4, 4), bool), n_qf)
+
+    @functools.cached_property
+    def flux_analysis(self) -> _Supernodes:
+        """Symbolic analysis of flux_cholesky, built on its first call."""
+        pattern = self.flux_pattern
+        return _Supernodes(pattern._indices, pattern._indptr, self._flux_supernodes)
+
+    def flux_cholesky(self, matrix) -> SparseFactor:
+        """Factor of an SPD matrix summed by flux_pattern."""
+        return _CholeskyFactor(matrix, self.flux_order, self.flux_analysis)
 
     # -- assembly helpers ------------------------------------------------
 

@@ -194,10 +194,11 @@ def _flow_solve(state, params, ops, parts, cpp, coupling, t_new):
     elimination of C: dq solves (K_ff + tau (D - B)_f C^-1 D_f) dq =
     rhs_q + (D - B)_f C^-1 rhs_p, summed from the cell blocks
     k_c^-1 M_c + (tau / C_c) (d_c - b_c) d_c^T, and dp = C^-1 (rhs_p -
-    tau D_f dq).  The flux matrix is SPD without B and with C > 0.  An
-    extrapolated AA iterate can make the porosity, and with it C, negative
-    in some cells; that matrix gets the general LU.  Zero or non-finite C
-    raises LinearSolveError.  Returns dp and the full flux increment."""
+    tau D_f dq).  The flux matrix is SPD without B and with C > 0, and gets
+    the supernodal Cholesky.  An extrapolated AA iterate can make the
+    porosity, and with it C, negative in some cells; that matrix gets the
+    general LU.  Zero or non-finite C raises LinearSolveError.  Returns dp
+    and the full flux increment."""
     singular = ~np.isfinite(cpp) | (cpp == 0.0)
     if np.any(singular):
         cell = int(np.argmax(singular))
@@ -211,8 +212,9 @@ def _flow_solve(state, params, ops, parts, cpp, coupling, t_new):
     pushed = np.bincount(ops.mesh.cell_edges.ravel(),
                          weights=(arm * (rhs_p / cpp)[:, None]).ravel(),
                          minlength=ops.mesh.n_edges)
+    matrix = ops.flux_pattern.matrix(blocks)
     spd = coupling is None and np.all(cpp > 0.0)
-    factor = SparseFactor(ops.flux_pattern.matrix(blocks), ops.flux_order, symmetric=spd)
+    factor = ops.flux_cholesky(matrix) if spd else SparseFactor(matrix, ops.flux_order)
     dq_free = factor.solve(rhs_q + pushed[ops.free_q])
     dq[ops.free_q] = dq_free
     dp = (rhs_p - params.tau * (ops.D_pq_f @ dq_free)) / cpp

@@ -4,10 +4,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from porosplit import constitutive as laws
+from porosplit import fem, schemes
 from porosplit.fem import LinearSolveError, SparseFactor, assemble, nested_dissection
 from porosplit.mesh import MeshAlignmentError, RectMesh
 from porosplit.model import newton_blocks
-from porosplit.schemes import fixed_stress_beta, fsl_local_iteration, newton_iteration
+from porosplit.schemes import (fixed_stress_beta, fsl_local_iteration, fsmp_iteration,
+                               newton_iteration, split_iteration)
 
 from conftest import LAM, MU, natural, setup_problem
 from oracles import dense_flux_mass
@@ -358,7 +360,10 @@ class TestNestedDissection:
         node_xy = np.column_stack([2 * (k % (nx + 1)), 2 * (k // (nx + 1))])
         xy = np.concatenate([np.column_stack([2 * (c % nx) + 1, 2 * (c // nx) + 1]),
                              edge_xy[ops.free_q], np.tile(node_xy, (2, 1))[ops.free_u]])
-        order, bisections = nested_dissection(xy)
+        order, pieces = nested_dissection(xy)
+        # a separator's row (first, mid, start, stop) holds the two halves
+        # it separates, order[first:mid] and order[mid:start]
+        bisections = pieces[pieces[:, 0] < pieces[:, 2], :3]
         coupled = ops.coupled_pattern.matrix(rng.uniform(1.0, 2.0, (nc, 13, 13)))
         flux = ops.flux_pattern.matrix(rng.uniform(1.0, 2.0, (nc, 4, 4)))
         # nonzero positions of each pattern in the coupled numbering
@@ -421,3 +426,90 @@ class TestNestedDissection:
         error = np.linalg.norm(a @ x - rhs) / (
             np.linalg.norm(rhs) + abs(a).sum(axis=1).max() * np.linalg.norm(x))
         assert error <= 1e-12
+
+
+def captured_flux_matrices(ops, step, monkeypatch):
+    """The matrices ``step()`` hands to ``ops.flux_cholesky``."""
+    seen = []
+    factor = ops.flux_cholesky
+
+    def capture(matrix):
+        seen.append(matrix)
+        return factor(matrix)
+
+    monkeypatch.setattr(ops, "flux_cholesky", capture)
+    step()
+    monkeypatch.undo()
+    return seen
+
+
+def backward_error(matrix, x, b):
+    norm = abs(matrix).sum(axis=1).max()
+    return np.linalg.norm(matrix @ x - b) / (np.linalg.norm(b) + norm * np.linalg.norm(x))
+
+
+class TestFluxCholesky:
+    @pytest.mark.parametrize("nx, ny", [(25, 25), (50, 50), (13, 37)])
+    @pytest.mark.parametrize("scheme", ["fsl", "fsmp"])
+    def test_backward_error_without_refinement(self, nx, ny, scheme, rng, monkeypatch):
+        mesh, ops, params, init = setup_problem(nx, ny, width=1.0)
+        step = {"fsl": lambda: fsl_local_iteration(init, init, params, ops),
+                "fsmp": lambda: fsmp_iteration(init, init, params, ops)}[scheme]
+        (matrix,) = captured_flux_matrices(ops, step, monkeypatch)
+        rhs = rng.standard_normal(matrix.shape[0])
+        factor = ops.flux_cholesky(matrix)
+        # one application of the factor, no refinement step
+        assert backward_error(matrix, factor._raw_solve(rhs), rhs) <= 1e-12
+        x = factor.solve(rhs[np.argsort(ops.flux_order)])
+        y = SparseFactor(matrix, ops.flux_order, symmetric=True).solve(
+            rhs[np.argsort(ops.flux_order)])
+        assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
+
+    def test_single_cell_has_an_empty_flux_matrix(self):
+        mesh, ops, params, init = setup_problem(1, 1, width=1.0)
+        matrix = ops.flux_pattern.matrix(np.ones((1, 4, 4)))
+        assert matrix.shape == (0, 0)
+        assert ops.flux_cholesky(matrix).solve(np.zeros(0)).shape == (0,)
+        state, inc, _ = fsl_local_iteration(init, init, params, ops)
+        assert np.all(np.isfinite(state.vector())) and np.all(np.isfinite(inc))
+
+    def test_indefinite_matrix_with_positive_diagonal_raises(self):
+        mesh, ops, params, init = setup_problem(4, 4, width=1.0)
+        d = ops.local_divergence
+        spd = ops.flux_pattern.matrix(np.tile(ops.local_flux_mass + np.outer(d, d),
+                                              (mesh.n_cells, 1, 1)))
+        dense = natural(spd, ops.flux_order).toarray()
+        # shift the spectrum between its bottom and the smallest diagonal
+        shift = 0.5 * (np.linalg.eigvalsh(dense)[0] + dense.diagonal().min())
+        diagonal = spd.indices == np.repeat(np.arange(spd.shape[0]), np.diff(spd.indptr))
+        data = spd.data - shift * diagonal
+        matrix = sp.csc_array((data, spd.indices, spd.indptr), shape=spd.shape)
+        assert np.all(matrix.diagonal() > 0)
+        with pytest.raises(LinearSolveError, match="pivot"):
+            ops.flux_cholesky(matrix)
+
+    def test_negative_pressure_coefficient_takes_the_general_lu(self, monkeypatch):
+        mesh, ops, params, init = setup_problem(6, 6, width=1.0)
+        cpp = np.full(mesh.n_cells, 2.0) * ops.M_p
+        cpp[7] = -cpp[7]
+
+        def no_cholesky(matrix):
+            raise AssertionError("SPD factor used for an indefinite flux matrix")
+
+        symmetric = []
+        monkeypatch.setattr(ops, "flux_cholesky", no_cholesky)
+        monkeypatch.setattr(schemes, "SparseFactor", lambda *a, **kw: (
+            symmetric.append(kw.get("symmetric", False)) or SparseFactor(*a, **kw)))
+        split_iteration(init, init, params, ops, cpp)
+        assert symmetric == [False]
+
+    def test_analysis_is_built_once_on_first_use(self, monkeypatch):
+        mesh, ops, params, init = setup_problem(12, 10, width=1.0)
+        assert "flux_analysis" not in vars(ops)
+        built = []
+        analysis = fem._Supernodes
+        monkeypatch.setattr(fem, "_Supernodes", lambda *a: built.append(1) or analysis(*a))
+        for weight in (1.0, 2.0):
+            ops.flux_cholesky(ops.flux_pattern.matrix(weight * np.tile(
+                ops.local_flux_mass, (mesh.n_cells, 1, 1))))
+        assert len(built) == 1 and "flux_analysis" in vars(ops)
