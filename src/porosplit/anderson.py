@@ -75,10 +75,10 @@ def mixing_weights(increments: np.ndarray):
     diffs = F[:, :-1] - newest[:, None]
     if not np.all(np.isfinite(diffs)):
         return plain, True
-    cond = np.linalg.cond(diffs)
-    if not np.isfinite(cond) or cond > COND_CAP:
+    # the condition number from the singular values of the same solve
+    gamma, _, _, sv = np.linalg.lstsq(diffs, -newest, rcond=None)
+    if not sv[-1] > 0 or sv[0] / sv[-1] > COND_CAP:
         return plain, True
-    gamma, *_ = np.linalg.lstsq(diffs, -newest, rcond=None)
     alpha = np.empty(m + 1)
     alpha[:m] = gamma
     alpha[m] = 1.0 - gamma.sum()

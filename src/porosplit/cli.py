@@ -4,11 +4,9 @@ Verbs:
   run         execute a scheme x depth x coupling sweep from a config file
   plane       sample the (lambda1, lambda2) contraction plane to CSV
   richardson  run restarted-acceleration experiments on linear Richardson
-  check       quick invariant suite (closed forms, assembly, conservation)
 
-Exit codes: 0 success, 1 configuration error or a failing check, 2 I/O
-error.  Solver failures (stagnation/divergence in a sweep) are results, not
-errors.
+Exit codes: 0 success, 1 configuration error, 2 I/O error.  Solver failures
+(stagnation/divergence in a sweep) are results, not errors.
 """
 
 from __future__ import annotations
@@ -69,15 +67,6 @@ def _cmd_richardson(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    from . import checks
-
-    failures = checks.run_quick_checks(verbose=True)
-    print(f"{'FAIL' if failures else 'PASS'}: quick invariant suite "
-          f"({failures} failing)")
-    return 1 if failures else 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="porosplit",
@@ -108,9 +97,6 @@ def main(argv=None) -> int:
     p_rich.add_argument("--blocks", type=int, default=30,
                         help="number of 4-iteration blocks")
     p_rich.set_defaults(func=_cmd_richardson)
-
-    p_check = sub.add_parser("check", help="quick invariant suite")
-    p_check.set_defaults(func=_cmd_check)
 
     args = parser.parse_args(argv)
     try:

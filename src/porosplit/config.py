@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .constitutive import PorosityLaw, VanGenuchtenModel
 from .fem import assemble
-from .mesh import RectMesh, inflow_cells
+from .mesh import RectMesh, whole_multiple
 from .model import PhysicsParams
 from .schemes import SchemeConfig
 
@@ -90,7 +90,7 @@ class ScenarioConfig:
             (all(0 < a <= 1 for a in self.alphas), "alphas"),
             (self.N > 0, "N"),
             (self.tau > 0, "tau"),
-            (self.T >= self.tau, "T"),
+            (self.tau > 0 and self.T >= self.tau and whole_multiple(self.T, self.tau), "T"),
             (self.eps_abs > 0, "eps_abs"), (self.eps_rel > 0, "eps_rel"),
             (self.max_iters >= 1, "max_iters"),
             (all(s in SCHEME_LABELS for s in self.schemes), "schemes"),
@@ -102,7 +102,7 @@ class ScenarioConfig:
         for ok, name in checks:
             if not ok:
                 raise ConfigError(f"{_PATHS[name]}: value out of range")
-        if inflow_cells(self.inflow_width, self.Lx / self.nx) is None:  # needs nx >= 1, finite
+        if whole_multiple(self.inflow_width, self.Lx / self.nx) is None:  # needs nx >= 1
             raise ConfigError(f"{_PATHS['inflow_width']}: value out of range")
 
     # -- derived objects -------------------------------------------------

@@ -17,20 +17,25 @@ x in [0, inflow_width] carries the additional "inflow" tag.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["MeshAlignmentError", "RectMesh", "inflow_cells"]
+__all__ = ["MeshAlignmentError", "RectMesh", "whole_multiple"]
 
 
 class MeshAlignmentError(ValueError):
     """Raised when the inflow strip does not align with cell edges."""
 
 
-def inflow_cells(inflow_width: float, hx: float) -> int | None:
-    """Number of cells of width ``hx`` the inflow strip x in [0, inflow_width]
-    covers, or None when the strip does not end on a cell edge."""
-    cells = inflow_width / hx
-    return int(round(cells)) if abs(cells - round(cells)) <= 1e-9 else None
+def whole_multiple(length: float, unit: float) -> int | None:
+    """``length / unit`` when it is a whole number to within 1e-9, else None
+    (also when it is not finite): the cells of width hx the inflow strip
+    covers, or the time steps tau a transient of length T takes."""
+    ratio = float(length) / float(unit)
+    if math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9:
+        return round(ratio)
+    return None
 
 
 class RectMesh:
@@ -49,7 +54,7 @@ class RectMesh:
         self.hx = self.Lx / self.nx
         self.hy = self.Ly / self.ny
         self.inflow_width = float(inflow_width)
-        self._n_inflow_cells = inflow_cells(inflow_width, self.hx)
+        self._n_inflow_cells = whole_multiple(inflow_width, self.hx)
         if self._n_inflow_cells is None:
             raise MeshAlignmentError(
                 f"inflow_width={inflow_width} is not a multiple of hx={self.hx}")

@@ -24,7 +24,7 @@ import numpy as np
 from . import constitutive as laws
 from .constitutive import PorosityLaw, VanGenuchtenModel
 from .fem import DiscreteOperators
-from .mesh import RectMesh
+from .mesh import RectMesh, whole_multiple
 
 __all__ = [
     "ResidualError",
@@ -65,8 +65,10 @@ class PhysicsParams:
     T: float = 1.0
 
     def __post_init__(self):
-        if not (self.tau > 0 and self.T >= self.tau and self.mu > 0 and self.lam >= 0):
-            raise ValueError("require tau > 0, T >= tau, mu > 0, lambda >= 0")
+        if not (self.tau > 0 and self.T >= self.tau and whole_multiple(self.T, self.tau)
+                and self.mu > 0 and self.lam >= 0):
+            raise ValueError("require tau > 0, T a whole multiple >= 1 of tau, "
+                             "mu > 0, lambda >= 0")
 
     @property
     def alpha(self) -> float:
@@ -78,7 +80,7 @@ class PhysicsParams:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.T / self.tau))
+        return whole_multiple(self.T, self.tau)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from porosplit import checks
 from porosplit.cli import main
 from porosplit.config import _KEYS, ConfigError, ScenarioConfig, default_config, load_config
 from porosplit.export import cell_flux_vectors, write_cell_csv, write_point_csv, write_vtk
@@ -88,6 +87,7 @@ class TestScenarioConfig:
         (dict(p0=math.nan), "physics.p0"), (dict(q_star=math.inf), "physics.q_star"),
         (dict(Lx=math.inf), "scenario.lx"), (dict(tau=0.2, T=0.1), "numerics.t"),
         (dict(nx=4, inflow_width=0.3), "scenario.inflow_width"),
+        (dict(T=0.35), "numerics.t"),
     ])
     def test_replace_is_checked(self, change, path):
         with pytest.raises(ConfigError, match=f"^{path}: value out of range$"):
@@ -191,6 +191,8 @@ class TestCli:
         ("[physics]\ne = -1\n", "physics.e"),
         # the default inflow_width 0.2 does not end on an edge of 3 cells
         ("[scenario]\nnx = 3\n", "scenario.inflow_width"),
+        # 0.35 is not a whole number of steps tau = 0.1
+        ("[numerics]\nt = 0.35\n", "numerics.t"),
     ])
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, text, path):
         bad = write(tmp_path, text)
@@ -223,10 +225,20 @@ class TestCli:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("configuration error: ")
 
-    def test_check_verb(self, monkeypatch):
-        assert main(["check"]) == 0
-        monkeypatch.setattr(checks, "run_quick_checks", lambda verbose=False: 1)
-        assert main(["check"]) == 1
+    def test_unknown_verb_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["check"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'check'" in capsys.readouterr().err
+
+    def test_readme_documents_exactly_the_verbs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## CLI\n\n```bash\n(.*?)```", readme, re.S).group(1)
+        documented = {line.split()[1] for line in block.splitlines()}
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        verbs = re.search(r"\{([\w,]+)\}", capsys.readouterr().out).group(1)
+        assert documented == set(verbs.split(","))
 
 
 class TestExport:

@@ -488,6 +488,15 @@ class TestFluxCholesky:
         with pytest.raises(LinearSolveError, match="pivot"):
             ops.flux_cholesky(matrix)
 
+    def test_negative_diagonal_entry_raises(self):
+        mesh, ops, params, init = setup_problem(4, 4, width=1.0)
+        spd = ops.flux_pattern.matrix(np.tile(ops.local_flux_mass, (mesh.n_cells, 1, 1)))
+        data = spd.data.copy()
+        data[ops.flux_analysis.diagonal[3]] *= -1.0
+        matrix = sp.csc_array((data, spd.indices, spd.indptr), shape=spd.shape)
+        with pytest.raises(LinearSolveError, match="positive diagonal"):
+            ops.flux_cholesky(matrix)
+
     def test_negative_pressure_coefficient_takes_the_general_lu(self, monkeypatch):
         mesh, ops, params, init = setup_problem(6, 6, width=1.0)
         cpp = np.full(mesh.n_cells, 2.0) * ops.M_p
