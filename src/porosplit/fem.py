@@ -24,10 +24,9 @@ a sparsity pattern built once per mesh, already in that ordering
 (``flux_pattern``, ``coupled_pattern``).  Every sparse solve goes
 through ``SparseFactor``: an LU in the given ordering with a normwise
 backward-error contract of 1e-12 and iterative refinement, two-sided
-equilibration and threshold pivoting for general matrices, and a symmetric
-variant (unit-diagonal scaling, diagonal pivots) for SPD ones, except that
-the SPD flux-only matrices get a supernodal Cholesky under the same contract,
-on a symbolic analysis built once per mesh on first use (``flux_cholesky``).
+equilibration and threshold pivoting, except that the SPD flux-only
+matrices get a supernodal Cholesky under the same contract, on a symbolic
+analysis built once per mesh on first use (``flux_cholesky``).
 """
 
 from __future__ import annotations
@@ -69,45 +68,36 @@ class SparseFactor:
     ``matrix`` holds the system A with rows and columns in ``order``:
     matrix[i, j] = A[order[i], order[j]].  SuperLU factors it in that order
     (no column ordering of its own, symmetric mode); ``solve`` takes and
-    returns vectors in A's numbering.  A general matrix is equilibrated
-    (two-sided diagonal scaling) before factorization, since
-    mobility-weighted flow blocks can span many orders of magnitude between
-    rows, and pivots off the diagonal only when the diagonal entry falls
-    below PIVOT_THRESHOLD times the largest of its column (Newton's test1
-    factors never do).  The scale factors are read off the CSC arrays.
-    With ``symmetric=True`` the matrix must be symmetric positive definite:
-    it is scaled symmetrically to unit diagonal and factored with diagonal
-    pivots, which keeps the fill of a Cholesky factor.  Iterative refinement
-    handles the remaining ill-conditioning in both cases.  The SPD flux-only
-    matrices get the supernodal Cholesky subclass of ``flux_cholesky``.
+    returns vectors in A's numbering.  The matrix is equilibrated (two-sided
+    diagonal scaling) before factorization, since mobility-weighted flow
+    blocks can span many orders of magnitude between rows, and pivots off
+    the diagonal only when the diagonal entry falls below PIVOT_THRESHOLD
+    times the largest of its column (the constant stiffness and Newton's
+    test1 factors never do).  The scale factors are read off the CSC arrays.
+    Iterative refinement handles the remaining ill-conditioning.  The SPD
+    flux-only matrices get the supernodal Cholesky subclass of
+    ``flux_cholesky``.
     """
 
-    def __init__(self, matrix, order, symmetric: bool = False):
+    def __init__(self, matrix, order):
         self.matrix = m = matrix.tocsc()
         m.sum_duplicates()  # SuperLU needs sorted row indices
         self.order = order
         absd = np.abs(m.data)
         self._mat_norm = np.bincount(m.indices, absd, m.shape[0]).max(initial=0.0)
-        if symmetric:
-            diag = self.matrix.diagonal()
-            if not np.all((diag > 0) & np.isfinite(diag)):
-                raise LinearSolveError("symmetric factorization needs a positive diagonal")
-            self._dr = self._dc = 1.0 / np.sqrt(diag)
-        else:
-            row_max = np.zeros(m.shape[0])
-            np.maximum.at(row_max, m.indices, absd)
-            self._dr = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
-            filled = np.diff(m.indptr) > 0
-            col_max = np.zeros(m.shape[1])
-            col_max[filled] = np.maximum.reduceat(absd * self._dr[m.indices],
-                                                  m.indptr[:-1][filled])
-            self._dc = 1.0 / np.sqrt(np.where(col_max > 0, col_max, 1.0))
+        row_max = np.zeros(m.shape[0])
+        np.maximum.at(row_max, m.indices, absd)
+        self._dr = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
+        filled = np.diff(m.indptr) > 0
+        col_max = np.zeros(m.shape[1])
+        col_max[filled] = np.maximum.reduceat(absd * self._dr[m.indices],
+                                              m.indptr[:-1][filled])
+        self._dc = 1.0 / np.sqrt(np.where(col_max > 0, col_max, 1.0))
         scaled = sp.csc_array(
             (m.data * self._dr[m.indices] * np.repeat(self._dc, np.diff(m.indptr)),
              m.indices, m.indptr), shape=m.shape)
         try:
-            self.lu = spla.splu(scaled, permc_spec="NATURAL",
-                                diag_pivot_thresh=0.0 if symmetric else PIVOT_THRESHOLD,
+            self.lu = spla.splu(scaled, permc_spec="NATURAL", diag_pivot_thresh=PIVOT_THRESHOLD,
                                 options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise LinearSolveError(f"factorization failed: {exc}") from exc
@@ -212,7 +202,7 @@ class _CholeskyFactor(SparseFactor):
         self._mat_norm = np.bincount(matrix.indices, abs(matrix.data)).max(initial=0.0)
         diag = matrix.data[analysis.diagonal]
         if not np.all((diag > 0) & np.isfinite(diag)):
-            raise LinearSolveError("symmetric factorization needs a positive diagonal")
+            raise LinearSolveError("Cholesky factorization needs a positive diagonal")
         self._dr = self._dc = 1.0 / np.sqrt(diag)
         self._panels = analysis.factor(
             matrix.data * self._dr[matrix.indices] * self._dr[analysis.columns])
@@ -420,8 +410,7 @@ class DiscreteOperators:
             # a singular constrained stiffness means the roller constraints
             # failed to remove all rigid modes
             self._elastic_factor = SparseFactor(
-                self.A_ff[self.elastic_order][:, self.elastic_order], self.elastic_order,
-                symmetric=True)
+                self.A_ff[self.elastic_order][:, self.elastic_order], self.elastic_order)
         except LinearSolveError as exc:
             raise ValueError(f"constrained elasticity block is singular: {exc}") from exc
 

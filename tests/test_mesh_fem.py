@@ -159,11 +159,10 @@ class TestAssembly:
 class TestSolvers:
     def test_identity(self):
         r = np.array([3.0, -1.0, 2.0])
-        assert SparseFactor(sp.eye_array(3), np.arange(3), symmetric=True).solve(r) \
-            == pytest.approx(r)
+        assert SparseFactor(sp.eye_array(3), np.arange(3)).solve(r) == pytest.approx(r)
 
     def test_diagonal(self):
-        factor = SparseFactor(sp.csr_array(np.diag([2.0, 4.0])), np.arange(2), symmetric=True)
+        factor = SparseFactor(sp.csr_array(np.diag([2.0, 4.0])), np.arange(2))
         assert factor.solve(np.array([2.0, 4.0])) == pytest.approx([1.0, 1.0])
 
     def test_swap_system(self):
@@ -178,7 +177,7 @@ class TestSolvers:
         b = rng.standard_normal((50, 50))
         a = b @ b.T + 50 * np.eye(50)
         rhs = rng.standard_normal(50)
-        x = SparseFactor(sp.csr_array(a), np.arange(50), symmetric=True).solve(rhs)
+        x = SparseFactor(sp.csr_array(a), np.arange(50)).solve(rhs)
         assert np.max(np.abs(x - np.linalg.solve(a, rhs))) < 1e-10
 
     def test_mixed_darcy_against_dense_oracle(self, rng):
@@ -200,12 +199,6 @@ class TestSolvers:
         singular = sp.csr_array(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(LinearSolveError):
             SparseFactor(singular, np.arange(2)).solve(np.array([1.0, 0.0]))
-        with pytest.raises(LinearSolveError):
-            SparseFactor(singular, np.arange(2), symmetric=True).solve(np.array([1.0, 0.0]))
-
-    def test_symmetric_variant_needs_positive_diagonal(self):
-        with pytest.raises(LinearSolveError):
-            SparseFactor(sp.csr_array(np.diag([1.0, -2.0])), np.arange(2), symmetric=True)
 
     def test_equilibration_matches_the_sparse_matrix_formula(self, rng, monkeypatch):
         # rows and columns spanning many orders of magnitude, one empty row
@@ -347,6 +340,14 @@ class TestNestedDissection:
             lu = SparseFactor(matrix, ops.order).lu
             assert np.array_equal(lu.perm_r, np.arange(matrix.shape[0]))
 
+    @pytest.mark.parametrize("nx, ny", [(25, 25), (13, 37)])
+    def test_stiffness_factor_pivots_on_the_diagonal(self, nx, ny):
+        # the constant stiffness takes the general LU; its pivot threshold
+        # never moves a pivot off the diagonal
+        ops = assemble(RectMesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
+        lu = ops._elastic_factor.lu
+        assert np.array_equal(lu.perm_r, np.arange(len(ops.free_u)))
+
     @pytest.mark.parametrize("nx, ny", [(8, 8), (16, 5)])
     def test_no_entry_couples_the_halves_of_a_bisection(self, nx, ny, rng):
         mesh = RectMesh(nx, ny, 1.0, 1.0, 1.0)
@@ -401,11 +402,11 @@ class TestNestedDissection:
             (coupled, ops.order, False),
             (ops.A_ff[eo][:, eo], eo, True),
         ]
-        for matrix, order, symmetric in cases:
-            lu = SparseFactor(matrix, order, symmetric=symmetric).lu
+        for matrix, order, spd in cases:
+            lu = SparseFactor(matrix, order).lu
             a = natural(matrix, order).tocsc()
             options = {}
-            if symmetric:
+            if spd:
                 scale = sp.diags_array(1.0 / np.sqrt(a.diagonal()))
                 a = (scale @ a @ scale).tocsc()
                 options = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -421,7 +422,7 @@ class TestNestedDissection:
                   + rng.uniform(1.0, 1e3, m.n_cells)[:, None, None] * np.outer(d, d))
         matrix = ops.flux_pattern.matrix(blocks)
         rhs = rng.standard_normal(len(ops.free_q))
-        x = SparseFactor(matrix, ops.flux_order, symmetric=True).solve(rhs)
+        x = ops.flux_cholesky(matrix).solve(rhs)
         a = natural(matrix, ops.flux_order)
         error = np.linalg.norm(a @ x - rhs) / (
             np.linalg.norm(rhs) + abs(a).sum(axis=1).max() * np.linalg.norm(x))
@@ -461,8 +462,7 @@ class TestFluxCholesky:
         # one application of the factor, no refinement step
         assert backward_error(matrix, factor._raw_solve(rhs), rhs) <= 1e-12
         x = factor.solve(rhs[np.argsort(ops.flux_order)])
-        y = SparseFactor(matrix, ops.flux_order, symmetric=True).solve(
-            rhs[np.argsort(ops.flux_order)])
+        y = SparseFactor(matrix, ops.flux_order).solve(rhs[np.argsort(ops.flux_order)])
         assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
 
     def test_single_cell_has_an_empty_flux_matrix(self):
@@ -505,12 +505,12 @@ class TestFluxCholesky:
         def no_cholesky(matrix):
             raise AssertionError("SPD factor used for an indefinite flux matrix")
 
-        symmetric = []
+        orders = []
         monkeypatch.setattr(ops, "flux_cholesky", no_cholesky)
-        monkeypatch.setattr(schemes, "SparseFactor", lambda *a, **kw: (
-            symmetric.append(kw.get("symmetric", False)) or SparseFactor(*a, **kw)))
+        monkeypatch.setattr(schemes, "SparseFactor", lambda matrix, order: (
+            orders.append(order) or SparseFactor(matrix, order)))
         split_iteration(init, init, params, ops, cpp)
-        assert symmetric == [False]
+        assert len(orders) == 1 and orders[0] is ops.flux_order
 
     def test_analysis_is_built_once_on_first_use(self, monkeypatch):
         mesh, ops, params, init = setup_problem(12, 10, width=1.0)
