@@ -120,14 +120,13 @@ class SpectralPair:
         return contraction_factor(self.lam1, self.lam2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RichardsonResult:
     """Error-norm histories recorded every four iterations."""
 
     pair: SpectralPair
     aa_errors: np.ndarray       # |e^i| at i = 0, 4, 8, ...
     plain_errors: np.ndarray    # same indices, plain Richardson
-    aa_full: np.ndarray = field(repr=False, default=None)
     plain_full: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -181,12 +180,11 @@ def richardson_aa_experiment(pair: SpectralPair, n_quads: int) -> RichardsonResu
         pair=pair,
         aa_errors=aa_full[idx],
         plain_errors=plain_full[idx],
-        aa_full=aa_full,
         plain_full=plain_full,
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlaneSample:
     """Contraction factors and classification flags on a (l1, l2) grid."""
 

@@ -19,17 +19,9 @@ from .constitutive import PorosityLaw, VanGenuchtenModel
 from .fem import assemble
 from .mesh import RectMesh, whole_multiple
 from .model import PhysicsParams
-from .schemes import SchemeConfig
+from .schemes import SCHEMES, SchemeConfig
 
-__all__ = ["ConfigError", "ScenarioConfig", "load_config", "SCHEME_LABELS"]
-
-SCHEME_LABELS = {
-    "newton": "Newton",
-    "fsnewton": "FS-Newton",
-    "fsmp": "FS-MP",
-    "fsl": "FSL",
-    "fsl2": "FSL/2",
-}
+__all__ = ["ConfigError", "ScenarioConfig", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -67,7 +59,7 @@ class ScenarioConfig:
     eps_rel: float = 1e-8
     max_iters: int = 500
     # sweep
-    schemes: tuple = ("newton", "fsnewton", "fsmp", "fsl", "fsl2")
+    schemes: tuple = tuple(SCHEMES)
     depths: tuple = (0, 1, 3, 5, 10)
     workers: int = 1
     # output
@@ -93,7 +85,7 @@ class ScenarioConfig:
             (self.tau > 0 and self.T >= self.tau and whole_multiple(self.T, self.tau), "T"),
             (self.eps_abs > 0, "eps_abs"), (self.eps_rel > 0, "eps_rel"),
             (self.max_iters >= 1, "max_iters"),
-            (all(s in SCHEME_LABELS for s in self.schemes), "schemes"),
+            (all(s in SCHEMES for s in self.schemes), "schemes"),
             (all(d >= 0 for d in self.depths), "depths"),
             (self.workers >= 1, "workers"),
             (self.fields in ("none", "csv", "vtk"), "fields"),
@@ -136,9 +128,6 @@ class ScenarioConfig:
         )
 
     def scheme_config(self, name: str) -> SchemeConfig:
-        if name == "fsl2":
-            return SchemeConfig(kind="fsl", L_scale=0.5, max_iters=self.max_iters,
-                                eps_abs=self.eps_abs, eps_rel=self.eps_rel)
         return SchemeConfig(kind=name, max_iters=self.max_iters,
                             eps_abs=self.eps_abs, eps_rel=self.eps_rel)
 

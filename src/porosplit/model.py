@@ -174,7 +174,7 @@ def initial_state(mesh: RectMesh, params: PhysicsParams, p0: float,
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowParts:
     """Shared intermediates of one flow residual evaluation."""
 

@@ -1,16 +1,19 @@
-"""The four linearization schemes and the per-time-step iteration driver.
+"""The linearization schemes and the per-time-step iteration driver.
 
 Every scheme maps an iterate (p, q, u) to the next one in incremental form;
-the initial guess of a time step is the previous time level.
+the initial guess of a time step is the previous time level.  ``SCHEMES``
+is the table of the five schemes of the study, by the names that
+``SchemeConfig.kind`` takes.
 
 * monolithic Newton: coupled solve for (dp, dq, du) with the exact Jacobian;
 * fixed-stress splits (``split_iteration``): a flow solve with a diagonal
   pressure coefficient C, then an elasticity solve at the new pressure.
   FSL, FS-MP and FS-Newton differ only in C and in one flag:
 
-  - FSL: the derivative-free L-scheme diagonal, either the constant
-    (L + 1/N + beta_FS) M_p for a given L or the local bound
-    M_p (phi L_scale L_s + (1/N + L_scale beta_FS) s^2);
+  - FSL: the derivative-free L-scheme diagonal, the local bound
+    M_p (phi scale L_s + (1/N + scale beta_FS) s^2) with scale 1 (``fsl``)
+    or 1/2 (``fsl2``, FSL/2), or for ``fsl`` with a given L the constant
+    (L + 1/N + beta_FS) M_p;
   - FS-MP: the first-order coefficient M_p (phi ds/dp + (1/N + beta_FS) s^2);
   - FS-Newton: the FS-MP coefficient plus the mobility-derivative coupling
     in the flux block.
@@ -70,6 +73,7 @@ from .model import (
 )
 
 __all__ = [
+    "SCHEMES",
     "SchemeConfig",
     "IterationRecord",
     "IterationReport",
@@ -86,7 +90,15 @@ __all__ = [
     "TransientResult",
 ]
 
-KINDS = ("newton", "fsl", "fsmp", "fsnewton")
+# Every scheme of the study: name -> (label, name of its iteration
+# function in this module, that function's keyword arguments).
+SCHEMES = {
+    "newton": ("Newton", "newton_iteration", {}),
+    "fsnewton": ("FS-Newton", "fsnewton_iteration", {}),
+    "fsmp": ("FS-MP", "fsmp_iteration", {}),
+    "fsl": ("FSL", "fsl_local_iteration", {"scale": 1.0}),
+    "fsl2": ("FSL/2", "fsl_local_iteration", {"scale": 0.5}),
+}
 
 GROWTH_FACTOR = 1e4        # increment growth classifying divergence
 AA_RESTART_FACTOR = 3.0    # increment growth that flushes an AA(m >= 2) store
@@ -99,39 +111,33 @@ STAGNATION_STREAK = 5      # consecutive flat comparisons required
 class SchemeConfig:
     """Which linearization to run and its tuning.
 
-    For ``kind="fsl"`` the stabilization is chosen by ``L``:
-
-    * ``L=None`` (default): the local bound M_p (phi L_scale L_s +
-      (1/N + L_scale beta_FS) s^2) with the porosity/saturation weights of
-      the current iterate and L_s the saturation Lipschitz constant -- the
-      a-priori bound of the modified-Picard coefficient, scaled by
-      ``L_scale`` (1.0: plain FSL, 0.5: the halved variant).  This is the
-      tuning behind the reference iteration counts of the benchmark sweeps.
-    * a positive ``L``: the constant diagonal (L + 1/N + beta_FS) M_p, the
-      variant with the mesh-independent contraction; ``L_scale`` must then
-      stay 1.
+    ``kind`` is one of the five names of ``SCHEMES``.  ``L`` is for ``kind="fsl"``
+    only: ``None`` (default) takes the local bound M_p (phi L_s + (1/N +
+    beta_FS) s^2) with the porosity/saturation weights of the current
+    iterate and L_s the saturation Lipschitz constant -- the a-priori bound
+    of the modified-Picard coefficient, and the tuning behind the reference
+    iteration counts of the benchmark sweeps; a positive ``L`` takes the
+    constant diagonal (L + 1/N + beta_FS) M_p, the variant with the
+    mesh-independent contraction.
     """
 
     kind: str
     L: float | None = None
-    L_scale: float = 1.0
     max_iters: int = 500
     eps_abs: float = 1e-8
     eps_rel: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in SCHEMES:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not (self.eps_abs > 0 and self.eps_rel > 0):
             raise ValueError("tolerances eps_abs and eps_rel must be positive")
+        if self.L is not None and self.kind != "fsl":
+            raise ValueError(f"L applies to kind 'fsl' only, not {self.kind!r}")
         if self.L is not None and not self.L > 0:
             raise ValueError("L must be positive")
-        if not self.L_scale > 0:
-            raise ValueError("L_scale must be positive")
-        if self.L is not None and self.L_scale != 1.0:
-            raise ValueError("L_scale scales the local bound; it cannot apply to a given L")
 
 
 @dataclass(frozen=True)
@@ -324,15 +330,13 @@ def converged(increment_norms, state_norms, eps_abs: float, eps_rel: float) -> b
 
 
 def _iteration_fn(scheme: SchemeConfig):
-    """The iteration function of a scheme.  The names are looked up in the
+    """The iteration function of a scheme.  The name is looked up in the
     module namespace on every call, so wrappers set on the module
     attributes (perfbench's clock ticks and spans) are the ones called."""
-    if scheme.kind == "fsl":
-        if scheme.L is None:
-            return partial(fsl_local_iteration, scale=scheme.L_scale)
+    if scheme.L is not None:
         return partial(fsl_iteration, L=scheme.L)
-    return {"newton": newton_iteration, "fsmp": fsmp_iteration,
-            "fsnewton": fsnewton_iteration}[scheme.kind]
+    _, name, kwargs = SCHEMES[scheme.kind]
+    return partial(globals()[name], **kwargs)
 
 
 def _state_from_vector(vec, ops, t_new) -> PoroState:
@@ -415,7 +419,7 @@ def run_time_step(scheme: SchemeConfig, accel: AndersonConfig | None,
     return current, IterationReport(termination, tuple(records), failure)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransientResult:
     states: list
     reports: list

@@ -17,17 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anderson import AndersonConfig
-from .config import SCHEME_LABELS, ScenarioConfig
+from .config import ScenarioConfig
 from .export import cell_flux_vectors, write_cell_csv, write_point_csv, write_vtk
 from .model import initial_state
-from .schemes import run_transient
+from .schemes import SCHEMES, run_transient
 
 __all__ = ["SweepRow", "SweepReport", "run_sweep", "emit_report"]
 
 _MARKS = {"stagnated": "->", "diverged": "^", "max_iters": "x"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepRow:
     scheme: str
     depth: int
@@ -43,7 +43,7 @@ class SweepRow:
         return f"{_MARKS[self.status]}[{self.fail_step}]"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepReport:
     config: ScenarioConfig
     rows: list
@@ -170,7 +170,7 @@ def _text_table(report: SweepReport) -> str:
     for alpha in alphas:
         lines.append("")
         lines.append(f"alpha = {alpha:g}")
-        header = "  ".join(f"{SCHEME_LABELS[s]:>{width}}" for s in schemes)
+        header = "  ".join(f"{SCHEMES[s][0]:>{width}}" for s in schemes)  # labels
         lines.append(f"{'':8}{header}")
         for depth in depths:
             cells = []

@@ -341,21 +341,16 @@ def hoelder_runs(p0_scale=1.0):
     _, _, params, _ = setup_problem(25, 25, alpha=0.1, scenario="hoelder")
     init = initial_state(mesh, params, P0_HOELDER * p0_scale, ops)
 
-    def scheme_for(name):
-        if name == "fsl2":
-            return SchemeConfig(kind="fsl", L_scale=0.5)
-        return SchemeConfig(kind=name)
-
     plain = {}
     for name in HOELDER_CANDIDATES:
-        plain[name] = run_transient(scheme_for(name), None, init, params, ops)
+        plain[name] = run_transient(SchemeConfig(kind=name), None, init, params, ops)
 
     rescued = {}
     for name in HOELDER_CANDIDATES:
         if plain[name].completed or name == "newton":
             continue
         for depth in HOELDER_DEPTHS:
-            result = run_transient(scheme_for(name), AndersonConfig(depth=depth),
+            result = run_transient(SchemeConfig(kind=name), AndersonConfig(depth=depth),
                                    init, params, ops)
             if result.completed:
                 rescued[name] = (depth, result)

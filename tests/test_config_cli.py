@@ -154,6 +154,23 @@ class TestSweep:
         assert SweepRow("fsl", 0, 0.1, "max_iters", 7, None, []).marker() == "x[7]"
         assert SweepRow("fsl", 0, 0.1, "ok", None, 18.88, [19]).marker() == "18.9"
 
+    def test_failing_rows_are_recorded(self, tmp_path):
+        # a budget of 7: plain Newton converges in 6 and 4 iterations, every
+        # split scheme runs out of iterations in step 1
+        config = replace(default_config("test1"), nx=4, ny=4, inflow_width=0.25, T=0.2,
+                         alphas=(1.0,), depths=(0, 1), max_iters=7)
+        paths = emit_report(run_sweep(config), tmp_path)
+        with open(paths["csv"]) as fh:
+            rows = {(r[0], r[1]): ",".join(r[2:]) for r in list(csv.reader(fh))[1:]}
+        assert rows.pop(("newton", "0")) == "1,ok,,5,2,6|4"
+        del rows[("newton", "1")]   # 7 iterations in step 1, on the budget's edge
+        assert sorted(rows) == [(s, d) for s in ("fsl", "fsl2", "fsmp", "fsnewton")
+                                for d in ("0", "1")]
+        assert set(rows.values()) == {"1,max_iters,1,,0,7"}
+        lines = Path(paths["txt"]).read_text().splitlines()
+        assert lines[-2].split() == ["AA(0)", "5.0"] + ["x[1]"] * 4
+        assert lines[-1].split()[2:] == ["x[1]"] * 4
+
     def test_text_table_mentions_all_schemes(self, tmp_path):
         report = run_sweep(SMALL)
         paths = emit_report(report, tmp_path)
@@ -198,6 +215,21 @@ class TestCli:
         bad = write(tmp_path, text)
         assert main(["run", "--config", bad, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"configuration error: {path}: value out of range\n"
+
+    @pytest.mark.parametrize("text, detail", [
+        ("nx = 4\n", "File contains no section headers"),
+        ("[scenario]\nnx 4\n", "Source contains parsing errors"),
+        ("[scenario]\nnx = 4\n[scenario]\n", "section 'scenario' already exists"),
+        ("[scenario]\nnx = 4\nnx = 5\n", "option 'nx' in section 'scenario' already exists"),
+        ("[scenario]\nschema_version = 2\n",
+         "scenario.schema_version: unsupported schema version"),
+    ])
+    def test_unreadable_file_is_a_configuration_error(self, tmp_path, capsys, text, detail):
+        bad = write(tmp_path, text)
+        assert main(["run", "--config", bad, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and detail in err
+        assert not (tmp_path / "out").exists()
 
     def test_io_error_exit_code(self, tmp_path):
         missing = tmp_path / "missing.ini"

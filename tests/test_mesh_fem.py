@@ -522,3 +522,50 @@ class TestFluxCholesky:
             ops.flux_cholesky(ops.flux_pattern.matrix(weight * np.tile(
                 ops.local_flux_mass, (mesh.n_cells, 1, 1))))
         assert len(built) == 1 and "flux_analysis" in vars(ops)
+
+
+class TestRefinement:
+    """``SparseFactor.solve`` refines a raw solve that misses SOLVE_TOL and
+    raises when three refinement steps do not meet it.  The LU and the
+    supernodal Cholesky share that solve; both factor the same SPD flux
+    matrix here, and the raw solve is perturbed on the instance."""
+
+    @staticmethod
+    def factor_of(kind):
+        mesh, ops, params, init = setup_problem(6, 5, width=1.0)
+        d = ops.local_divergence
+        matrix = ops.flux_pattern.matrix(np.tile(ops.local_flux_mass + np.outer(d, d),
+                                                 (mesh.n_cells, 1, 1)))
+        factor = (SparseFactor(matrix, ops.flux_order) if kind == "lu"
+                  else ops.flux_cholesky(matrix))
+        return factor, natural(matrix, ops.flux_order)
+
+    @staticmethod
+    def perturb(factor, change):
+        """Replace the raw solve by ``change(raw(rhs))``; returns the list
+        its calls are appended to."""
+        raw, calls = factor._raw_solve, []
+        factor._raw_solve = lambda rhs: calls.append(1) or change(raw(rhs))
+        return calls
+
+    @pytest.mark.parametrize("kind", ["lu", "cholesky"])
+    def test_one_refinement_step_meets_the_contract(self, kind, rng):
+        factor, a = self.factor_of(kind)
+        noise = 1.0 + 1e-8 * rng.standard_normal(a.shape[0])
+        calls = self.perturb(factor, lambda x: x * noise)
+        rhs = rng.standard_normal(a.shape[0])
+        x = factor.solve(rhs)
+        # the raw solution missed SOLVE_TOL, one correction met it
+        assert len(calls) == 2
+        assert backward_error(a, x, rhs) <= fem.SOLVE_TOL
+
+    @pytest.mark.parametrize("kind", ["lu", "cholesky"])
+    def test_unmet_contract_raises_with_its_residual(self, kind, rng):
+        factor, a = self.factor_of(kind)
+        # each raw solve returns half the solution, so each step only
+        # halves the error
+        calls = self.perturb(factor, lambda x: 0.5 * x)
+        with pytest.raises(LinearSolveError, match="direct solve reached") as err:
+            factor.solve(rng.standard_normal(a.shape[0]))
+        assert len(calls) == 4
+        assert err.value.residual > fem.SOLVE_TOL

@@ -68,29 +68,31 @@ class TestFixedStressBeta:
 
 
 class TestSchemeConfig:
-    def test_given_L_takes_no_scale(self):
-        # L_scale scales the local bound only; with a given L it would be
-        # silently ignored
-        assert SchemeConfig(kind="fsl", L=0.3).L_scale == 1.0
-        with pytest.raises(ValueError, match="L_scale"):
-            SchemeConfig(kind="fsl", L=0.3, L_scale=0.5)
+    @pytest.mark.parametrize("kind", [k for k in schemes.SCHEMES if k != "fsl"])
+    def test_L_is_for_fsl_only(self, kind):
+        # a given L selects FSL's constant diagonal; any other kind would
+        # ignore it silently
+        with pytest.raises(ValueError, match=f"'fsl' only, not '{kind}'"):
+            SchemeConfig(kind=kind, L=0.3)
 
     @pytest.mark.parametrize("field, value", [
-        ("L", float("nan")), ("L", -1.0), ("L_scale", -1.0), ("L_scale", 0.0),
-        ("L_scale", float("nan")), ("eps_abs", float("nan")), ("eps_rel", float("nan")),
+        ("L", float("nan")), ("L", -1.0), ("L", 0.0), ("max_iters", 0),
+        ("eps_abs", float("nan")), ("eps_rel", float("nan")), ("kind", "FSL"),
+        ("kind", "picard"),
     ])
     def test_rejects_non_positive_or_nan(self, field, value):
-        # caught at construction, not later as a "diverged" solve
+        # an invalid value, or a kind outside the table, is caught at
+        # construction, not later as a "diverged" solve
         with pytest.raises(ValueError, match=field):
-            SchemeConfig(kind="fsl", **{field: value})
+            SchemeConfig(**{"kind": "fsl", field: value})
 
 
-
-def first_sweep(**fsl):
+def first_sweep(kind="fsl", **fsl):
     """Pressure after one FSL sweep from the 5x5 initial state, with the
-    stabilization that ``run_time_step`` picks for ``SchemeConfig(**fsl)``."""
+    stabilization that ``run_time_step`` picks for
+    ``SchemeConfig(kind, **fsl)``."""
     _, ops, params, prev = setup_problem(5, 5, alpha=1.0)
-    scheme = SchemeConfig(kind="fsl", max_iters=1, **fsl)
+    scheme = SchemeConfig(kind=kind, max_iters=1, **fsl)
     state, report = run_time_step(scheme, None, prev, params, ops)
     assert report.iterations == 1
     return state.p, prev, params, ops
@@ -107,9 +109,9 @@ class TestLschemeParameter:
         np.testing.assert_allclose(p, ref.p, rtol=1e-14, atol=0.0)
 
     def test_halved_variant(self):
-        # L_scale = 0.5 halves L_s and beta_FS; with 1/N = 0 the whole
+        # FSL/2 halves L_s and beta_FS; with 1/N = 0 the whole
         # coefficient is half the plain one
-        p, prev, params, ops = first_sweep(L_scale=0.5)
+        p, prev, params, ops = first_sweep(kind="fsl2")
         assert params.inv_n == 0.0
         beta = fixed_stress_beta(MU, LAM, 1.0)
         l_s = VG_SMOOTH.saturation_lipschitz()
@@ -436,7 +438,7 @@ class TestAndersonRestart:
     grows past AA_RESTART_FACTOR times the previous one.  The test2 runs on
     4x4 cross the saturation switch, where FSL/2 and FS-MP increments jump."""
 
-    FSL2 = SchemeConfig(kind="fsl", L_scale=0.5)
+    FSL2 = SchemeConfig(kind="fsl2")
 
     @staticmethod
     def growth(report):

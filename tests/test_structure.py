@@ -1,6 +1,8 @@
 """Module boundaries of the package: no module of ``porosplit`` imports or
 reads a private (underscore) name of another module.  A private helper that
-another module needs is made public and listed in its owner's ``__all__``."""
+another module needs is made public and listed in its owner's ``__all__``.
+Every dataclass of the package is frozen, so a record cannot change after
+it is made."""
 
 import ast
 import io
@@ -87,6 +89,68 @@ def f(state, _local):
         "from model import _flow_parts", "from fem import _helper",
         "laws._cache", "fem._x", "aa._window",
     ])
+
+
+def mutable_dataclasses(source: str) -> list:
+    """(line, class) of every class in ``source`` decorated with
+    ``dataclass``, called or not, without ``frozen=True``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            if getattr(target, "attr", getattr(target, "id", None)) != "dataclass":
+                continue
+            keywords = dec.keywords if isinstance(dec, ast.Call) else []
+            if not any(k.arg == "frozen" and isinstance(k.value, ast.Constant)
+                       and k.value.value is True for k in keywords):
+                found.append((node.lineno, node.name))
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_dataclass_is_frozen(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert mutable_dataclasses(source) == []
+
+
+def test_frozen_checker_sees_every_form():
+    source = '''
+import dataclasses
+from dataclasses import dataclass
+
+@dataclass
+class Bare:
+    x: int
+
+@dataclass()
+class Called:
+    x: int
+
+@dataclass(frozen=False, eq=True)
+class Thawed:
+    x: int
+
+@dataclasses.dataclass
+class Qualified:
+    x: int
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class QualifiedFrozen:
+    x: int
+
+@dataclass(frozen=True)
+class Frozen:
+    x: int
+
+class Plain:
+    @dataclass
+    class Nested:
+        x: int
+'''
+    got = [name for _, name in mutable_dataclasses(source)]
+    assert sorted(got) == ["Bare", "Called", "Nested", "Qualified", "Thawed"]
 
 
 # Public names without a caller in the package or the benchmark, kept on
