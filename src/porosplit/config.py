@@ -6,7 +6,8 @@ Hoelder-continuous mobility and weaker inflow; ``custom`` starts from the
 ``test1`` defaults and expects overrides.  Any key may be overridden in the
 file; unknown keys are rejected with their full path.  Every construction of a
 ``ScenarioConfig``, ``dataclasses.replace`` included, is checked: an out-of-range
-or non-finite value (but ``N = inf``, incompressible) raises ``ConfigError``.
+or non-finite value (but ``N = inf``, incompressible), or an empty sweep list or
+one that repeats a value, raises ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -90,7 +91,9 @@ class ScenarioConfig:
             (self.workers >= 1, "workers"),
             (self.fields in ("none", "csv", "vtk"), "fields"),
         ] + [(math.isfinite(value), name) for name, value in vars(self).items()
-             if isinstance(value, float) and name != "N"]
+             if isinstance(value, float) and name != "N"] + [
+            (0 < len(value) == len(set(value)), name)
+            for name, value in vars(self).items() if isinstance(value, tuple)]
         for ok, name in checks:
             if not ok:
                 raise ConfigError(f"{_PATHS[name]}: value out of range")
@@ -113,12 +116,9 @@ class ScenarioConfig:
         return assemble(self.mesh(), mu, lam)
 
     def params_for(self, alpha: float) -> PhysicsParams:
-        mu, lam = self.lame
         return PhysicsParams(
             vg=VanGenuchtenModel(self.a_vg, self.n_vg, self.kappa, self.mu_w),
             law=PorosityLaw(self.phi0, alpha, 0.0 if math.isinf(self.N) else 1.0 / self.N),
-            mu=mu,
-            lam=lam,
             rho_w=self.rho_w,
             rho_b=self.rho_b,
             g=(self.gx, self.gy),

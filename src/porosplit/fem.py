@@ -213,8 +213,8 @@ class _CholeskyFactor(SparseFactor):
 
 def nested_dissection(xy: np.ndarray):
     """Geometric nested-dissection ordering (George, SIAM J. Numer. Anal.
-    1973) of dofs at integer half-grid coordinates ``xy`` (n, 2): cells
-    odd/odd, edges mixed, nodes even/even.
+    1973) of dofs at integer half-grid coordinates ``xy`` (n, 2), those of
+    ``RectMesh.cell_xy``, ``edge_xy`` and ``node_xy``.
 
     A box is bisected across its longer side at the node line (even
     coordinate) nearest its middle.  Every coupling of a P0/RT0/Q1 matrix
@@ -300,6 +300,8 @@ class DiscreteOperators:
     """Assembled mass/divergence/stiffness operators for one mesh.
 
     Attributes:
+        mu, lam: plane-strain Lame moduli, the only copy: the stiffness
+            and the split schemes' beta_FS read them.
         M_p: P0 mass diagonal (cell areas).
         M_q: RT0 mass matrix.
         M_u: Q1 vector mass matrix.
@@ -377,13 +379,8 @@ class DiscreteOperators:
         # [p | q_free | u_free]; the flux and elasticity orderings are its
         # restrictions to their dofs
         n_p, n_qf = nc, len(self.free_q)
-        nx = mesh.nx
-        c, v, h, k = (np.arange(n) for n in (nc, mesh.n_vedges, mesh.n_hedges, mesh.n_nodes))
-        edge_xy = np.concatenate([np.column_stack([2 * (v % (nx + 1)), 2 * (v // (nx + 1)) + 1]),
-                                  np.column_stack([2 * (h % nx) + 1, 2 * (h // nx)])])
-        node_xy = np.column_stack([2 * (k % (nx + 1)), 2 * (k // (nx + 1))])
-        xy = np.concatenate([np.column_stack([2 * (c % nx) + 1, 2 * (c // nx) + 1]),
-                             edge_xy[self.free_q], np.tile(node_xy, (2, 1))[self.free_u]])
+        xy = np.concatenate([mesh.cell_xy, mesh.edge_xy[self.free_q],
+                             np.tile(mesh.node_xy, (2, 1))[self.free_u]])
         # displacement dofs enter node by node, so that within a leaf the x
         # and y dofs of a node stay adjacent (less elasticity fill)
         entry = np.concatenate([np.arange(n_p + n_qf), n_p + n_qf + np.lexsort(
@@ -516,12 +513,6 @@ class DiscreteOperators:
 
     def disp_norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(max(u @ (self.M_u @ u), 0.0)))
-
-    @property
-    def aa_weights(self) -> np.ndarray:
-        """Mass-diagonal weights for the concatenated (p, q, u) vector, so
-        that the Euclidean norm of weighted coordinates approximates L2."""
-        return np.concatenate([self.M_p, self.M_q.diagonal(), self.M_u.diagonal()])
 
 
 def assemble(mesh: RectMesh, mu: float, lam: float) -> DiscreteOperators:

@@ -10,7 +10,8 @@ Numbering conventions (nx x ny cells on [0,Lx] x [0,Ly]):
               e = n_vertical + j*nx + i
 
 Flux degrees of freedom are constant normal components on edges with the
-global +x/+y orientation.  Boundary tags partition the boundary edges into
+global +x/+y orientation.  ``cell_xy``, ``edge_xy`` and ``node_xy`` are
+integer half-grid coordinates, in units of (hx/2, hy/2).  Boundary tags partition the boundary edges into
 left/right/bottom/top; the sub-segment of the top boundary with
 x in [0, inflow_width] carries the additional "inflow" tag.
 """
@@ -89,9 +90,14 @@ class RectMesh:
         self.cell_centers = np.column_stack(
             [(ii + 0.5) * self.hx, (jj + 0.5) * self.hy]
         )
+        self.cell_xy = 2 * np.column_stack([ii, jj]) + 1
 
         vi, vj = np.meshgrid(np.arange(self.nx + 1), np.arange(self.ny + 1), indexing="xy")
         self.node_coords = np.column_stack([vi.ravel() * self.hx, vj.ravel() * self.hy])
+        self.node_xy = 2 * np.column_stack([vi.ravel(), vj.ravel()])
+        # edges are numbered as their south (vertical) or west (horizontal) end
+        west_ends = self.node_xy.reshape(self.ny + 1, self.nx + 1, 2)[:, :-1].reshape(-1, 2)
+        self.edge_xy = np.concatenate([self.node_xy[:self.n_vedges] + (0, 1), west_ends + (1, 0)])
 
         jv = np.arange(self.ny)
         left = jv * (self.nx + 1)

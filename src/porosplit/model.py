@@ -51,12 +51,11 @@ class ResidualError(RuntimeError):
 
 @dataclass(frozen=True)
 class PhysicsParams:
-    """Material, loading and time-stepping parameters of one scenario."""
+    """Flow, loading and time-stepping parameters of one scenario (the
+    elastic moduli are ``DiscreteOperators``', which assembles the stiffness)."""
 
     vg: VanGenuchtenModel
     law: PorosityLaw
-    mu: float
-    lam: float
     rho_w: float = 1.0
     rho_b: float = 1.0
     g: tuple = (0.0, 0.0)
@@ -65,10 +64,8 @@ class PhysicsParams:
     T: float = 1.0
 
     def __post_init__(self):
-        if not (self.tau > 0 and self.T >= self.tau and whole_multiple(self.T, self.tau)
-                and self.mu > 0 and self.lam >= 0):
-            raise ValueError("require tau > 0, T a whole multiple >= 1 of tau, "
-                             "mu > 0, lambda >= 0")
+        if not (self.tau > 0 and self.T >= self.tau and whole_multiple(self.T, self.tau)):
+            raise ValueError("require tau > 0, T a whole multiple >= 1 of tau")
 
     @property
     def alpha(self) -> float:
@@ -114,9 +111,6 @@ class PoroState:
 
     def pore_pressure(self, params: PhysicsParams) -> np.ndarray:
         return self._cached("_pe", laws.equivalent_pore_pressure, params.vg)
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.p, self.q, self.u])
 
 
 def inflow_rate(t: float, q_star: float) -> float:

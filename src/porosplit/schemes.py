@@ -19,7 +19,8 @@ is the table of the five schemes of the study, by the names that
     in the flux block.
 
 Every non-constant C comes from ``model.pressure_coefficient``.  beta_FS =
-alpha^2 / (2 mu / d + lambda) is the classical fixed-stress stabilization.
+alpha^2 / (2 mu / d + lambda) is the classical fixed-stress stabilization,
+with the moduli ``ops.mu`` and ``ops.lam`` that the stiffness is built from.
 A split scheme eliminates its diagonal pressure block and factors one
 flux-only matrix per iteration (``_flow_solve``); monolithic Newton keeps
 the coupled saddle solve, whose pressure diagonal phi ds/dp + (1/N) s^2
@@ -250,7 +251,7 @@ def split_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
 
 def _picard_coefficient(state, prev, params, ops):
     """Modified-Picard pressure coefficient of FS-MP and FS-Newton."""
-    beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
+    beta = fixed_stress_beta(ops.mu, ops.lam, params.alpha)
     sd = laws.saturation_derivative(state.p, params.vg)
     return pressure_coefficient(state, prev, params, ops, sd, beta)
 
@@ -259,7 +260,7 @@ def fsl_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
                   ops: DiscreteOperators, L: float):
     """Fixed-stress L-scheme sweep with the constant diagonal
     (L + 1/N + beta_FS) M_p.  No constitutive derivatives are evaluated."""
-    beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
+    beta = fixed_stress_beta(ops.mu, ops.lam, params.alpha)
     cpp = (L + params.inv_n + beta) * ops.M_p
     return split_iteration(state, prev, params, ops, cpp)
 
@@ -269,7 +270,7 @@ def fsl_local_iteration(state: PoroState, prev: PoroState, params: PhysicsParams
     """Fixed-stress L-scheme sweep with the locally weighted a-priori bound
     M_p (phi scale L_s + (1/N + scale beta_FS) s^2).  Still derivative free:
     L_s is the closed-form Lipschitz constant."""
-    beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
+    beta = fixed_stress_beta(ops.mu, ops.lam, params.alpha)
     l_s = params.vg.saturation_lipschitz()
     cpp = pressure_coefficient(state, prev, params, ops, scale * l_s, scale * beta)
     return split_iteration(state, prev, params, ops, cpp)
@@ -339,15 +340,21 @@ def _iteration_fn(scheme: SchemeConfig):
     return partial(globals()[name], **kwargs)
 
 
+# Anderson mixes states as one vector [p | q | u]; only the next three
+# functions know that layout.
+
+def _vector(state: PoroState) -> np.ndarray:
+    return np.concatenate([state.p, state.q, state.u])
+
+
+def _aa_weights(ops: DiscreteOperators) -> np.ndarray:
+    """Mass diagonals, so that the weighted Euclidean norm approximates L2."""
+    return np.concatenate([ops.M_p, ops.M_q.diagonal(), ops.M_u.diagonal()])
+
+
 def _state_from_vector(vec, ops, t_new) -> PoroState:
-    n_p = ops.mesh.n_cells
-    n_q = ops.mesh.n_edges
-    return PoroState(
-        p=vec[:n_p].copy(),
-        q=vec[n_p:n_p + n_q].copy(),
-        u=vec[n_p + n_q:].copy(),
-        time=t_new,
-    )
+    p, q, u = np.split(vec, [ops.mesh.n_cells, ops.mesh.n_cells + ops.mesh.n_edges])
+    return PoroState(p=p.copy(), q=q.copy(), u=u.copy(), time=t_new)
 
 
 def run_time_step(scheme: SchemeConfig, accel: AndersonConfig | None,
@@ -357,9 +364,10 @@ def run_time_step(scheme: SchemeConfig, accel: AndersonConfig | None,
     the loop and are reported with their reason, never raised."""
     t_new = prev.time + params.tau
     step = _iteration_fn(scheme)
-    window = None
+    window = weights = None
     if accel is not None and accel.depth > 0:
-        window = AndersonWindow(accel, weights=ops.aa_weights)
+        weights = _aa_weights(ops)
+        window = AndersonWindow(accel, weights=weights)
     records = []
     current = prev
     totals = []
@@ -406,10 +414,9 @@ def run_time_step(scheme: SchemeConfig, accel: AndersonConfig | None,
         if window is not None:
             restart = accel.depth >= 2 and i > 1 and total > AA_RESTART_FACTOR * totals[-2]
             if restart:
-                window = AndersonWindow(accel, weights=ops.aa_weights)
-            vec, alpha, fallback = window.push(
-                image.vector(), image.vector() - current.vector()
-            )
+                window = AndersonWindow(accel, weights=weights)
+            vec = _vector(image)
+            vec, alpha, fallback = window.push(vec, vec - _vector(current))
             records[-1] = replace(records[-1], aa_weights=tuple(alpha.tolist()),
                                   aa_fallback=fallback, aa_restart=restart)
             current = _state_from_vector(vec, ops, t_new)

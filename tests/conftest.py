@@ -1,40 +1,38 @@
 import contextlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from porosplit import schemes
-from porosplit.constitutive import PorosityLaw, VanGenuchtenModel
+from porosplit.config import default_config
 from porosplit.fem import assemble
 from porosplit.mesh import RectMesh
-from porosplit.model import PhysicsParams, initial_state
+from porosplit.model import initial_state
 
-# plane-strain Lame parameters for E = 30, nu = 0.2
-MU = 30.0 / (2.0 * 1.2)
-LAM = 30.0 * 0.2 / (1.2 * 0.6)
-
-VG_SMOOTH = VanGenuchtenModel(a_vg=0.1844, n_vg=3.0, kappa=3e-2, mu_w=1.0)
-VG_HOELDER = VanGenuchtenModel(a_vg=0.627, n_vg=1.4, kappa=3e-2, mu_w=1.0)
-
-P0_SMOOTH = -7.78
-P0_HOELDER = -15.3
+# the two scenarios' constants, as the configuration defines them
+TEST1, TEST2 = default_config("test1"), default_config("test2")
+MU, LAM = TEST1.lame
+VG_SMOOTH = TEST1.params_for(1.0).vg
+VG_HOELDER = TEST2.params_for(1.0).vg
+P0_SMOOTH = TEST1.p0
+P0_HOELDER = TEST2.p0
 
 
-def smooth_params(alpha=1.0, inv_n=0.0, tau=0.1, T=1.0, q_star=-1.25):
-    return PhysicsParams(
-        vg=VG_SMOOTH,
-        law=PorosityLaw(0.2, alpha, inv_n),
-        mu=MU, lam=LAM, q_star=q_star, tau=tau, T=T,
-    )
+def scenario_params(cfg, alpha=1.0, inv_n=0.0, **kw):
+    """``cfg.params_for(alpha)`` with 1/N set on the law itself, so that it
+    is exactly ``inv_n``, and the fields ``kw`` (tau, T, q_star, ...) replaced."""
+    params = cfg.params_for(alpha)
+    return replace(params, law=replace(params.law, inv_n=inv_n), **kw)
 
 
-def hoelder_params(alpha=1.0, inv_n=0.0, tau=0.1, T=1.0, q_star=-0.175):
-    return PhysicsParams(
-        vg=VG_HOELDER,
-        law=PorosityLaw(0.2, alpha, inv_n),
-        mu=MU, lam=LAM, q_star=q_star, tau=tau, T=T,
-    )
+def smooth_params(alpha=1.0, inv_n=0.0, **kw):
+    return scenario_params(TEST1, alpha, inv_n, **kw)
+
+
+def hoelder_params(alpha=1.0, inv_n=0.0, **kw):
+    return scenario_params(TEST2, alpha, inv_n, **kw)
 
 
 def setup_problem(nx, ny, alpha=1.0, width=0.2, scenario="smooth", **kw):

@@ -213,7 +213,7 @@ def test_criterion_05_reduced_equivalence():
     init = settled_initial_state(mesh, params, P0_SMOOTH, ops)
 
     L = VG_SMOOTH.saturation_lipschitz()
-    beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
+    beta = fixed_stress_beta(ops.mu, ops.lam, params.alpha)
     scheme = SchemeConfig(kind="fsl", L=L)
     with pressure_iterates("fsl_iteration") as traces:
         full = run_transient(scheme, None, init, params, ops)

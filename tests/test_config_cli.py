@@ -210,6 +210,10 @@ class TestCli:
         ("[scenario]\nnx = 3\n", "scenario.inflow_width"),
         # 0.35 is not a whole number of steps tau = 0.1
         ("[numerics]\nt = 0.35\n", "numerics.t"),
+        # a sweep list is non-empty and names each value once
+        ("[physics]\nalpha =\n", "physics.alpha"),
+        ("[sweep]\nschemes =\n", "sweep.schemes"),
+        ("[sweep]\ndepths = 0, 0\n", "sweep.depths"),
     ])
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, text, path):
         bad = write(tmp_path, text)

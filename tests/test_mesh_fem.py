@@ -44,6 +44,19 @@ class TestMesh:
         assert len(interior) == 4
         assert np.all(counts[m.all_boundary_edges] == 1)
 
+    def test_half_grid_coordinates(self):
+        # each cell's edges (W, E, S, N) and nodes (SW, SE, NE, NW) lie one
+        # half-grid step from the cell; the coordinates scale to positions
+        m = RectMesh(13, 37, 2.6, 1.0, 0.2)
+        for xy, dofs, steps in ((m.edge_xy, m.cell_edges, [(-1, 0), (1, 0), (0, -1), (0, 1)]),
+                                (m.node_xy, m.cell_nodes, [(-1, -1), (1, -1), (1, 1), (-1, 1)])):
+            assert np.array_equal(xy[dofs] - m.cell_xy[:, None],
+                                  np.broadcast_to(steps, (m.n_cells, 4, 2)))
+        half = np.array([m.hx, m.hy]) / 2
+        np.testing.assert_allclose(m.cell_xy * half, m.cell_centers, rtol=1e-14)
+        np.testing.assert_allclose(m.node_xy * half, m.node_coords, rtol=1e-14, atol=1e-15)
+        assert len(m.edge_xy) == m.n_edges
+
     @pytest.mark.parametrize("Lx, Ly", [(0.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.nan)])
     def test_invalid_lengths_rejected(self, Lx, Ly):
         with pytest.raises(ValueError, match="positive"):
@@ -353,14 +366,9 @@ class TestNestedDissection:
         mesh = RectMesh(nx, ny, 1.0, 1.0, 1.0)
         ops = assemble(mesh, MU, LAM)
         nc, n_qf = mesh.n_cells, len(ops.free_q)
-        # half-grid coordinates of the coupled free dofs [p | q_free |
-        # u_free]: cells odd/odd, edges mixed, nodes even/even
-        c, v, h, k = (np.arange(n) for n in (nc, mesh.n_vedges, mesh.n_hedges, mesh.n_nodes))
-        edge_xy = np.concatenate([np.column_stack([2 * (v % (nx + 1)), 2 * (v // (nx + 1)) + 1]),
-                                  np.column_stack([2 * (h % nx) + 1, 2 * (h // nx)])])
-        node_xy = np.column_stack([2 * (k % (nx + 1)), 2 * (k // (nx + 1))])
-        xy = np.concatenate([np.column_stack([2 * (c % nx) + 1, 2 * (c // nx) + 1]),
-                             edge_xy[ops.free_q], np.tile(node_xy, (2, 1))[ops.free_u]])
+        # half-grid coordinates of the coupled free dofs [p | q_free | u_free]
+        xy = np.concatenate([mesh.cell_xy, mesh.edge_xy[ops.free_q],
+                             np.tile(mesh.node_xy, (2, 1))[ops.free_u]])
         order, pieces = nested_dissection(xy)
         # a separator's row (first, mid, start, stop) holds the two halves
         # it separates, order[first:mid] and order[mid:start]
@@ -391,7 +399,7 @@ class TestNestedDissection:
         for _ in range(2):
             state, _, _ = fsl_local_iteration(state, init, params, ops)
         kinv = 1.0 / laws.mobility(state.saturation(params), params.vg)
-        cpp = ops.M_p * fixed_stress_beta(params.mu, params.lam, params.alpha)
+        cpp = ops.M_p * fixed_stress_beta(ops.mu, ops.lam, params.alpha)
         d = ops.local_divergence
         flux = ops.flux_pattern.matrix(kinv[:, None, None] * ops.local_flux_mass
                                        + (params.tau / cpp)[:, None, None] * np.outer(d, d))
@@ -471,7 +479,7 @@ class TestFluxCholesky:
         assert matrix.shape == (0, 0)
         assert ops.flux_cholesky(matrix).solve(np.zeros(0)).shape == (0,)
         state, inc, _ = fsl_local_iteration(init, init, params, ops)
-        assert np.all(np.isfinite(state.vector())) and np.all(np.isfinite(inc))
+        assert all(np.all(np.isfinite(f)) for f in (state.p, state.q, state.u, inc))
 
     def test_indefinite_matrix_with_positive_diagonal_raises(self):
         mesh, ops, params, init = setup_problem(4, 4, width=1.0)

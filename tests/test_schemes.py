@@ -36,6 +36,7 @@ from conftest import (
     MU,
     P0_HOELDER,
     P0_SMOOTH,
+    TEST1,
     VG_SMOOTH,
     natural,
     pressure_iterates,
@@ -58,6 +59,22 @@ class TestFixedStressBeta:
         assert fixed_stress_beta(MU, LAM, 0.5) == pytest.approx(
             fixed_stress_beta(MU, LAM, 1.0) / 4.0, rel=1e-14
         )
+
+    @pytest.mark.parametrize("E", [30.0, 60.0])
+    def test_split_schemes_read_the_operators_moduli(self, E):
+        # the operators hold the only copy of the moduli: the stiffness is
+        # assembled from them and FSL's beta_FS reads them
+        cfg = replace(TEST1, nx=5, ny=5, E=E)
+        ops = cfg.operators()
+        assert (ops.mu, ops.lam) == cfg.lame
+        params = cfg.params_for(1.0)
+        init = initial_state(ops.mesh, params, cfg.p0, ops)
+        state, _, _ = fsl_iteration(init, init, params, ops, L=0.3)
+        beta = fixed_stress_beta(ops.mu, ops.lam, params.alpha)
+        ref, _, _ = split_iteration(init, init, params, ops,
+                                    (0.3 + params.inv_n + beta) * ops.M_p)
+        for got, want in ((state.p, ref.p), (state.q, ref.q), (state.u, ref.u)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("mu, lam, alpha", [(0.0, LAM, 1.0), (np.nan, LAM, 1.0),
                                                 (MU, -1.0, 1.0), (MU, np.nan, 1.0),
@@ -225,7 +242,7 @@ class TestReducedFlowSolve:
     def saddle_update(state, prev, params, ops, kind):
         """(dp, dq) from the full [[C, tau D_f], [A_qp, K_ff]] system."""
         assert params.inv_n == 0.0
-        beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
+        beta = fixed_stress_beta(ops.mu, ops.lam, params.alpha)
         s = laws.saturation(state.p, params.vg)
         phi = prev.porosity + params.alpha * (ops.D_pu @ (state.u - prev.u)) / ops.M_p
         if kind.startswith("fsl"):
@@ -278,7 +295,7 @@ class TestReducedFlowSolve:
 
     def test_singular_pressure_coefficient_raises(self):
         mesh, ops, params, init = setup_problem(4, 4, width=0.25)
-        beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
+        beta = fixed_stress_beta(ops.mu, ops.lam, params.alpha)
         for L in (-beta, np.nan):
             with pytest.raises(LinearSolveError, match="cannot be eliminated"):
                 fsl_iteration(init, init, params, ops, L=L)
@@ -404,7 +421,7 @@ class TestTerminationReasons:
     def test_raised_solve_keeps_its_message(self, monkeypatch):
         # the constant FSL coefficient (L + beta_FS) M_p is zero at L = -beta_FS
         mesh, ops, params, init = setup_problem(4, 4, width=0.25)
-        beta = fixed_stress_beta(params.mu, params.lam, params.alpha)
+        beta = fixed_stress_beta(ops.mu, ops.lam, params.alpha)
         monkeypatch.setattr(schemes, "fsl_iteration",
                             lambda *args, L: fsl_iteration(*args, L=-beta))
         _, report = run_time_step(SchemeConfig(kind="fsl", L=1.0), None, init, params, ops)
@@ -447,11 +464,16 @@ class TestAndersonRestart:
         return [i for i in range(2, len(totals) + 1)
                 if totals[i - 1] > AA_RESTART_FACTOR * totals[i - 2]]
 
-    def test_growth_restarts_the_store_and_is_recorded(self):
+    def test_growth_restarts_the_store_and_is_recorded(self, monkeypatch):
         mesh, ops, params, init = setup_problem(4, 4, width=0.25, scenario="hoelder",
                                                 alpha=0.1)
+        built = []
+        weights = schemes._aa_weights
+        monkeypatch.setattr(schemes, "_aa_weights", lambda ops: built.append(1) or weights(ops))
         result = run_transient(self.FSL2, AndersonConfig(depth=3), init, params, ops)
         assert result.completed
+        # the mixing weights are built once per step; a restart reuses them
+        assert len(built) == len(result.reports)
         restarts = [[i for i, r in enumerate(rep.records, 1) if r.aa_restart]
                     for rep in result.reports]
         assert sum(map(len, restarts)) >= 2
@@ -498,3 +520,41 @@ class TestAndersonRestart:
             assert np.array_equal(a.p, b.p)
             assert np.array_equal(a.q, b.q)
             assert np.array_equal(a.u, b.u)
+
+
+class TestGridRefinement:
+    """Solution fields, not only iteration counts: one test1 step (T = 0.1,
+    alpha = 1) of FSL at tight tolerances on 25^2, 50^2 and 100^2 against
+    200^2.  Max norms of the differences barely decrease, so the errors are
+    discrete L2 norms: area-weighted on the cell averages of p, weighted by
+    h^2 on the nodal u of the coarse grid."""
+
+    @staticmethod
+    def step(n):
+        cfg = replace(TEST1, nx=n, ny=n, T=0.1)
+        ops = cfg.operators()
+        params = cfg.params_for(1.0)
+        init = initial_state(ops.mesh, params, cfg.p0, ops)
+        scheme = SchemeConfig(kind="fsl", eps_abs=1e-10, eps_rel=1e-10)
+        result = run_transient(scheme, None, init, params, ops)
+        assert result.completed
+        return ops.mesh, result.states[-1], result.reports[0].iterations
+
+    def test_second_order_self_convergence(self):
+        fine_n = 200
+        _, fine, fine_iterations = self.step(fine_n)
+        p_fine = fine.p.reshape(fine_n, fine_n)
+        u_fine = fine.u.reshape(2, fine_n + 1, fine_n + 1)
+        p_errors, u_errors, iterations = [], [], [fine_iterations]
+        for n in (25, 50, 100):
+            mesh, state, its = self.step(n)
+            r = fine_n // n
+            p_avg = p_fine.reshape(n, r, n, r).mean(axis=(1, 3)).ravel()
+            u_nodes = u_fine[:, ::r, ::r].ravel()
+            p_errors.append(np.sqrt(mesh.cell_area * np.sum((state.p - p_avg) ** 2)))
+            u_errors.append(np.sqrt(mesh.hx * mesh.hy * np.sum((state.u - u_nodes) ** 2)))
+            iterations.append(its)
+        for errors in (p_errors, u_errors):
+            rates = np.log2(np.array(errors[:-1]) / errors[1:])
+            assert np.all(rates >= 1.8), (errors, rates)
+        assert max(iterations) - min(iterations) <= 1

@@ -2,7 +2,8 @@
 reads a private (underscore) name of another module.  A private helper that
 another module needs is made public and listed in its owner's ``__all__``.
 Every dataclass of the package is frozen, so a record cannot change after
-it is made."""
+it is made, and only ``PoroState``'s memo writes past that with
+``object.__setattr__``."""
 
 import ast
 import io
@@ -151,6 +152,64 @@ class Plain:
 '''
     got = [name for _, name in mutable_dataclasses(source)]
     assert sorted(got) == ["Bare", "Called", "Nested", "Qualified", "Thawed"]
+
+
+# The one place that may write a frozen instance: the memo of the laws
+# evaluated at a state's pressure.
+MUTATION_ALLOWED = {"PoroState._cached"}
+
+
+def hidden_mutations(source: str) -> list:
+    """(line, enclosing qualified name) of every ``object.__setattr__``
+    call in ``source`` outside MUTATION_ALLOWED; it writes an attribute
+    that ``frozen=True`` forbids."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "object" and scope not in MUTATION_ALLOWED):
+            found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_hidden_mutation(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert hidden_mutations(source) == []
+
+
+def test_mutation_checker_sees_every_form():
+    source = '''
+class PoroState:
+    def _cached(self, name):
+        object.__setattr__(self, name, 1)
+
+        def inner():
+            object.__setattr__(self, name, 2)
+
+    def other(self):
+        object.__setattr__(self, "p", 3)
+        setattr(self, "p", 4)
+
+class Record:
+    def _cached(self):
+        object.__setattr__(self, "x", 5)
+
+def module_level(state):
+    object.__setattr__(state, "p", 6)
+
+object.__setattr__(Record, "y", 7)
+'''
+    got = [scope for _, scope in hidden_mutations(source)]
+    assert sorted(got) == sorted(["PoroState._cached.inner", "PoroState.other",
+                                  "Record._cached", "module_level", ""])
 
 
 # Public names without a caller in the package or the benchmark, kept on
