@@ -3,6 +3,12 @@ unsaturated poromechanics (Richards flow coupled with linear elasticity),
 plus the contraction theory of the restarted acceleration on linear
 Richardson iterations."""
 
+import os
+
+# one BLAS thread unless a count is set; effective only before numpy's import
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .anderson import AndersonConfig, AndersonWindow, mixing_weights
 from .config import ConfigError, ScenarioConfig, load_config
 from .constitutive import (

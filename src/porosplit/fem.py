@@ -21,12 +21,15 @@ saturated cells) holds the fill of its edges when it is eliminated; the
 flux-only and elasticity matrices use its restriction to their dofs.
 Matrices that change every iteration are summed from dense cell blocks onto
 a sparsity pattern built once per mesh, already in that ordering
-(``flux_pattern``, ``coupled_pattern``).  Every sparse solve goes
-through ``SparseFactor``: an LU in the given ordering with a normwise
-backward-error contract of 1e-12 and iterative refinement, two-sided
-equilibration and threshold pivoting, except that the SPD flux-only
-matrices get a supernodal Cholesky under the same contract, on a symbolic
-analysis built once per mesh on first use (``flux_cholesky``).
+(``flux_pattern``, ``coupled_pattern``).  Every solve has ``SparseFactor``'s
+normwise backward-error contract of 1e-12 and iterative refinement.  Newton
+takes SuperLU.  A flux-only matrix takes a Cholesky if SPD, else an LU, on
+the symbolic ``flux_analysis`` built on first use: LAPACK band factors in
+reverse Cuthill-McKee order where their flops n kd^2 are at most the
+supernodal Cholesky's (25x25; not 50x50 on), else that and SuperLU.  The
+constant stiffness takes the band Cholesky up to n kd = _BAND_SOLVE_SIZE
+(through 50x50), SuperLU beyond.  The README and BENCH_band.json hold the
+crossover table.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .mesh import RectMesh
 
@@ -52,6 +56,9 @@ SOLVE_TOL = 1e-12
 PIVOT_THRESHOLD = 0.1   # threshold partial pivoting of the general LU
 LEAF_SIZE = 64          # boxes of at most this many dofs are not bisected
 _SUPERNODE_SIZE = 120   # flux dofs of the largest subtree factored as one dense front
+# n kd up to which the stiffness takes the band Cholesky: its solve beats
+# SuperLU's at 1.2e5 (25x25), ties at 1.0e6, loses at 8.0e6 (BENCH_band.json)
+_BAND_SOLVE_SIZE = 2e6
 
 
 class LinearSolveError(RuntimeError):
@@ -62,37 +69,39 @@ class LinearSolveError(RuntimeError):
         self.residual = residual
 
 
+def _equilibration(m):
+    """Max row sum of |A| and the row and column scales of the CSC matrix m."""
+    absd = np.abs(m.data)
+    row_max = np.zeros(m.shape[0])
+    np.maximum.at(row_max, m.indices, absd)
+    dr = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
+    filled = np.diff(m.indptr) > 0
+    col_max = np.zeros(m.shape[1])
+    col_max[filled] = np.maximum.reduceat(absd * dr[m.indices], m.indptr[:-1][filled])
+    norm = np.bincount(m.indices, absd, m.shape[0]).max(initial=0.0)
+    return norm, dr, 1.0 / np.sqrt(np.where(col_max > 0, col_max, 1.0))
+
+
 class SparseFactor:
     """LU factorization wrapper enforcing the relative-residual contract.
 
     ``matrix`` holds the system A with rows and columns in ``order``:
-    matrix[i, j] = A[order[i], order[j]].  SuperLU factors it in that order
-    (no column ordering of its own, symmetric mode); ``solve`` takes and
-    returns vectors in A's numbering.  The matrix is equilibrated (two-sided
-    diagonal scaling) before factorization, since mobility-weighted flow
-    blocks can span many orders of magnitude between rows, and pivots off
-    the diagonal only when the diagonal entry falls below PIVOT_THRESHOLD
-    times the largest of its column (the constant stiffness and Newton's
-    test1 factors never do).  The scale factors are read off the CSC arrays.
-    Iterative refinement handles the remaining ill-conditioning.  The SPD
-    flux-only matrices get the supernodal Cholesky subclass of
-    ``flux_cholesky``.
+    matrix[i, j] = A[order[i], order[j]]; ``solve`` takes and returns vectors
+    in A's numbering.  SuperLU factors it in that order after two-sided
+    equilibration (mobility-weighted flow blocks span many orders of
+    magnitude between rows), read off the CSC arrays, and pivots off the
+    diagonal only below PIVOT_THRESHOLD times its column's largest entry
+    (Newton's test1 factors never do).  Iterative refinement handles the
+    remaining ill-conditioning.  The band and supernodal factors of
+    ``flux_analysis`` and the stiffness's band Cholesky replace the
+    constructor and share the solve (module docstring).
     """
 
     def __init__(self, matrix, order):
         self.matrix = m = matrix.tocsc()
         m.sum_duplicates()  # SuperLU needs sorted row indices
         self.order = order
-        absd = np.abs(m.data)
-        self._mat_norm = np.bincount(m.indices, absd, m.shape[0]).max(initial=0.0)
-        row_max = np.zeros(m.shape[0])
-        np.maximum.at(row_max, m.indices, absd)
-        self._dr = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
-        filled = np.diff(m.indptr) > 0
-        col_max = np.zeros(m.shape[1])
-        col_max[filled] = np.maximum.reduceat(absd * self._dr[m.indices],
-                                              m.indptr[:-1][filled])
-        self._dc = 1.0 / np.sqrt(np.where(col_max > 0, col_max, 1.0))
+        self._mat_norm, self._dr, self._dc = _equilibration(m)
         scaled = sp.csc_array(
             (m.data * self._dr[m.indices] * np.repeat(self._dc, np.diff(m.indptr)),
              m.indices, m.indptr), shape=m.shape)
@@ -139,28 +148,40 @@ class _Supernodes:
     1983; Liu, SIAM Review 1992) on one CSC pattern (both triangles stored)
     with supernodes [bounds[s], bounds[s + 1]).  A supernode's dense front
     spans its columns and the rows below them that they or its children's
-    updates reach; its parent owns the first of those rows.  Kept: those
-    rows and flat Fortran-order front positions of the pattern's data and of
-    each child's update; each entry's column; the diagonal's positions."""
+    updates reach; its parent owns the first of those rows.  Kept: each
+    entry's column, the diagonal's positions, the fronts and their factor
+    flops; on first use, per supernode, those rows and flat Fortran-order
+    front positions of the pattern's data and of each child's update."""
 
     def __init__(self, indices, indptr, bounds):
         self.columns = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
         self.diagonal = np.flatnonzero(indices == self.columns)
+        self._pattern, self._fronts, children = (indices, indptr), [], [[] for _ in bounds[:-1]]
         owner = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-        rows_below, children, self.nodes = [], [[] for _ in bounds[:-1]], []
         for s, (b0, b1) in enumerate(zip(bounds[:-1], bounds[1:])):
-            lo, rows = indptr[b0], indices[indptr[b0]:indptr[b1]]
+            rows = indices[indptr[b0]:indptr[b1]]
             below = np.unique(np.concatenate([rows[rows >= b1]] + [
-                rows_below[c][rows_below[c] >= b1] for c in children[s]]))
+                self._fronts[c][2][self._fronts[c][2] >= b1] for c in children[s]]))
+            self._fronts.append((b0, b1, below, children[s]))
+            if len(below):
+                children[owner[below[0]]].append(s)
+        # dpotrf, dtrsm and dsyrk per front
+        self.flops = sum(k**3 / 3 + k * k * len(below) + k * len(below)**2
+                         for b0, b1, below, _ in self._fronts for k in [b1 - b0])
+
+    @functools.cached_property
+    def nodes(self):
+        indices, indptr = self._pattern
+        nodes = []
+        for b0, b1, below, children in self._fronts:
+            lo, rows = indptr[b0], indices[indptr[b0]:indptr[b1]]
             front = np.concatenate([np.arange(b0, b1), below])
             f, kept = len(front), np.flatnonzero(rows >= b0)
             scatter = (self.columns[lo + kept] - b0) * f + np.searchsorted(front, rows[kept])
-            extend = [(c, (m[:, None] + f * m).ravel(order="F"))
-                      for c in children[s] for m in [np.searchsorted(front, rows_below[c])]]
-            self.nodes.append((b0, b1, below, lo + kept, scatter, extend))
-            rows_below.append(below)
-            if len(below):
-                children[owner[below[0]]].append(s)
+            extend = [(c, (m[:, None] + f * m).ravel(order="F")) for c in children
+                      for m in [np.searchsorted(front, self._fronts[c][2])]]
+            nodes.append((b0, b1, below, lo + kept, scatter, extend))
+        return nodes
 
     def factor(self, data):
         """Panels (L11, L21) per supernode of the SPD matrix with CSC data
@@ -193,6 +214,68 @@ class _Supernodes:
         return x
 
 
+class _Band:
+    """Band analysis (George & Liu 1981) of a structurally symmetric CSC
+    pattern: reverse Cuthill-McKee order ``perm`` (position -> index), its
+    half-bandwidth ``kd``, band Cholesky flops n kd^2, and as in ``_Supernodes``
+    each entry's column and the diagonal's positions.  Reordered entry (i, j)
+    goes to ab[d + i - j, j] of LAPACK band storage: d = 0 (lower triangle)
+    for dpbtrf, d = 2 kd (room for the fill) for dgbtrf."""
+
+    def __init__(self, indices, indptr):
+        n = len(indptr) - 1
+        self.columns = np.repeat(np.arange(n), np.diff(indptr))
+        self.diagonal = np.flatnonzero(indices == self.columns)
+        pattern = sp.csc_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
+        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True) if n else self.columns
+        self._indices, self._rank = indices, np.argsort(self.perm)
+        # symmetric, with every diagonal: kd is the lowest reach of a column
+        lowest = np.maximum.reduceat(self._rank[indices], indptr[:-1])
+        self.kd = int(np.max(lowest - self._rank, initial=0))
+        self.flops = n * self.kd**2
+
+    @functools.cached_property
+    def _placed(self):
+        """Each entry's reordered column and its offset below the diagonal."""
+        column = self._rank[self.columns]
+        return column, self._rank[self._indices] - column
+
+    @functools.cached_property
+    def _lower(self):
+        column, offset = self._placed
+        kept = np.flatnonzero(offset >= 0)
+        return kept, (offset + (self.kd + 1) * column)[kept]
+
+    def _storage(self, values, at, ld):
+        ab = np.zeros(ld * len(self.perm))
+        ab[at] = values
+        return ab.reshape(ld, -1, order="F")
+
+    def factor(self, data):
+        """Band Cholesky (dpbtrf) of the SPD matrix with CSC data ``data``."""
+        ab = self._storage(data[self._lower[0]], self._lower[1], self.kd + 1)
+        c, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info:
+            raise LinearSolveError(f"Cholesky pivot {self.perm[info - 1]} is not positive")
+        return c
+
+    def lu_factor(self, data):
+        """Band LU with partial pivoting (dgbtrf) of the CSC data ``data``."""
+        (column, offset), ld, kd = self._placed, 3 * self.kd + 1, self.kd
+        lu, piv, info = lapack.dgbtrf(self._storage(
+            data, 2 * kd + offset + ld * column, ld), kd, kd, overwrite_ab=1)
+        if info:
+            raise LinearSolveError(f"band LU pivot {self.perm[info - 1]} is zero")
+        return lu, piv
+
+    def solve(self, factor, x):
+        """A^-1 x for a ``factor`` or ``lu_factor`` of A, overwriting x."""
+        b = x[self.perm]
+        x[self.perm] = (lapack.dgbtrs(factor[0], self.kd, self.kd, b, factor[1])
+                        if isinstance(factor, tuple) else lapack.dpbtrs(factor, b, lower=1))[0]
+        return x
+
+
 class _CholeskyFactor(SparseFactor):
     """SparseFactor of an SPD matrix on the pattern of ``analysis``, scaled
     to unit diagonal; its constructor replaces the LU's, the solve is shared."""
@@ -204,11 +287,24 @@ class _CholeskyFactor(SparseFactor):
         if not np.all((diag > 0) & np.isfinite(diag)):
             raise LinearSolveError("Cholesky factorization needs a positive diagonal")
         self._dr = self._dc = 1.0 / np.sqrt(diag)
-        self._panels = analysis.factor(
+        self._factor = analysis.factor(
             matrix.data * self._dr[matrix.indices] * self._dr[analysis.columns])
 
     def _raw_solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._dc * self._analysis.solve(self._panels, self._dr * rhs)
+        return self._dc * self._analysis.solve(self._factor, self._dr * rhs)
+
+
+class _BandLUFactor(SparseFactor):
+    """SparseFactor of a general matrix on the pattern of a ``_Band``: the
+    LU's equilibration, then the band LU; the solve is shared."""
+
+    def __init__(self, matrix, order, analysis):
+        self.matrix, self.order, self._analysis = matrix, order, analysis
+        self._mat_norm, self._dr, self._dc = _equilibration(matrix)
+        self._factor = analysis.lu_factor(
+            matrix.data * self._dr[matrix.indices] * self._dc[analysis.columns])
+
+    _raw_solve = _CholeskyFactor._raw_solve  # _Band.solve tells the factors apart
 
 
 def nested_dissection(xy: np.ndarray):
@@ -307,6 +403,7 @@ class DiscreteOperators:
         M_u: Q1 vector mass matrix.
         D_pq: integrated RT0 divergence into P0 (row per cell).
         D_pu: integrated Q1 divergence into P0 (row per cell).
+        D_pq_T/D_pu_T: their transposes (CSC views), built once.
         A_uu: plane-strain elasticity stiffness (unconstrained).
         fixed_q/free_q: constrained/free flux dofs (all boundary edges fixed).
         fixed_u/free_u: constrained/free displacement dofs (rollers).
@@ -356,6 +453,7 @@ class DiscreteOperators:
         n_u = 2 * mesh.n_nodes
         self.D_pu = _scatter(self.local_displacement_divergence[None, :], cells, nodal,
                              (nc, n_u))
+        self.D_pq_T, self.D_pu_T = self.D_pq.T, self.D_pu.T
         self.A_uu = _scatter(self._elasticity_block(), nodal, nodal, (n_u, n_u))
         self.M_u = _scatter(self._vector_mass_block(), nodal, nodal, (n_u, n_u))
 
@@ -403,11 +501,15 @@ class DiscreteOperators:
         self.order = order[np.argsort(key[order], kind="stable")]
         self.flux_order = self.order[(self.order >= n_p) & (self.order < n_p + n_qf)] - n_p
         self.elastic_order = self.order[self.order >= n_p + n_qf] - n_p - n_qf
+        eo = self.elastic_order
+        stiffness = self.A_ff[eo][:, eo]
+        band = _Band(stiffness.indices, stiffness.indptr)
+        banded = len(eo) * band.kd <= _BAND_SOLVE_SIZE
         try:
             # a singular constrained stiffness means the roller constraints
             # failed to remove all rigid modes
-            self._elastic_factor = SparseFactor(
-                self.A_ff[self.elastic_order][:, self.elastic_order], self.elastic_order)
+            self._elastic_factor = (_CholeskyFactor(stiffness, eo, band) if banded
+                                    else SparseFactor(stiffness, eo))
         except LinearSolveError as exc:
             raise ValueError(f"constrained elasticity block is singular: {exc}") from exc
 
@@ -416,14 +518,24 @@ class DiscreteOperators:
         self.flux_pattern = _CellPattern(flux_position[ce], np.ones((4, 4), bool), n_qf)
 
     @functools.cached_property
-    def flux_analysis(self) -> _Supernodes:
-        """Symbolic analysis of flux_cholesky, built on its first call."""
+    def flux_analysis(self) -> _Band | _Supernodes:
+        """Symbolic analysis of the flux factors, built on first use: the
+        band one where its factor flops are at most the supernodal ones."""
         pattern = self.flux_pattern
-        return _Supernodes(pattern._indices, pattern._indptr, self._flux_supernodes)
+        band = _Band(pattern._indices, pattern._indptr)
+        supernodes = _Supernodes(pattern._indices, pattern._indptr, self._flux_supernodes)
+        return band if band.flops <= supernodes.flops else supernodes
 
     def flux_cholesky(self, matrix) -> SparseFactor:
         """Factor of an SPD matrix summed by flux_pattern."""
         return _CholeskyFactor(matrix, self.flux_order, self.flux_analysis)
+
+    def flux_lu(self, matrix) -> SparseFactor:
+        """Factor of a general matrix summed by flux_pattern: the band LU on
+        a band flux_analysis, SuperLU's otherwise."""
+        if isinstance(self.flux_analysis, _Band):
+            return _BandLUFactor(matrix, self.flux_order, self.flux_analysis)
+        return SparseFactor(matrix, self.flux_order)
 
     # -- assembly helpers ------------------------------------------------
 

@@ -156,7 +156,7 @@ def initial_state(mesh: RectMesh, params: PhysicsParams, p0: float,
     if params.g != (0.0, 0.0):
         kinv = 1.0 / laws.mobility(laws.saturation(p, params.vg), params.vg)
         f_q, _ = gravity_loads(ops, params)
-        rhs = (f_q + ops.D_pq.T @ p)[ops.free_q]
+        rhs = (f_q + ops.D_pq_T @ p)[ops.free_q]
         kff = ops.flux_pattern.matrix(kinv[:, None, None] * ops.local_flux_mass)
         q[ops.free_q] = ops.flux_cholesky(kff).solve(rhs)
     porosity = np.full(mesh.n_cells, params.law.phi0)
@@ -203,7 +203,7 @@ def flow_parts(state: PoroState, prev: PoroState, params: PhysicsParams,
     with np.errstate(divide="ignore"):
         kinv = 1.0 / kw
     f_q, _ = gravity_loads(ops, params)
-    r_q = f_q - (ops.weighted_flux_mass(kinv, state.q) - ops.D_pq.T @ state.p)
+    r_q = f_q - (ops.weighted_flux_mass(kinv, state.q) - ops.D_pq_T @ state.p)
     r_q[ops.fixed_q] = 0.0
     _check_finite(r_q, "flux residual")
     return FlowParts(sat=s, mobility=kw, kinv=kinv, r_p=r_p, r_q=r_q)
@@ -214,7 +214,7 @@ def mech_residual(p_state: PoroState, u: np.ndarray, params: PhysicsParams,
     """Momentum residual at the given displacement and p_state's pressure."""
     pe = p_state.pore_pressure(params)
     _, f_u = gravity_loads(ops, params)
-    r_u = f_u - (ops.A_uu @ u - params.alpha * (ops.D_pu.T @ pe))
+    r_u = f_u - (ops.A_uu @ u - params.alpha * (ops.D_pu_T @ pe))
     r_u[ops.fixed_u] = 0.0
     _check_finite(r_u, "momentum residual")
     return r_u

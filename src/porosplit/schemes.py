@@ -202,10 +202,11 @@ def _flow_solve(state, params, ops, parts, cpp, coupling, t_new):
     rhs_q + (D - B)_f C^-1 rhs_p, summed from the cell blocks
     k_c^-1 M_c + (tau / C_c) (d_c - b_c) d_c^T, and dp = C^-1 (rhs_p -
     tau D_f dq).  The flux matrix is SPD without B and with C > 0, and gets
-    the supernodal Cholesky.  An extrapolated AA iterate can make the
-    porosity, and with it C, negative in some cells; that matrix gets the
-    general LU.  Zero or non-finite C raises LinearSolveError.  Returns dp
-    and the full flux increment."""
+    ``ops.flux_cholesky``; FS-Newton's, or one with C < 0 in some cells (an
+    extrapolated AA iterate can make the porosity negative), gets
+    ``ops.flux_lu``: the band factors at 25x25, the supernodal Cholesky and
+    SuperLU from 50x50 on (``fem``).  Zero or non-finite C raises
+    LinearSolveError.  Returns dp and the full flux increment."""
     singular = ~np.isfinite(cpp) | (cpp == 0.0)
     if np.any(singular):
         cell = int(np.argmax(singular))
@@ -221,7 +222,7 @@ def _flow_solve(state, params, ops, parts, cpp, coupling, t_new):
                          minlength=ops.mesh.n_edges)
     matrix = ops.flux_pattern.matrix(blocks)
     spd = coupling is None and np.all(cpp > 0.0)
-    factor = ops.flux_cholesky(matrix) if spd else SparseFactor(matrix, ops.flux_order)
+    factor = ops.flux_cholesky(matrix) if spd else ops.flux_lu(matrix)
     dq_free = factor.solve(rhs_q + pushed[ops.free_q])
     dq[ops.free_q] = dq_free
     dp = (rhs_p - params.tau * (ops.D_pq_f @ dq_free)) / cpp

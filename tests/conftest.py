@@ -1,3 +1,7 @@
+# porosplit first: importing it pins BLAS to one thread, which holds only
+# if numpy is not imported yet
+import porosplit  # noqa: F401
+
 import contextlib
 from dataclasses import replace
 

@@ -1,12 +1,16 @@
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import porosplit
 from porosplit.cli import main
 from porosplit.config import _KEYS, ConfigError, ScenarioConfig, default_config, load_config
 from porosplit.export import cell_flux_vectors, write_cell_csv, write_point_csv, write_vtk
@@ -305,3 +309,28 @@ class TestExport:
                          fields="vtk", out_dir=str(tmp_path / "fields"))
         run_sweep(config)
         assert (tmp_path / "fields" / "newton_aa0_alpha1.vtk").exists()
+
+
+class TestBlasThreads:
+    """Importing porosplit pins BLAS to one thread unless a count is set."""
+
+    VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def variables_after_import(self, module, **env):
+        """The thread variables seen in a fresh interpreter after it imports
+        ``module``, started without them but for ``env``."""
+        clean = {k: v for k, v in os.environ.items() if k not in self.VARIABLES}
+        src = str(Path(porosplit.__file__).parents[1])
+        clean["PYTHONPATH"] = os.pathsep.join(filter(None, [src, clean.get("PYTHONPATH")]))
+        code = f"import os, {module}; print(*(os.environ[v] for v in {self.VARIABLES!r}))"
+        proc = subprocess.run([sys.executable, "-c", code], env={**clean, **env},
+                              capture_output=True, text=True, check=True)
+        return proc.stdout.split()
+
+    @pytest.mark.parametrize("module", ["porosplit", "porosplit.cli"])
+    def test_one_thread_by_default(self, module):
+        assert self.variables_after_import(module) == ["1", "1", "1"]
+
+    def test_a_set_count_is_kept(self):
+        assert self.variables_after_import(
+            "porosplit", OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="4") == ["2", "1", "4"]

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from porosplit import constitutive as laws
-from porosplit import fem, schemes
+from porosplit import fem
 from porosplit.fem import LinearSolveError, SparseFactor, assemble, nested_dissection
 from porosplit.mesh import MeshAlignmentError, RectMesh
 from porosplit.model import newton_blocks
@@ -353,13 +353,21 @@ class TestNestedDissection:
             lu = SparseFactor(matrix, ops.order).lu
             assert np.array_equal(lu.perm_r, np.arange(matrix.shape[0]))
 
+    def test_stiffness_factor_pivots_on_the_diagonal(self):
+        # at 100x100 the constant stiffness takes the general LU; its pivot
+        # threshold never moves a pivot off the diagonal
+        ops = assemble(RectMesh(100, 100, 1.0, 1.0, 1.0), MU, LAM)
+        assert type(ops._elastic_factor) is SparseFactor
+        assert np.array_equal(ops._elastic_factor.lu.perm_r, np.arange(len(ops.free_u)))
+
     @pytest.mark.parametrize("nx, ny", [(25, 25), (13, 37)])
-    def test_stiffness_factor_pivots_on_the_diagonal(self, nx, ny):
-        # the constant stiffness takes the general LU; its pivot threshold
-        # never moves a pivot off the diagonal
+    def test_band_stiffness_solves_without_refinement(self, nx, ny, rng):
         ops = assemble(RectMesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
-        lu = ops._elastic_factor.lu
-        assert np.array_equal(lu.perm_r, np.arange(len(ops.free_u)))
+        factor = ops._elastic_factor
+        assert isinstance(factor._analysis, fem._Band)
+        rhs = rng.standard_normal(len(ops.free_u))
+        # one application of the factor, no refinement step
+        assert backward_error(factor.matrix, factor._raw_solve(rhs), rhs) <= 1e-12
 
     @pytest.mark.parametrize("nx, ny", [(8, 8), (16, 5)])
     def test_no_entry_couples_the_halves_of_a_bisection(self, nx, ny, rng):
@@ -457,6 +465,13 @@ def backward_error(matrix, x, b):
     return np.linalg.norm(matrix @ x - b) / (np.linalg.norm(b) + norm * np.linalg.norm(x))
 
 
+def both_analyses(ops):
+    """The band and the supernodal analysis of the flux pattern."""
+    pattern = ops.flux_pattern
+    return (fem._Band(pattern._indices, pattern._indptr),
+            fem._Supernodes(pattern._indices, pattern._indptr, ops._flux_supernodes))
+
+
 class TestFluxCholesky:
     @pytest.mark.parametrize("nx, ny", [(25, 25), (50, 50), (13, 37)])
     @pytest.mark.parametrize("scheme", ["fsl", "fsmp"])
@@ -466,12 +481,22 @@ class TestFluxCholesky:
                 "fsmp": lambda: fsmp_iteration(init, init, params, ops)}[scheme]
         (matrix,) = captured_flux_matrices(ops, step, monkeypatch)
         rhs = rng.standard_normal(matrix.shape[0])
-        factor = ops.flux_cholesky(matrix)
-        # one application of the factor, no refinement step
-        assert backward_error(matrix, factor._raw_solve(rhs), rhs) <= 1e-12
-        x = factor.solve(rhs[np.argsort(ops.flux_order)])
         y = SparseFactor(matrix, ops.flux_order).solve(rhs[np.argsort(ops.flux_order)])
-        assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
+        for analysis in both_analyses(ops):
+            factor = fem._CholeskyFactor(matrix, ops.flux_order, analysis)
+            # one application of the factor, no refinement step
+            assert backward_error(matrix, factor._raw_solve(rhs), rhs) <= 1e-12
+            x = factor.solve(rhs[np.argsort(ops.flux_order)])
+            assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("nx, ny, kind", [(25, 25, fem._Band), (13, 37, fem._Band),
+                                              (100, 100, fem._Supernodes)])
+    def test_analysis_with_fewer_factor_flops_is_chosen(self, nx, ny, kind):
+        ops = assemble(RectMesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
+        band, supernodes = both_analyses(ops)
+        assert band.flops == len(ops.free_q) * band.kd**2
+        assert isinstance(ops.flux_analysis, kind)
+        assert (band.flops <= supernodes.flops) == (kind is fem._Band)
 
     def test_single_cell_has_an_empty_flux_matrix(self):
         mesh, ops, params, init = setup_problem(1, 1, width=1.0)
@@ -493,8 +518,9 @@ class TestFluxCholesky:
         data = spd.data - shift * diagonal
         matrix = sp.csc_array((data, spd.indices, spd.indptr), shape=spd.shape)
         assert np.all(matrix.diagonal() > 0)
-        with pytest.raises(LinearSolveError, match="pivot"):
-            ops.flux_cholesky(matrix)
+        for analysis in both_analyses(ops):
+            with pytest.raises(LinearSolveError, match="pivot"):
+                fem._CholeskyFactor(matrix, ops.flux_order, analysis)
 
     def test_negative_diagonal_entry_raises(self):
         mesh, ops, params, init = setup_problem(4, 4, width=1.0)
@@ -502,10 +528,13 @@ class TestFluxCholesky:
         data = spd.data.copy()
         data[ops.flux_analysis.diagonal[3]] *= -1.0
         matrix = sp.csc_array((data, spd.indices, spd.indptr), shape=spd.shape)
-        with pytest.raises(LinearSolveError, match="positive diagonal"):
-            ops.flux_cholesky(matrix)
+        for analysis in both_analyses(ops):
+            with pytest.raises(LinearSolveError, match="positive diagonal"):
+                fem._CholeskyFactor(matrix, ops.flux_order, analysis)
 
-    def test_negative_pressure_coefficient_takes_the_general_lu(self, monkeypatch):
+    def test_negative_pressure_coefficient_takes_the_general_lu(self, monkeypatch, rng):
+        # C < 0 in one cell: the flux matrix takes an LU, the band one on a
+        # band analysis and SuperLU's otherwise
         mesh, ops, params, init = setup_problem(6, 6, width=1.0)
         cpp = np.full(mesh.n_cells, 2.0) * ops.M_p
         cpp[7] = -cpp[7]
@@ -513,30 +542,51 @@ class TestFluxCholesky:
         def no_cholesky(matrix):
             raise AssertionError("SPD factor used for an indefinite flux matrix")
 
-        orders = []
         monkeypatch.setattr(ops, "flux_cholesky", no_cholesky)
-        monkeypatch.setattr(schemes, "SparseFactor", lambda matrix, order: (
-            orders.append(order) or SparseFactor(matrix, order)))
+        factors = []
+        flux_lu = ops.flux_lu
+        monkeypatch.setattr(ops, "flux_lu", lambda matrix: factors.append(flux_lu(matrix))
+                            or factors[-1])
         split_iteration(init, init, params, ops, cpp)
-        assert len(orders) == 1 and orders[0] is ops.flux_order
+        (factor,) = factors
+        assert type(factor) is fem._BandLUFactor and factor.order is ops.flux_order
+        rhs = rng.standard_normal(len(ops.free_q))
+        # one application of the band LU meets the contract, no refinement
+        assert backward_error(factor.matrix, factor._raw_solve(rhs), rhs) <= 1e-12
+        x = factor.solve(rhs)
+        y = SparseFactor(factor.matrix, ops.flux_order).solve(rhs)
+        assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
+        ops.flux_analysis = both_analyses(ops)[1]
+        assert type(flux_lu(factor.matrix)) is SparseFactor
+
+    def test_singular_matrix_raises_in_the_band_lu(self):
+        mesh, ops, params, init = setup_problem(4, 4, width=1.0)
+        matrix = ops.flux_pattern.matrix(np.zeros((mesh.n_cells, 4, 4)))
+        assert isinstance(ops.flux_analysis, fem._Band)
+        with pytest.raises(LinearSolveError, match="band LU pivot"):
+            ops.flux_lu(matrix)
 
     def test_analysis_is_built_once_on_first_use(self, monkeypatch):
         mesh, ops, params, init = setup_problem(12, 10, width=1.0)
         assert "flux_analysis" not in vars(ops)
         built = []
-        analysis = fem._Supernodes
-        monkeypatch.setattr(fem, "_Supernodes", lambda *a: built.append(1) or analysis(*a))
+        for name in ("_Band", "_Supernodes"):
+            analysis = getattr(fem, name)
+            monkeypatch.setattr(fem, name, lambda *a, analysis=analysis: built.append(
+                analysis(*a)) or built[-1])
         for weight in (1.0, 2.0):
             ops.flux_cholesky(ops.flux_pattern.matrix(weight * np.tile(
                 ops.local_flux_mass, (mesh.n_cells, 1, 1))))
-        assert len(built) == 1 and "flux_analysis" in vars(ops)
+        assert len(built) == 2 and ops.flux_analysis is built[0]
+        # the supernodal count was read, its front positions never built
+        assert "nodes" not in vars(built[1])
 
 
 class TestRefinement:
     """``SparseFactor.solve`` refines a raw solve that misses SOLVE_TOL and
-    raises when three refinement steps do not meet it.  The LU and the
-    supernodal Cholesky share that solve; both factor the same SPD flux
-    matrix here, and the raw solve is perturbed on the instance."""
+    raises when three refinement steps do not meet it.  The LU, the band
+    LU and both Cholesky factors share that solve; all factor the same SPD
+    flux matrix here, and the raw solve is perturbed on the instance."""
 
     @staticmethod
     def factor_of(kind):
@@ -544,8 +594,11 @@ class TestRefinement:
         d = ops.local_divergence
         matrix = ops.flux_pattern.matrix(np.tile(ops.local_flux_mass + np.outer(d, d),
                                                  (mesh.n_cells, 1, 1)))
-        factor = (SparseFactor(matrix, ops.flux_order) if kind == "lu"
-                  else ops.flux_cholesky(matrix))
+        band, supernodes = both_analyses(ops)
+        factor = {"lu": lambda: SparseFactor(matrix, ops.flux_order),
+                  "cholesky": lambda: ops.flux_cholesky(matrix),
+                  "supernodal": lambda: fem._CholeskyFactor(matrix, ops.flux_order, supernodes),
+                  "band_lu": lambda: fem._BandLUFactor(matrix, ops.flux_order, band)}[kind]()
         return factor, natural(matrix, ops.flux_order)
 
     @staticmethod
@@ -556,7 +609,7 @@ class TestRefinement:
         factor._raw_solve = lambda rhs: calls.append(1) or change(raw(rhs))
         return calls
 
-    @pytest.mark.parametrize("kind", ["lu", "cholesky"])
+    @pytest.mark.parametrize("kind", ["lu", "cholesky", "supernodal", "band_lu"])
     def test_one_refinement_step_meets_the_contract(self, kind, rng):
         factor, a = self.factor_of(kind)
         noise = 1.0 + 1e-8 * rng.standard_normal(a.shape[0])
@@ -567,7 +620,7 @@ class TestRefinement:
         assert len(calls) == 2
         assert backward_error(a, x, rhs) <= fem.SOLVE_TOL
 
-    @pytest.mark.parametrize("kind", ["lu", "cholesky"])
+    @pytest.mark.parametrize("kind", ["lu", "cholesky", "supernodal", "band_lu"])
     def test_unmet_contract_raises_with_its_residual(self, kind, rng):
         factor, a = self.factor_of(kind)
         # each raw solve returns half the solution, so each step only
