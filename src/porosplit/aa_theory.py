@@ -112,6 +112,8 @@ class SpectralPair:
     beta2: float = 1.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.lam1, self.lam2, self.beta1, self.beta2])):
+            raise ValueError("eigenvalues and weights must be finite")
         if self.lam1 == 0.0 or self.lam2 == 0.0:
             raise SingularConfiguration("eigenvalues must be nonzero")
 
@@ -212,6 +214,8 @@ def sample_planes(rect, resolution: int) -> PlaneSample:
     ranges with even resolution."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    if not np.all(np.isfinite(rect)):
+        raise ValueError("plane bounds must be finite")
     l1_min, l1_max, l2_min, l2_max = rect
     lam1 = l1_min + (np.arange(resolution) + 0.5) * (l1_max - l1_min) / resolution
     lam2 = l2_min + (np.arange(resolution) + 0.5) * (l2_max - l2_min) / resolution

@@ -41,7 +41,7 @@ def _cmd_plane(args) -> int:
     rect = (args.l1_min, args.l1_max, args.l2_min, args.l2_max)
     try:
         sample = sample_planes(rect, args.resolution)
-    except ValueError as exc:  # a resolution below 2
+    except ValueError as exc:  # a resolution below 2 or a non-finite bound
         raise ConfigError(str(exc)) from exc
     sample.write_csv(args.out)
     frac = float(np.mean(sample.converging))
@@ -51,7 +51,7 @@ def _cmd_plane(args) -> int:
 
 
 def _cmd_richardson(args) -> int:
-    try:  # zero or degenerate eigenvalues, or fewer than one block
+    try:  # non-finite, zero or degenerate eigenvalues, or fewer than one block
         pair = SpectralPair(args.lam1, args.lam2)
         result = richardson_aa_experiment(pair, args.blocks)
         bound = result.bound

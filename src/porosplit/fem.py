@@ -23,13 +23,13 @@ Matrices that change every iteration are summed from dense cell blocks onto
 a sparsity pattern built once per mesh, already in that ordering
 (``flux_pattern``, ``coupled_pattern``).  Every solve has ``SparseFactor``'s
 normwise backward-error contract of 1e-12 and iterative refinement.  Newton
-takes SuperLU.  A flux-only matrix takes a Cholesky if SPD, else an LU, on
-the symbolic ``flux_analysis`` built on first use: LAPACK band factors in
-reverse Cuthill-McKee order where their flops n kd^2 are at most the
-supernodal Cholesky's (25x25; not 50x50 on), else that and SuperLU.  The
-constant stiffness takes the band Cholesky up to n kd = _BAND_SOLVE_SIZE
-(through 50x50), SuperLU beyond.  The README and BENCH_band.json hold the
-crossover table.
+takes SuperLU.  A flux-only matrix takes a Cholesky if SPD, else an LU.
+One decision per mesh picks those and the constant stiffness's factor:
+while the constrained stiffness's band in reverse Cuthill-McKee order holds
+n kd <= _BAND_ENTRIES entries (through 50x50), the flux Cholesky and LU and
+the stiffness's Cholesky are LAPACK band factors; beyond (from 60x60 on)
+the flux Cholesky is supernodal and the flux LU and the stiffness take
+SuperLU.  The README holds the crossover table.
 """
 
 from __future__ import annotations
@@ -56,9 +56,10 @@ SOLVE_TOL = 1e-12
 PIVOT_THRESHOLD = 0.1   # threshold partial pivoting of the general LU
 LEAF_SIZE = 64          # boxes of at most this many dofs are not bisected
 _SUPERNODE_SIZE = 120   # flux dofs of the largest subtree factored as one dense front
-# n kd up to which the stiffness takes the band Cholesky: its solve beats
-# SuperLU's at 1.2e5 (25x25), ties at 1.0e6, loses at 8.0e6 (BENCH_band.json)
-_BAND_SOLVE_SIZE = 2e6
+# stiffness band entries n kd up to which every flux and stiffness factor of
+# the mesh is a band factor: between 50x50 (1.0e6) and 60x60 (1.7e6), near
+# the crossovers of all three factors (README)
+_BAND_ENTRIES = 1.3e6
 
 
 class LinearSolveError(RuntimeError):
@@ -92,9 +93,9 @@ class SparseFactor:
     magnitude between rows), read off the CSC arrays, and pivots off the
     diagonal only below PIVOT_THRESHOLD times its column's largest entry
     (Newton's test1 factors never do).  Iterative refinement handles the
-    remaining ill-conditioning.  The band and supernodal factors of
-    ``flux_analysis`` and the stiffness's band Cholesky replace the
-    constructor and share the solve (module docstring).
+    remaining ill-conditioning.  The band and supernodal factors replace
+    the constructor and share the solve; the module docstring states the
+    one rule that picks them.
     """
 
     def __init__(self, matrix, order):
@@ -148,40 +149,28 @@ class _Supernodes:
     1983; Liu, SIAM Review 1992) on one CSC pattern (both triangles stored)
     with supernodes [bounds[s], bounds[s + 1]).  A supernode's dense front
     spans its columns and the rows below them that they or its children's
-    updates reach; its parent owns the first of those rows.  Kept: each
-    entry's column, the diagonal's positions, the fronts and their factor
-    flops; on first use, per supernode, those rows and flat Fortran-order
-    front positions of the pattern's data and of each child's update."""
+    updates reach; its parent owns the first of those rows.  Kept: those
+    rows and flat Fortran-order front positions of the pattern's data and of
+    each child's update; each entry's column; the diagonal's positions."""
 
     def __init__(self, indices, indptr, bounds):
         self.columns = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
         self.diagonal = np.flatnonzero(indices == self.columns)
-        self._pattern, self._fronts, children = (indices, indptr), [], [[] for _ in bounds[:-1]]
         owner = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        rows_below, children, self.nodes = [], [[] for _ in bounds[:-1]], []
         for s, (b0, b1) in enumerate(zip(bounds[:-1], bounds[1:])):
-            rows = indices[indptr[b0]:indptr[b1]]
-            below = np.unique(np.concatenate([rows[rows >= b1]] + [
-                self._fronts[c][2][self._fronts[c][2] >= b1] for c in children[s]]))
-            self._fronts.append((b0, b1, below, children[s]))
-            if len(below):
-                children[owner[below[0]]].append(s)
-        # dpotrf, dtrsm and dsyrk per front
-        self.flops = sum(k**3 / 3 + k * k * len(below) + k * len(below)**2
-                         for b0, b1, below, _ in self._fronts for k in [b1 - b0])
-
-    @functools.cached_property
-    def nodes(self):
-        indices, indptr = self._pattern
-        nodes = []
-        for b0, b1, below, children in self._fronts:
             lo, rows = indptr[b0], indices[indptr[b0]:indptr[b1]]
+            below = np.unique(np.concatenate([rows[rows >= b1]] + [
+                rows_below[c][rows_below[c] >= b1] for c in children[s]]))
             front = np.concatenate([np.arange(b0, b1), below])
             f, kept = len(front), np.flatnonzero(rows >= b0)
             scatter = (self.columns[lo + kept] - b0) * f + np.searchsorted(front, rows[kept])
-            extend = [(c, (m[:, None] + f * m).ravel(order="F")) for c in children
-                      for m in [np.searchsorted(front, self._fronts[c][2])]]
-            nodes.append((b0, b1, below, lo + kept, scatter, extend))
-        return nodes
+            extend = [(c, (m[:, None] + f * m).ravel(order="F"))
+                      for c in children[s] for m in [np.searchsorted(front, rows_below[c])]]
+            self.nodes.append((b0, b1, below, lo + kept, scatter, extend))
+            rows_below.append(below)
+            if len(below):
+                children[owner[below[0]]].append(s)
 
     def factor(self, data):
         """Panels (L11, L21) per supernode of the SPD matrix with CSC data
@@ -217,10 +206,10 @@ class _Supernodes:
 class _Band:
     """Band analysis (George & Liu 1981) of a structurally symmetric CSC
     pattern: reverse Cuthill-McKee order ``perm`` (position -> index), its
-    half-bandwidth ``kd``, band Cholesky flops n kd^2, and as in ``_Supernodes``
-    each entry's column and the diagonal's positions.  Reordered entry (i, j)
-    goes to ab[d + i - j, j] of LAPACK band storage: d = 0 (lower triangle)
-    for dpbtrf, d = 2 kd (room for the fill) for dgbtrf."""
+    half-bandwidth ``kd``, and as in ``_Supernodes`` each entry's column and
+    the diagonal's positions.  Reordered entry (i, j) goes to ab[d + i - j, j]
+    of LAPACK band storage: d = 0 (lower triangle) for dpbtrf, d = 2 kd (room
+    for the fill) for dgbtrf."""
 
     def __init__(self, indices, indptr):
         n = len(indptr) - 1
@@ -232,7 +221,6 @@ class _Band:
         # symmetric, with every diagonal: kd is the lowest reach of a column
         lowest = np.maximum.reduceat(self._rank[indices], indptr[:-1])
         self.kd = int(np.max(lowest - self._rank, initial=0))
-        self.flops = n * self.kd**2
 
     @functools.cached_property
     def _placed(self):
@@ -504,11 +492,12 @@ class DiscreteOperators:
         eo = self.elastic_order
         stiffness = self.A_ff[eo][:, eo]
         band = _Band(stiffness.indices, stiffness.indptr)
-        banded = len(eo) * band.kd <= _BAND_SOLVE_SIZE
+        # the one band decision of the mesh, for the flux factors too
+        self._banded = len(eo) * band.kd <= _BAND_ENTRIES
         try:
             # a singular constrained stiffness means the roller constraints
             # failed to remove all rigid modes
-            self._elastic_factor = (_CholeskyFactor(stiffness, eo, band) if banded
+            self._elastic_factor = (_CholeskyFactor(stiffness, eo, band) if self._banded
                                     else SparseFactor(stiffness, eo))
         except LinearSolveError as exc:
             raise ValueError(f"constrained elasticity block is singular: {exc}") from exc
@@ -520,11 +509,11 @@ class DiscreteOperators:
     @functools.cached_property
     def flux_analysis(self) -> _Band | _Supernodes:
         """Symbolic analysis of the flux factors, built on first use: the
-        band one where its factor flops are at most the supernodal ones."""
+        band one on a banded mesh, else the supernodal Cholesky's."""
         pattern = self.flux_pattern
-        band = _Band(pattern._indices, pattern._indptr)
-        supernodes = _Supernodes(pattern._indices, pattern._indptr, self._flux_supernodes)
-        return band if band.flops <= supernodes.flops else supernodes
+        if self._banded:
+            return _Band(pattern._indices, pattern._indptr)
+        return _Supernodes(pattern._indices, pattern._indptr, self._flux_supernodes)
 
     def flux_cholesky(self, matrix) -> SparseFactor:
         """Factor of an SPD matrix summed by flux_pattern."""
@@ -532,8 +521,8 @@ class DiscreteOperators:
 
     def flux_lu(self, matrix) -> SparseFactor:
         """Factor of a general matrix summed by flux_pattern: the band LU on
-        a band flux_analysis, SuperLU's otherwise."""
-        if isinstance(self.flux_analysis, _Band):
+        a banded mesh, SuperLU's otherwise."""
+        if self._banded:
             return _BandLUFactor(matrix, self.flux_order, self.flux_analysis)
         return SparseFactor(matrix, self.flux_order)
 

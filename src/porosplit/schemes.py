@@ -204,9 +204,9 @@ def _flow_solve(state, params, ops, parts, cpp, coupling, t_new):
     tau D_f dq).  The flux matrix is SPD without B and with C > 0, and gets
     ``ops.flux_cholesky``; FS-Newton's, or one with C < 0 in some cells (an
     extrapolated AA iterate can make the porosity negative), gets
-    ``ops.flux_lu``: the band factors at 25x25, the supernodal Cholesky and
-    SuperLU from 50x50 on (``fem``).  Zero or non-finite C raises
-    LinearSolveError.  Returns dp and the full flux increment."""
+    ``ops.flux_lu``; ``fem`` decides once per mesh which factors those
+    are.  Zero or non-finite C raises LinearSolveError.  Returns dp and the
+    full flux increment."""
     singular = ~np.isfinite(cpp) | (cpp == 0.0)
     if np.any(singular):
         cell = int(np.argmax(singular))

@@ -120,6 +120,11 @@ class TestRichardsonExperiment:
         with pytest.raises(SingularConfiguration):
             SpectralPair(0.0, 0.5)
 
+    @pytest.mark.parametrize("kw", [{"beta1": np.nan}, {"beta2": np.inf}])
+    def test_rejects_non_finite_weight(self, kw):
+        with pytest.raises(ValueError, match="finite"):
+            SpectralPair(0.5, 0.9, **kw)
+
 
 class TestPlaneSample:
     def test_acceleration_classification_on_unit_square(self):

@@ -260,10 +260,17 @@ class TestCli:
         ["richardson", "--blocks", "0"],
         ["richardson", "--lam1", "0"],
         ["plane", "--resolution", "1"],
-    ])
-    def test_invalid_theory_arguments_are_configuration_errors(self, argv, capsys):
+    ] + [[verb, f"{option}={value}"] for value in ("nan", "inf")
+         for verb, options in (("richardson", ("--lam1", "--lam2")),
+                               ("plane", ("--l1-min", "--l1-max", "--l2-min", "--l2-max")))
+         for option in options])
+    def test_invalid_theory_arguments_are_configuration_errors(self, argv, capsys, tmp_path,
+                                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("configuration error: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: ") and captured.out == ""
+        assert not (tmp_path / "plane.csv").exists()
 
     def test_unknown_verb_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_:

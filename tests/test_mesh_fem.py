@@ -354,13 +354,14 @@ class TestNestedDissection:
             assert np.array_equal(lu.perm_r, np.arange(matrix.shape[0]))
 
     def test_stiffness_factor_pivots_on_the_diagonal(self):
-        # at 100x100 the constant stiffness takes the general LU; its pivot
-        # threshold never moves a pivot off the diagonal
-        ops = assemble(RectMesh(100, 100, 1.0, 1.0, 1.0), MU, LAM)
-        assert type(ops._elastic_factor) is SparseFactor
-        assert np.array_equal(ops._elastic_factor.lu.perm_r, np.arange(len(ops.free_u)))
+        # past the band sizes the constant stiffness takes the general LU;
+        # its pivot threshold never moves a pivot off the diagonal
+        for n in (60, 100):
+            ops = assemble(RectMesh(n, n, 1.0, 1.0, 1.0), MU, LAM)
+            assert type(ops._elastic_factor) is SparseFactor
+            assert np.array_equal(ops._elastic_factor.lu.perm_r, np.arange(len(ops.free_u)))
 
-    @pytest.mark.parametrize("nx, ny", [(25, 25), (13, 37)])
+    @pytest.mark.parametrize("nx, ny", [(25, 25), (13, 37), (50, 50)])
     def test_band_stiffness_solves_without_refinement(self, nx, ny, rng):
         ops = assemble(RectMesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
         factor = ops._elastic_factor
@@ -489,14 +490,21 @@ class TestFluxCholesky:
             x = factor.solve(rhs[np.argsort(ops.flux_order)])
             assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
 
-    @pytest.mark.parametrize("nx, ny, kind", [(25, 25, fem._Band), (13, 37, fem._Band),
-                                              (100, 100, fem._Supernodes)])
-    def test_analysis_with_fewer_factor_flops_is_chosen(self, nx, ny, kind):
+    @pytest.mark.parametrize("nx, ny, banded", [(25, 25, True), (13, 37, True), (40, 40, True),
+                                                (50, 50, True), (60, 60, False),
+                                                (100, 100, False)])
+    def test_factors_follow_the_stiffness_band(self, nx, ny, banded):
         ops = assemble(RectMesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
-        band, supernodes = both_analyses(ops)
-        assert band.flops == len(ops.free_q) * band.kd**2
-        assert isinstance(ops.flux_analysis, kind)
-        assert (band.flops <= supernodes.flops) == (kind is fem._Band)
+        eo = ops.elastic_order
+        stiffness = ops.A_ff[eo][:, eo]
+        band = fem._Band(stiffness.indices, stiffness.indptr)
+        assert (len(eo) * band.kd <= fem._BAND_ENTRIES) is banded
+        assert type(ops._elastic_factor) is (fem._CholeskyFactor if banded else SparseFactor)
+        assert type(ops.flux_analysis) is (fem._Band if banded else fem._Supernodes)
+        d = ops.local_divergence
+        matrix = ops.flux_pattern.matrix(np.tile(ops.local_flux_mass + np.outer(d, d),
+                                                 (ops.mesh.n_cells, 1, 1)))
+        assert type(ops.flux_lu(matrix)) is (fem._BandLUFactor if banded else SparseFactor)
 
     def test_single_cell_has_an_empty_flux_matrix(self):
         mesh, ops, params, init = setup_problem(1, 1, width=1.0)
@@ -556,7 +564,7 @@ class TestFluxCholesky:
         x = factor.solve(rhs)
         y = SparseFactor(factor.matrix, ops.flux_order).solve(rhs)
         assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
-        ops.flux_analysis = both_analyses(ops)[1]
+        monkeypatch.setattr(ops, "_banded", False)
         assert type(flux_lu(factor.matrix)) is SparseFactor
 
     def test_singular_matrix_raises_in_the_band_lu(self):
@@ -567,19 +575,22 @@ class TestFluxCholesky:
             ops.flux_lu(matrix)
 
     def test_analysis_is_built_once_on_first_use(self, monkeypatch):
-        mesh, ops, params, init = setup_problem(12, 10, width=1.0)
-        assert "flux_analysis" not in vars(ops)
-        built = []
+        built, cases = [], ((12, fem._Band), (60, fem._Supernodes))
         for name in ("_Band", "_Supernodes"):
             analysis = getattr(fem, name)
             monkeypatch.setattr(fem, name, lambda *a, analysis=analysis: built.append(
                 analysis(*a)) or built[-1])
-        for weight in (1.0, 2.0):
-            ops.flux_cholesky(ops.flux_pattern.matrix(weight * np.tile(
-                ops.local_flux_mass, (mesh.n_cells, 1, 1))))
-        assert len(built) == 2 and ops.flux_analysis is built[0]
-        # the supernodal count was read, its front positions never built
-        assert "nodes" not in vars(built[1])
+        for n, kind in cases:
+            ops = assemble(RectMesh(n, n, 1.0, 1.0, 1.0), MU, LAM)
+            assert "flux_analysis" not in vars(ops)
+            built.clear()
+            for weight in (1.0, 2.0):
+                matrix = ops.flux_pattern.matrix(weight * np.tile(
+                    ops.local_flux_mass, (ops.mesh.n_cells, 1, 1)))
+                ops.flux_cholesky(matrix)
+                ops.flux_lu(matrix)
+            # the analysis not chosen is never constructed
+            assert len(built) == 1 and type(built[0]) is kind and ops.flux_analysis is built[0]
 
 
 class TestRefinement:
