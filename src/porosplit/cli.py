@@ -24,7 +24,10 @@ from .sweep import emit_report, run_sweep
 
 def _cmd_run(args) -> int:
     if args.config is None:
-        config = default_config(args.scenario)
+        config = default_config(args.scenario or "test1")
+    elif args.scenario is not None:
+        raise ConfigError("--scenario and --config exclude each other: "
+                          "the configuration file names its scenario")
     else:
         config = load_config(args.config)
     if args.out is not None:
@@ -76,9 +79,8 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="execute a benchmark sweep")
     p_run.add_argument("--config", help="INI configuration file")
-    p_run.add_argument("--scenario", default="test1",
-                       choices=("test1", "test2"),
-                       help="built-in scenario when no config file is given")
+    p_run.add_argument("--scenario", choices=("test1", "test2"),
+                       help="built-in scenario, test1 by default; not with --config")
     p_run.add_argument("--out", help="output directory override")
     p_run.set_defaults(func=_cmd_run)
 

@@ -23,13 +23,13 @@ Matrices that change every iteration are summed from dense cell blocks onto
 a sparsity pattern built once per mesh, already in that ordering
 (``flux_pattern``, ``coupled_pattern``).  Every solve has ``SparseFactor``'s
 normwise backward-error contract of 1e-12 and iterative refinement.  Newton
-takes SuperLU.  A flux-only matrix takes a Cholesky if SPD, else an LU.
-One decision per mesh picks those and the constant stiffness's factor:
-while the constrained stiffness's band in reverse Cuthill-McKee order holds
-n kd <= _BAND_ENTRIES entries (through 50x50), the flux Cholesky and LU and
-the stiffness's Cholesky are LAPACK band factors; beyond (from 60x60 on)
-the flux Cholesky is supernodal and the flux LU and the stiffness take
-SuperLU.  The README holds the crossover table.
+takes SuperLU; the constant stiffness and the flux-only matrices
+(``flux_factor``) follow one band decision per mesh: while the constrained
+stiffness's band in reverse Cuthill-McKee order holds n kd <= _BAND_ENTRIES
+entries (through 50x50), all take an ``_AnalysedFactor`` on a band analysis,
+a Cholesky if SPD, else an LU; beyond (from 60x60 on) the SPD flux matrix
+takes the supernodal Cholesky and the others SuperLU.  The README holds the
+crossover table.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class LinearSolveError(RuntimeError):
 
 
 def _equilibration(m):
-    """Max row sum of |A| and the row and column scales of the CSC matrix m."""
+    """Row and column scales of the CSC matrix m."""
     absd = np.abs(m.data)
     row_max = np.zeros(m.shape[0])
     np.maximum.at(row_max, m.indices, absd)
@@ -79,8 +79,7 @@ def _equilibration(m):
     filled = np.diff(m.indptr) > 0
     col_max = np.zeros(m.shape[1])
     col_max[filled] = np.maximum.reduceat(absd * dr[m.indices], m.indptr[:-1][filled])
-    norm = np.bincount(m.indices, absd, m.shape[0]).max(initial=0.0)
-    return norm, dr, 1.0 / np.sqrt(np.where(col_max > 0, col_max, 1.0))
+    return dr, 1.0 / np.sqrt(np.where(col_max > 0, col_max, 1.0))
 
 
 class SparseFactor:
@@ -93,16 +92,18 @@ class SparseFactor:
     magnitude between rows), read off the CSC arrays, and pivots off the
     diagonal only below PIVOT_THRESHOLD times its column's largest entry
     (Newton's test1 factors never do).  Iterative refinement handles the
-    remaining ill-conditioning.  The band and supernodal factors replace
-    the constructor and share the solve; the module docstring states the
-    one rule that picks them.
+    remaining ill-conditioning.  Its one subclass, ``_AnalysedFactor``,
+    replaces the constructor and the raw solve; the module docstring states
+    the one rule that picks between them.
     """
 
     def __init__(self, matrix, order):
-        self.matrix = m = matrix.tocsc()
-        m.sum_duplicates()  # SuperLU needs sorted row indices
-        self.order = order
-        self._mat_norm, self._dr, self._dc = _equilibration(m)
+        m = matrix.tocsc()
+        if not m.has_canonical_format:  # SuperLU sorts a copy: the caller's may be analysed
+            m = m.copy()
+            m.sum_duplicates()
+        self.matrix, self.order = m, order
+        self._dr, self._dc = _equilibration(m)
         scaled = sp.csc_array(
             (m.data * self._dr[m.indices] * np.repeat(self._dc, np.diff(m.indptr)),
              m.indices, m.indptr), shape=m.shape)
@@ -115,11 +116,16 @@ class SparseFactor:
     def _raw_solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._dc * self.lu.solve(self._dr * rhs)
 
+    @functools.cached_property
+    def _mat_norm(self):
+        """|A|, the max row sum, of every factor's residual test."""
+        m = self.matrix
+        return np.bincount(m.indices, np.abs(m.data), m.shape[0]).max(initial=0.0)
+
     def _relative_residual(self, x, rhs):
         # normwise backward error: scale-robust form of the relative
         # residual (plain |Ax-b|/|b| has no attainable 1e-12 floor once the
-        # rhs is small against |A| |x| in double precision); |A| is the
-        # max row sum
+        # rhs is small against |A| |x| in double precision)
         denom = np.linalg.norm(rhs) + self._mat_norm * np.linalg.norm(x)
         return np.linalg.norm(self.matrix @ x - rhs) / denom
 
@@ -264,35 +270,26 @@ class _Band:
         return x
 
 
-class _CholeskyFactor(SparseFactor):
-    """SparseFactor of an SPD matrix on the pattern of ``analysis``, scaled
-    to unit diagonal; its constructor replaces the LU's, the solve is shared."""
+class _AnalysedFactor(SparseFactor):
+    """SparseFactor on the pattern of a ``_Band`` or ``_Supernodes`` analysis:
+    an SPD matrix is scaled to unit diagonal and takes its Cholesky, any other
+    the LU's equilibration and the band LU.  The refined solve is shared."""
 
-    def __init__(self, matrix, order, analysis):
+    def __init__(self, matrix, order, analysis, spd):
         self.matrix, self.order, self._analysis = matrix, order, analysis
-        self._mat_norm = np.bincount(matrix.indices, abs(matrix.data)).max(initial=0.0)
-        diag = matrix.data[analysis.diagonal]
-        if not np.all((diag > 0) & np.isfinite(diag)):
-            raise LinearSolveError("Cholesky factorization needs a positive diagonal")
-        self._dr = self._dc = 1.0 / np.sqrt(diag)
-        self._factor = analysis.factor(
-            matrix.data * self._dr[matrix.indices] * self._dr[analysis.columns])
+        if spd:
+            diag = matrix.data[analysis.diagonal]
+            if not np.all((diag > 0) & np.isfinite(diag)):
+                raise LinearSolveError("Cholesky factorization needs a positive diagonal")
+            self._dr = self._dc = 1.0 / np.sqrt(diag)
+            factor = analysis.factor
+        else:
+            self._dr, self._dc = _equilibration(matrix)
+            factor = analysis.lu_factor
+        self._factor = factor(matrix.data * self._dr[matrix.indices] * self._dc[analysis.columns])
 
     def _raw_solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._dc * self._analysis.solve(self._factor, self._dr * rhs)
-
-
-class _BandLUFactor(SparseFactor):
-    """SparseFactor of a general matrix on the pattern of a ``_Band``: the
-    LU's equilibration, then the band LU; the solve is shared."""
-
-    def __init__(self, matrix, order, analysis):
-        self.matrix, self.order, self._analysis = matrix, order, analysis
-        self._mat_norm, self._dr, self._dc = _equilibration(matrix)
-        self._factor = analysis.lu_factor(
-            matrix.data * self._dr[matrix.indices] * self._dc[analysis.columns])
-
-    _raw_solve = _CholeskyFactor._raw_solve  # _Band.solve tells the factors apart
 
 
 def nested_dissection(xy: np.ndarray):
@@ -492,19 +489,27 @@ class DiscreteOperators:
         eo = self.elastic_order
         stiffness = self.A_ff[eo][:, eo]
         band = _Band(stiffness.indices, stiffness.indptr)
-        # the one band decision of the mesh, for the flux factors too
         self._banded = len(eo) * band.kd <= _BAND_ENTRIES
         try:
             # a singular constrained stiffness means the roller constraints
             # failed to remove all rigid modes
-            self._elastic_factor = (_CholeskyFactor(stiffness, eo, band) if self._banded
-                                    else SparseFactor(stiffness, eo))
+            self._elastic_factor = self._factor(
+                stiffness, eo, True, lambda: band if self._banded else None)
         except LinearSolveError as exc:
             raise ValueError(f"constrained elasticity block is singular: {exc}") from exc
 
         flux_position = np.full(mesh.n_edges, -1)
         flux_position[self.free_q[self.flux_order]] = np.arange(n_qf)
         self.flux_pattern = _CellPattern(flux_position[ce], np.ones((4, 4), bool), n_qf)
+
+    def _factor(self, matrix, order, spd, analysis) -> SparseFactor:
+        """The mesh's one band decision, for the stiffness and both flux
+        factors: an SPD matrix, or any on a banded mesh, takes the analysed
+        factor on ``analysis()`` if that is not None; the rest take SuperLU."""
+        found = analysis() if spd or self._banded else None
+        if found is None:
+            return SparseFactor(matrix, order)
+        return _AnalysedFactor(matrix, order, found, spd)
 
     @functools.cached_property
     def flux_analysis(self) -> _Band | _Supernodes:
@@ -515,16 +520,9 @@ class DiscreteOperators:
             return _Band(pattern._indices, pattern._indptr)
         return _Supernodes(pattern._indices, pattern._indptr, self._flux_supernodes)
 
-    def flux_cholesky(self, matrix) -> SparseFactor:
-        """Factor of an SPD matrix summed by flux_pattern."""
-        return _CholeskyFactor(matrix, self.flux_order, self.flux_analysis)
-
-    def flux_lu(self, matrix) -> SparseFactor:
-        """Factor of a general matrix summed by flux_pattern: the band LU on
-        a banded mesh, SuperLU's otherwise."""
-        if self._banded:
-            return _BandLUFactor(matrix, self.flux_order, self.flux_analysis)
-        return SparseFactor(matrix, self.flux_order)
+    def flux_factor(self, matrix, spd: bool) -> SparseFactor:
+        """Factor of a matrix summed by flux_pattern, SPD or not."""
+        return self._factor(matrix, self.flux_order, spd, lambda: self.flux_analysis)
 
     # -- assembly helpers ------------------------------------------------
 

@@ -158,7 +158,7 @@ def initial_state(mesh: RectMesh, params: PhysicsParams, p0: float,
         f_q, _ = gravity_loads(ops, params)
         rhs = (f_q + ops.D_pq_T @ p)[ops.free_q]
         kff = ops.flux_pattern.matrix(kinv[:, None, None] * ops.local_flux_mass)
-        q[ops.free_q] = ops.flux_cholesky(kff).solve(rhs)
+        q[ops.free_q] = ops.flux_factor(kff, True).solve(rhs)
     porosity = np.full(mesh.n_cells, params.law.phi0)
     return PoroState(p=p, q=q, u=u, time=0.0, porosity=porosity)
 

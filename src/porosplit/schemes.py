@@ -201,12 +201,12 @@ def _flow_solve(state, params, ops, parts, cpp, coupling, t_new):
     elimination of C: dq solves (K_ff + tau (D - B)_f C^-1 D_f) dq =
     rhs_q + (D - B)_f C^-1 rhs_p, summed from the cell blocks
     k_c^-1 M_c + (tau / C_c) (d_c - b_c) d_c^T, and dp = C^-1 (rhs_p -
-    tau D_f dq).  The flux matrix is SPD without B and with C > 0, and gets
-    ``ops.flux_cholesky``; FS-Newton's, or one with C < 0 in some cells (an
-    extrapolated AA iterate can make the porosity negative), gets
-    ``ops.flux_lu``; ``fem`` decides once per mesh which factors those
-    are.  Zero or non-finite C raises LinearSolveError.  Returns dp and the
-    full flux increment."""
+    tau D_f dq).  The flux matrix is SPD without B and with C > 0;
+    FS-Newton's is not, nor is one with C < 0 in some cells (an extrapolated
+    AA iterate can make the porosity negative).  ``ops.flux_factor`` is told
+    which, and ``fem`` picks the factor by its one band rule.  Zero or
+    non-finite C raises LinearSolveError.  Returns dp and the full flux
+    increment."""
     singular = ~np.isfinite(cpp) | (cpp == 0.0)
     if np.any(singular):
         cell = int(np.argmax(singular))
@@ -221,8 +221,7 @@ def _flow_solve(state, params, ops, parts, cpp, coupling, t_new):
                          weights=(arm * (rhs_p / cpp)[:, None]).ravel(),
                          minlength=ops.mesh.n_edges)
     matrix = ops.flux_pattern.matrix(blocks)
-    spd = coupling is None and np.all(cpp > 0.0)
-    factor = ops.flux_cholesky(matrix) if spd else ops.flux_lu(matrix)
+    factor = ops.flux_factor(matrix, coupling is None and np.all(cpp > 0.0))
     dq_free = factor.solve(rhs_q + pushed[ops.free_q])
     dq[ops.free_q] = dq_free
     dp = (rhs_p - params.tau * (ops.D_pq_f @ dq_free)) / cpp
@@ -429,15 +428,15 @@ def run_time_step(scheme: SchemeConfig, accel: AndersonConfig | None,
 
 @dataclass(frozen=True)
 class TransientResult:
-    states: list
-    reports: list
+    states: tuple
+    reports: tuple
     completed: bool
     fail_step: int | None
     fail_status: str | None
 
     @property
     def iterations_per_step(self):
-        return [r.iterations for r in self.reports]
+        return tuple(r.iterations for r in self.reports)
 
     @property
     def average_iterations(self):
@@ -456,6 +455,6 @@ def run_transient(scheme: SchemeConfig, accel: AndersonConfig | None, init: Poro
         state, report = run_time_step(scheme, accel, states[-1], params, ops)
         reports.append(report)
         if not report.converged:
-            return TransientResult(states, reports, False, n, report.termination)
+            return TransientResult(tuple(states), tuple(reports), False, n, report.termination)
         states.append(state)
-    return TransientResult(states, reports, True, None, None)
+    return TransientResult(tuple(states), tuple(reports), True, None, None)

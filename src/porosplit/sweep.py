@@ -35,7 +35,7 @@ class SweepRow:
     status: str                  # "ok" or a failure status
     fail_step: int | None
     average_iterations: float | None
-    per_step: list
+    per_step: tuple
 
     def marker(self) -> str:
         if self.status == "ok":
@@ -46,7 +46,7 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepReport:
     config: ScenarioConfig
-    rows: list
+    rows: tuple
 
     def row(self, scheme, depth, alpha) -> SweepRow:
         for r in self.rows:
@@ -124,13 +124,11 @@ def run_sweep(config: ScenarioConfig) -> SweepReport:
         ops = config.operators()
         results = [_run_combo(config, ops, *combo) for combo in combos]
 
-    rows = []
-    for (scheme, depth, alpha), (row, final) in zip(combos, results):
-        rows.append(row)
+    for (scheme, depth, alpha), (_, final) in zip(combos, results):
         if config.fields != "none" and final is not None:
             os.makedirs(config.out_dir, exist_ok=True)
             _export_fields(config, scheme, depth, alpha, final)
-    return SweepReport(config=config, rows=rows)
+    return SweepReport(config=config, rows=tuple(row for row, _ in results))
 
 
 def emit_report(report: SweepReport, out_dir) -> dict:

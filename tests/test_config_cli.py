@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import porosplit
+from porosplit import cli
 from porosplit.cli import main
 from porosplit.config import _KEYS, ConfigError, ScenarioConfig, default_config, load_config
 from porosplit.export import cell_flux_vectors, write_cell_csv, write_point_csv, write_vtk
@@ -138,7 +139,7 @@ class TestSweep:
             assert r1 == r2
 
     def test_empty_sweep_emits_header_only(self, tmp_path):
-        report = SweepReport(config=SMALL, rows=[])
+        report = SweepReport(config=SMALL, rows=())
         paths = emit_report(report, tmp_path)
         with open(paths["csv"]) as fh:
             rows = list(csv.reader(fh))
@@ -146,17 +147,17 @@ class TestSweep:
         assert rows[0][0] == "scheme"
 
     def test_single_row_report(self, tmp_path):
-        row = SweepRow("fsl", 0, 1.0, "ok", None, 12.5, [12, 13])
-        paths = emit_report(SweepReport(config=SMALL, rows=[row]), tmp_path)
+        row = SweepRow("fsl", 0, 1.0, "ok", None, 12.5, (12, 13))
+        paths = emit_report(SweepReport(config=SMALL, rows=(row,)), tmp_path)
         with open(paths["csv"]) as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 2 and rows[1][3] == "ok"
 
     def test_status_markers(self):
-        assert SweepRow("fsmp", 0, 0.1, "stagnated", 3, None, []).marker() == "->[3]"
-        assert SweepRow("newton", 0, 0.1, "diverged", 8, None, []).marker() == "^[8]"
-        assert SweepRow("fsl", 0, 0.1, "max_iters", 7, None, []).marker() == "x[7]"
-        assert SweepRow("fsl", 0, 0.1, "ok", None, 18.88, [19]).marker() == "18.9"
+        assert SweepRow("fsmp", 0, 0.1, "stagnated", 3, None, ()).marker() == "->[3]"
+        assert SweepRow("newton", 0, 0.1, "diverged", 8, None, ()).marker() == "^[8]"
+        assert SweepRow("fsl", 0, 0.1, "max_iters", 7, None, ()).marker() == "x[7]"
+        assert SweepRow("fsl", 0, 0.1, "ok", None, 18.88, (19,)).marker() == "18.9"
 
     def test_failing_rows_are_recorded(self, tmp_path):
         # a budget of 7: plain Newton converges in 6 and 4 iterations, every
@@ -193,6 +194,21 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "sweep.csv").exists()
+
+    def test_scenario_beside_config_is_a_configuration_error(self, tmp_path, capsys,
+                                                               monkeypatch):
+        config = write(tmp_path, "[scenario]\nnx = 4\nny = 4\ninflow_width = 0.25\n")
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "test2", "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: --scenario")
+        assert not out.exists()
+        # alone, --scenario picks the built-in scenario, test1 by default
+        swept = []
+        monkeypatch.setattr(cli, "run_sweep", lambda config: swept.append(
+            config.scenario) or SweepReport(config=config, rows=()))
+        for argv, scenario in ((["run"], "test1"), (["run", "--scenario", "test2"], "test2")):
+            assert main(argv + ["--out", str(out)]) == 0
+            assert swept.pop() == scenario
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"

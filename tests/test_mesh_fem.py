@@ -213,6 +213,26 @@ class TestSolvers:
         with pytest.raises(LinearSolveError):
             SparseFactor(singular, np.arange(2)).solve(np.array([1.0, 0.0]))
 
+    def test_caller_matrix_is_left_as_given(self, rng):
+        # the 25x25 constrained stiffness in elastic_order has unsorted row
+        # indices: SuperLU factors a sorted copy, and a band analysis built
+        # on the caller's pattern before still factors the caller's matrix
+        ops = assemble(RectMesh(25, 25, 1.0, 1.0, 1.0), MU, LAM)
+        eo = ops.elastic_order
+        stiffness = ops.A_ff[eo][:, eo]
+        indices = stiffness.indices.copy()
+        band = fem._Band(stiffness.indices, stiffness.indptr)
+        assert not stiffness.has_sorted_indices
+        lu = SparseFactor(stiffness, eo)
+        assert np.array_equal(stiffness.indices, indices)
+        rhs = rng.standard_normal(len(eo))
+        x = fem._AnalysedFactor(stiffness, eo, band, True).solve(rhs)
+        y = lu.solve(rhs)
+        assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
+        # a matrix already in canonical form is factored as it is, uncopied
+        flux = ops.flux_pattern.matrix(np.tile(ops.local_flux_mass, (ops.mesh.n_cells, 1, 1)))
+        assert SparseFactor(flux, ops.flux_order).matrix is flux
+
     def test_equilibration_matches_the_sparse_matrix_formula(self, rng, monkeypatch):
         # rows and columns spanning many orders of magnitude, one empty row
         # and one empty column; the matrix is singular, so the LU itself
@@ -439,7 +459,7 @@ class TestNestedDissection:
                   + rng.uniform(1.0, 1e3, m.n_cells)[:, None, None] * np.outer(d, d))
         matrix = ops.flux_pattern.matrix(blocks)
         rhs = rng.standard_normal(len(ops.free_q))
-        x = ops.flux_cholesky(matrix).solve(rhs)
+        x = ops.flux_factor(matrix, True).solve(rhs)
         a = natural(matrix, ops.flux_order)
         error = np.linalg.norm(a @ x - rhs) / (
             np.linalg.norm(rhs) + abs(a).sum(axis=1).max() * np.linalg.norm(x))
@@ -447,15 +467,16 @@ class TestNestedDissection:
 
 
 def captured_flux_matrices(ops, step, monkeypatch):
-    """The matrices ``step()`` hands to ``ops.flux_cholesky``."""
+    """The SPD matrices ``step()`` hands to ``ops.flux_factor``."""
     seen = []
-    factor = ops.flux_cholesky
+    factor = ops.flux_factor
 
-    def capture(matrix):
-        seen.append(matrix)
-        return factor(matrix)
+    def capture(matrix, spd):
+        if spd:
+            seen.append(matrix)
+        return factor(matrix, spd)
 
-    monkeypatch.setattr(ops, "flux_cholesky", capture)
+    monkeypatch.setattr(ops, "flux_factor", capture)
     step()
     monkeypatch.undo()
     return seen
@@ -484,7 +505,7 @@ class TestFluxCholesky:
         rhs = rng.standard_normal(matrix.shape[0])
         y = SparseFactor(matrix, ops.flux_order).solve(rhs[np.argsort(ops.flux_order)])
         for analysis in both_analyses(ops):
-            factor = fem._CholeskyFactor(matrix, ops.flux_order, analysis)
+            factor = fem._AnalysedFactor(matrix, ops.flux_order, analysis, True)
             # one application of the factor, no refinement step
             assert backward_error(matrix, factor._raw_solve(rhs), rhs) <= 1e-12
             x = factor.solve(rhs[np.argsort(ops.flux_order)])
@@ -499,18 +520,27 @@ class TestFluxCholesky:
         stiffness = ops.A_ff[eo][:, eo]
         band = fem._Band(stiffness.indices, stiffness.indptr)
         assert (len(eo) * band.kd <= fem._BAND_ENTRIES) is banded
-        assert type(ops._elastic_factor) is (fem._CholeskyFactor if banded else SparseFactor)
-        assert type(ops.flux_analysis) is (fem._Band if banded else fem._Supernodes)
         d = ops.local_divergence
         matrix = ops.flux_pattern.matrix(np.tile(ops.local_flux_mass + np.outer(d, d),
                                                  (ops.mesh.n_cells, 1, 1)))
-        assert type(ops.flux_lu(matrix)) is (fem._BandLUFactor if banded else SparseFactor)
+        factors = {"stiffness": ops._elastic_factor, "spd flux": ops.flux_factor(matrix, True),
+                   "general flux": ops.flux_factor(matrix, False)}
+        # on a banded mesh all three are analysed factors on a band
+        # analysis; beyond it only the SPD flux matrix is, on the
+        # supernodal one, and the others take SuperLU
+        on_band, superlu = (fem._AnalysedFactor, fem._Band), (SparseFactor, None)
+        expected = {"stiffness": on_band if banded else superlu,
+                    "spd flux": on_band if banded else (fem._AnalysedFactor, fem._Supernodes),
+                    "general flux": on_band if banded else superlu}
+        got = {name: (type(f), type(f._analysis) if hasattr(f, "_analysis") else None)
+               for name, f in factors.items()}
+        assert got == expected
 
     def test_single_cell_has_an_empty_flux_matrix(self):
         mesh, ops, params, init = setup_problem(1, 1, width=1.0)
         matrix = ops.flux_pattern.matrix(np.ones((1, 4, 4)))
         assert matrix.shape == (0, 0)
-        assert ops.flux_cholesky(matrix).solve(np.zeros(0)).shape == (0,)
+        assert ops.flux_factor(matrix, True).solve(np.zeros(0)).shape == (0,)
         state, inc, _ = fsl_local_iteration(init, init, params, ops)
         assert all(np.all(np.isfinite(f)) for f in (state.p, state.q, state.u, inc))
 
@@ -528,7 +558,7 @@ class TestFluxCholesky:
         assert np.all(matrix.diagonal() > 0)
         for analysis in both_analyses(ops):
             with pytest.raises(LinearSolveError, match="pivot"):
-                fem._CholeskyFactor(matrix, ops.flux_order, analysis)
+                fem._AnalysedFactor(matrix, ops.flux_order, analysis, True)
 
     def test_negative_diagonal_entry_raises(self):
         mesh, ops, params, init = setup_problem(4, 4, width=1.0)
@@ -538,7 +568,7 @@ class TestFluxCholesky:
         matrix = sp.csc_array((data, spd.indices, spd.indptr), shape=spd.shape)
         for analysis in both_analyses(ops):
             with pytest.raises(LinearSolveError, match="positive diagonal"):
-                fem._CholeskyFactor(matrix, ops.flux_order, analysis)
+                fem._AnalysedFactor(matrix, ops.flux_order, analysis, True)
 
     def test_negative_pressure_coefficient_takes_the_general_lu(self, monkeypatch, rng):
         # C < 0 in one cell: the flux matrix takes an LU, the band one on a
@@ -547,17 +577,20 @@ class TestFluxCholesky:
         cpp = np.full(mesh.n_cells, 2.0) * ops.M_p
         cpp[7] = -cpp[7]
 
-        def no_cholesky(matrix):
-            raise AssertionError("SPD factor used for an indefinite flux matrix")
-
-        monkeypatch.setattr(ops, "flux_cholesky", no_cholesky)
         factors = []
-        flux_lu = ops.flux_lu
-        monkeypatch.setattr(ops, "flux_lu", lambda matrix: factors.append(flux_lu(matrix))
-                            or factors[-1])
+        flux_factor = ops.flux_factor
+
+        def general_only(matrix, spd):
+            if spd:
+                raise AssertionError("SPD factor used for an indefinite flux matrix")
+            factors.append(flux_factor(matrix, spd))
+            return factors[-1]
+
+        monkeypatch.setattr(ops, "flux_factor", general_only)
         split_iteration(init, init, params, ops, cpp)
         (factor,) = factors
-        assert type(factor) is fem._BandLUFactor and factor.order is ops.flux_order
+        assert type(factor) is fem._AnalysedFactor and factor.order is ops.flux_order
+        assert isinstance(factor._analysis, fem._Band)
         rhs = rng.standard_normal(len(ops.free_q))
         # one application of the band LU meets the contract, no refinement
         assert backward_error(factor.matrix, factor._raw_solve(rhs), rhs) <= 1e-12
@@ -565,14 +598,14 @@ class TestFluxCholesky:
         y = SparseFactor(factor.matrix, ops.flux_order).solve(rhs)
         assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
         monkeypatch.setattr(ops, "_banded", False)
-        assert type(flux_lu(factor.matrix)) is SparseFactor
+        assert type(flux_factor(factor.matrix, False)) is SparseFactor
 
     def test_singular_matrix_raises_in_the_band_lu(self):
         mesh, ops, params, init = setup_problem(4, 4, width=1.0)
         matrix = ops.flux_pattern.matrix(np.zeros((mesh.n_cells, 4, 4)))
         assert isinstance(ops.flux_analysis, fem._Band)
         with pytest.raises(LinearSolveError, match="band LU pivot"):
-            ops.flux_lu(matrix)
+            ops.flux_factor(matrix, False)
 
     def test_analysis_is_built_once_on_first_use(self, monkeypatch):
         built, cases = [], ((12, fem._Band), (60, fem._Supernodes))
@@ -587,8 +620,11 @@ class TestFluxCholesky:
             for weight in (1.0, 2.0):
                 matrix = ops.flux_pattern.matrix(weight * np.tile(
                     ops.local_flux_mass, (ops.mesh.n_cells, 1, 1)))
-                ops.flux_cholesky(matrix)
-                ops.flux_lu(matrix)
+                ops.flux_factor(matrix, False)
+                # beyond the band the general factor is SuperLU's: it
+                # builds no analysis
+                assert len(built) == (kind.__name__ == "_Band" or weight > 1.0)
+                ops.flux_factor(matrix, True)
             # the analysis not chosen is never constructed
             assert len(built) == 1 and type(built[0]) is kind and ops.flux_analysis is built[0]
 
@@ -607,9 +643,11 @@ class TestRefinement:
                                                  (mesh.n_cells, 1, 1)))
         band, supernodes = both_analyses(ops)
         factor = {"lu": lambda: SparseFactor(matrix, ops.flux_order),
-                  "cholesky": lambda: ops.flux_cholesky(matrix),
-                  "supernodal": lambda: fem._CholeskyFactor(matrix, ops.flux_order, supernodes),
-                  "band_lu": lambda: fem._BandLUFactor(matrix, ops.flux_order, band)}[kind]()
+                  "cholesky": lambda: ops.flux_factor(matrix, True),
+                  "supernodal": lambda: fem._AnalysedFactor(matrix, ops.flux_order, supernodes,
+                                                            True),
+                  "band_lu": lambda: fem._AnalysedFactor(matrix, ops.flux_order, band,
+                                                         False)}[kind]()
         return factor, natural(matrix, ops.flux_order)
 
     @staticmethod

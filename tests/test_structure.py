@@ -1,9 +1,9 @@
 """Module boundaries of the package: no module of ``porosplit`` imports or
 reads a private (underscore) name of another module.  A private helper that
 another module needs is made public and listed in its owner's ``__all__``.
-Every dataclass of the package is frozen, so a record cannot change after
-it is made, and only ``PoroState``'s memo writes past that with
-``object.__setattr__``."""
+Every dataclass of the package is frozen and holds no list, dict or set,
+so a record cannot change after it is made, and only ``PoroState``'s memo
+writes past that with ``object.__setattr__``."""
 
 import ast
 import io
@@ -92,9 +92,23 @@ def f(state, _local):
     ])
 
 
+MUTABLE_TYPES = {"list", "dict", "set", "List", "Dict", "Set"}
+
+
+def _mutable_annotation(node) -> bool:
+    """Whether a field annotation names a list, dict or set anywhere in it:
+    bare, subscripted, in a union, qualified (``typing.List``) or quoted."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval")
+    return any(getattr(n, "id", getattr(n, "attr", None)) in MUTABLE_TYPES
+               for n in ast.walk(node))
+
+
 def mutable_dataclasses(source: str) -> list:
     """(line, class) of every class in ``source`` decorated with
-    ``dataclass``, called or not, without ``frozen=True``."""
+    ``dataclass``, called or not, without ``frozen=True``, and (line,
+    class.field) of every field of such a class annotated as a list, dict
+    or set: frozen or not, a record holding one can change in place."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef):
@@ -107,6 +121,8 @@ def mutable_dataclasses(source: str) -> list:
             if not any(k.arg == "frozen" and isinstance(k.value, ast.Constant)
                        and k.value.value is True for k in keywords):
                 found.append((node.lineno, node.name))
+            found += [(stmt.lineno, f"{node.name}.{stmt.target.id}") for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign) and _mutable_annotation(stmt.annotation)]
     return found
 
 
@@ -149,9 +165,29 @@ class Plain:
     @dataclass
     class Nested:
         x: int
+
+@dataclass(frozen=True)
+class Holder:
+    a: list
+    b: list[int]
+    c: dict[str, int] | None
+    d: typing.Set[int]
+    e: "set[str]"
+    f: tuple[int, ...]
+    g: np.ndarray
+    h: int = 0
+
+@dataclass
+class ThawedHolder:
+    rows: list
+
+class PlainHolder:
+    rows: list
 '''
     got = [name for _, name in mutable_dataclasses(source)]
-    assert sorted(got) == ["Bare", "Called", "Nested", "Qualified", "Thawed"]
+    assert sorted(got) == ["Bare", "Called", "Holder.a", "Holder.b", "Holder.c", "Holder.d",
+                           "Holder.e", "Nested", "Qualified", "Thawed", "ThawedHolder",
+                           "ThawedHolder.rows"]
 
 
 # The one place that may write a frozen instance: the memo of the laws
