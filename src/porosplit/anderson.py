@@ -12,9 +12,10 @@ accelerated step).
 The constrained least squares is solved in the unconstrained difference
 formulation: with newest column f_last, minimize over gamma
 || f_last + sum_j gamma_j (f_j - f_last) ||_2 and map back, so the weights
-sum to one by construction.  Ill-conditioned difference matrices trigger a
-plain-step fallback instead of an exception: acceleration may degrade an
-iteration, so a guarded step is preferable to a failure.
+sum to one by construction.  Every depth takes the same single ``lstsq``
+solve; non-finite differences or a condition number past ``COND_CAP``
+trigger a plain-step fallback instead of an exception: acceleration may
+degrade an iteration, so a guarded step is preferable to a failure.
 
 The window itself never judges the iterates it mixes.  The iteration
 driver of ``porosplit.schemes`` replaces a window of depth two or more
@@ -50,28 +51,19 @@ def mixing_weights(increments: np.ndarray):
     columns (oldest first, newest last).
 
     Minimizes ||F alpha||_2 subject to sum alpha = 1 via the difference
-    reformulation.  Returns (alpha, fallback); on rank deficiency beyond
+    reformulation, one ``lstsq`` solve for any number of columns.  Returns
+    (alpha, fallback); on non-finite differences or rank deficiency beyond
     COND_CAP alpha degenerates to (0, ..., 0, 1), i.e. a plain step.
     """
-    F = np.atleast_2d(np.asarray(increments, dtype=float))
-    if F.ndim != 2 or F.shape[1] < 1:
-        raise ValueError("need at least one increment column")
+    F = np.asarray(increments, dtype=float)
+    if F.ndim != 2 or 0 in F.shape:
+        raise ValueError("need a 2-D array of at least one non-empty increment column")
     m = F.shape[1] - 1
     if m == 0:
         return np.array([1.0]), False
     newest = F[:, -1]
     plain = np.zeros(m + 1)
     plain[-1] = 1.0
-    if m == 1:
-        # single-difference case: closed-form 1-d least squares
-        d = F[:, 0] - newest
-        dd = d @ d
-        if dd == 0.0 or not np.isfinite(dd):
-            return plain, True
-        gamma = -(newest @ d) / dd
-        if not np.isfinite(gamma):
-            return plain, True
-        return np.array([gamma, 1.0 - gamma]), False
     diffs = F[:, :-1] - newest[:, None]
     if not np.all(np.isfinite(diffs)):
         return plain, True

@@ -39,15 +39,15 @@ Restart rule: at depth m >= 2, whenever the total increment at an iterate
 the window returned exceeds AA_RESTART_FACTOR times the total at the
 previous iterate, the window is replaced by a fresh one before the new
 image is stored, so the next iterate is the plain image and the depth
-builds up again.  Extrapolating through a non-contractive stretch of the map (cells
-switching to full saturation, say) can blow the increment up while the
-mixing least squares stays well conditioned; the restart discards that
-history, and likewise a stale first column left by the settlement jump
-of the opening iteration.  Depths 0 and 1 are never restarted, so the
-closed-form secant weight of AA(1) is left alone.  The mixing weights
-themselves are not capped: |alpha|_1 in the hundreds is routine in runs
-that converge fast (FSL/2 + AA(3) on test2, 4x4), and rejecting every
-iterate with |alpha|_1 > 10 stalls that run.
+builds up again.  Extrapolating through a non-contractive stretch of the
+map (cells switching to full saturation, say) can blow the increment up
+while the mixing least squares stays well conditioned; the restart
+discards that history, and likewise a stale first column left by the
+settlement jump of the opening iteration.  Depths 0 and 1 are never
+restarted.  The mixing weights themselves are not capped: |alpha|_1 in
+the hundreds is routine in runs that converge fast (FSL/2 + AA(3) on
+test2, 4x4), and rejecting every iterate with |alpha|_1 > 10 stalls that
+run.
 """
 
 from __future__ import annotations

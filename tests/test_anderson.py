@@ -36,11 +36,30 @@ class TestMixingWeights:
         ref = np.linalg.solve(kkt, np.concatenate([np.zeros(5), [1.0]]))[:5]
         assert np.max(np.abs(alpha - ref)) < 1e-10
 
-    def test_duplicate_columns_fall_back_to_plain(self):
-        col = np.array([1.0, 2.0])
-        alpha, fallback = mixing_weights(np.column_stack([col, col]))
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [[1.0, 2.0], [1.0, 2.0]],
+            [[1.0, 2.0], [0.5, 3.0], [1.0, 2.0]],
+            [[np.inf, 2.0], [1.0, 2.0]],
+            [[1.0, 2.0], [np.nan, 2.0], [0.5, 3.0]],
+        ],
+        ids=["repeated-2", "repeated-3", "inf-2", "nan-3"],
+    )
+    def test_duplicate_columns_fall_back_to_plain(self, columns):
+        alpha, fallback = mixing_weights(np.array(columns).T)
         assert fallback
-        assert list(alpha) == [0.0, 1.0]
+        assert list(alpha) == [0.0] * (len(columns) - 1) + [1.0]
+
+    @pytest.mark.parametrize(
+        "increments",
+        # one increment vector is not a set of one-entry columns
+        [np.array([3.0, 1.0, 2.0]), np.zeros((0, 2)), np.zeros((3, 0))],
+        ids=["one-dimensional", "no-rows", "no-columns"],
+    )
+    def test_malformed_arrays_are_rejected(self, increments):
+        with pytest.raises(ValueError):
+            mixing_weights(increments)
 
     def test_condition_cap(self, rng, monkeypatch):
         monkeypatch.setattr(anderson, "COND_CAP", 1e6)  # read at call time
@@ -84,7 +103,7 @@ class TestAndersonWindow:
         assert depths == [0, 1, 0, 1, 0, 1, 0, 1]
 
     def test_restarted_matches_explicit_alpha_on_linear_map(self, rng):
-        # the depth-1 restarted weights have the closed form
+        # oracle: the one-difference least squares has the secant solution
         # alpha = ((d1 - d0) . d1) / |d1 - d0|^2 on the older image
         A = np.diag([1.4, 0.6, 0.3])
         x = np.array([1.0, 1.0, 1.0])
