@@ -171,13 +171,14 @@ def default_config(scenario: str = "test1") -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    """Read a key = value INI file and apply scenario defaults for omitted
-    keys.  An empty file yields the full test1 configuration."""
+    """Read a key = value UTF-8 INI file (a leading byte-order mark is
+    skipped) and apply scenario defaults for omitted keys.  An empty file
+    yields the full test1 configuration."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     overrides = {}

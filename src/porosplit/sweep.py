@@ -10,6 +10,7 @@ follow the convention ``->[n]`` (stagnation at step n), ``^[n]``
 from __future__ import annotations
 
 import csv
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -55,45 +56,34 @@ class SweepReport:
         raise KeyError((scheme, depth, alpha))
 
 
-def _run_combo(config: ScenarioConfig, ops, scheme_name: str, depth: int, alpha: float):
+@functools.lru_cache(maxsize=1)
+def _operators(config: ScenarioConfig):
+    """The sweep's operators, built once per process and configuration."""
+    return config.operators()
+
+
+def _run_combo(config: ScenarioConfig, scheme_name: str, depth: int, alpha: float) -> SweepRow:
+    ops = _operators(config)
     params = config.params_for(alpha)
     init = initial_state(ops.mesh, params, config.p0, ops)
     result = run_transient(config.scheme_config(scheme_name), AndersonConfig(depth=depth),
                            init, params, ops)
-    counts = result.iterations_per_step
-    if result.completed:
-        row = SweepRow(scheme_name, depth, alpha, "ok", None, result.average_iterations,
-                       counts)
-    else:
-        row = SweepRow(scheme_name, depth, alpha, result.fail_status,
-                       result.fail_step, None, counts)
-    final = result.states[-1] if result.completed else None
-    return row, final
+    if result.completed and config.fields != "none":
+        _export_fields(config, f"{scheme_name}_aa{depth}_alpha{alpha:g}", ops.mesh, params,
+                       result.states[-1])
+    return SweepRow(scheme_name, depth, alpha, result.fail_status or "ok", result.fail_step,
+                    result.average_iterations if result.completed else None,
+                    result.iterations_per_step)
 
 
-# operators of the sweep a pool worker runs, built once by _init_worker
-_worker_ops = None
-
-
-def _init_worker(config: ScenarioConfig):
-    global _worker_ops
-    _worker_ops = config.operators()
-
-
-def _run_pooled(config: ScenarioConfig, *combo):
-    return _run_combo(config, _worker_ops, *combo)
-
-
-def _export_fields(config, scheme_name, depth, alpha, state):
-    mesh = config.mesh()
-    params = config.params_for(alpha)
+def _export_fields(config, stem, mesh, params, state):
     flux = cell_flux_vectors(mesh, state.q)
     fields = {
         "pressure": state.p,
         "saturation": state.saturation(params),
         "flux_magnitude": np.hypot(flux[:, 0], flux[:, 1]),
     }
-    stem = f"{scheme_name}_aa{depth}_alpha{alpha:g}"
+    os.makedirs(config.out_dir, exist_ok=True)
     base = os.path.join(config.out_dir, stem)
     if config.fields == "csv":
         write_cell_csv(base + "_cells.csv", mesh, fields)
@@ -105,30 +95,21 @@ def _export_fields(config, scheme_name, depth, alpha, state):
 def run_sweep(config: ScenarioConfig) -> SweepReport:
     """Run every scheme x depth x alpha combination of the configuration.
 
-    Combinations are independent and share one set of operators (mesh,
-    assembled blocks, elasticity factorization), built once per process:
-    here when serial, once per worker with workers > 1, where they execute
-    in a process pool.  Solver failures are recorded as data, never raised."""
-    combos = [
-        (scheme, depth, alpha)
-        for scheme in config.schemes
-        for depth in config.depths
-        for alpha in config.alphas
-    ]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker,
-                                 initargs=(config,)) as pool:
-            futures = [pool.submit(_run_pooled, config, *combo) for combo in combos]
-            results = [f.result() for f in futures]
+    Serial and pooled sweeps map one runner over the combinations.  Each
+    process builds the operators (mesh, assembled blocks, elasticity
+    factorization) once: the caller's process when serial, each pool
+    worker when workers > 1, with at most one worker per combination.
+    A combination exports its own final fields.  Solver failures are
+    recorded as data, never raised."""
+    combos = [(config, scheme, depth, alpha) for scheme in config.schemes
+              for depth in config.depths for alpha in config.alphas]
+    workers = min(config.workers, len(combos))
+    if workers == 1:
+        rows = [_run_combo(*combo) for combo in combos]
     else:
-        ops = config.operators()
-        results = [_run_combo(config, ops, *combo) for combo in combos]
-
-    for (scheme, depth, alpha), (_, final) in zip(combos, results):
-        if config.fields != "none" and final is not None:
-            os.makedirs(config.out_dir, exist_ok=True)
-            _export_fields(config, scheme, depth, alpha, final)
-    return SweepReport(config=config, rows=tuple(row for row, _ in results))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_run_combo, *zip(*combos)))
+    return SweepReport(config=config, rows=tuple(rows))
 
 
 def emit_report(report: SweepReport, out_dir) -> dict:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import porosplit
-from porosplit import cli
+from porosplit import cli, sweep
 from porosplit.cli import main
 from porosplit.config import _KEYS, ConfigError, ScenarioConfig, default_config, load_config
 from porosplit.export import cell_flux_vectors, write_cell_csv, write_point_csv, write_vtk
@@ -85,6 +85,19 @@ class TestLoadConfig:
         block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
         assert load_config(write(tmp_path, block)) == default_config("test1")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xef\xbb\xbf[scenario]\nnx = 5\n")
+        assert load_config(str(path)).nx == 5
+
+    def test_undecodable_file_is_a_configuration_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes("[scenario]\n# Überdruck\nnx = 5\n".encode("latin-1"))
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {path}: ")
+        assert captured.out == ""
+
 
 class TestScenarioConfig:
     @pytest.mark.parametrize("change, path", [
@@ -112,6 +125,9 @@ SMALL = ScenarioConfig(
     nx=4, ny=4, inflow_width=0.25, T=0.2,
     schemes=("newton", "fsl"), depths=(0, 1), alphas=(1.0,),
 )
+# one step on 5x5, two combinations
+ONE_STEP = ScenarioConfig(nx=5, ny=5, T=0.1, schemes=("newton", "fsl"), depths=(0,),
+                          alphas=(1.0,))
 
 
 class TestSweep:
@@ -126,8 +142,9 @@ class TestSweep:
             assert len(row.per_step) == 2
 
     def test_determinism(self, tmp_path):
+        # a config equal but for out_dir misses the operator cache: b rebuilds
         a = run_sweep(SMALL)
-        b = run_sweep(SMALL)
+        b = run_sweep(replace(SMALL, out_dir=str(tmp_path / "other")))
         pa = emit_report(a, tmp_path / "a")
         pb = emit_report(b, tmp_path / "b")
         assert open(pa["csv"]).read() == open(pb["csv"]).read()
@@ -137,6 +154,34 @@ class TestSweep:
         parallel = run_sweep(replace(SMALL, workers=2))
         for r1, r2 in zip(serial.rows, parallel.rows):
             assert r1 == r2
+
+    def test_serial_sweep_builds_the_operators_once(self, tmp_path, monkeypatch):
+        built = []
+        inner = ScenarioConfig.operators
+        monkeypatch.setattr(ScenarioConfig, "operators",
+                            lambda config: built.append(config) or inner(config))
+        report = run_sweep(replace(SMALL, out_dir=str(tmp_path)))  # a new config
+        assert len(report.rows) == 4 and len(built) == 1
+
+    def test_pool_has_at_most_one_worker_per_combination(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+        report = run_sweep(replace(ONE_STEP, workers=8))
+        assert sizes == [2] and len(report.rows) == 2
 
     def test_empty_sweep_emits_header_only(self, tmp_path):
         report = SweepReport(config=SMALL, rows=())
@@ -332,6 +377,16 @@ class TestExport:
                          fields="vtk", out_dir=str(tmp_path / "fields"))
         run_sweep(config)
         assert (tmp_path / "fields" / "newton_aa0_alpha1.vtk").exists()
+
+    def test_pooled_export_matches_serial(self, tmp_path):
+        written = {}
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            run_sweep(replace(ONE_STEP, workers=workers, fields="csv", out_dir=str(out)))
+            written[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(written[1]) == [f"{s}_aa0_alpha1_{kind}.csv" for s in ("fsl", "newton")
+                                      for kind in ("cells", "nodes")]
+        assert written[2] == written[1]
 
 
 class TestBlasThreads:

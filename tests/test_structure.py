@@ -3,7 +3,8 @@ reads a private (underscore) name of another module.  A private helper that
 another module needs is made public and listed in its owner's ``__all__``.
 Every dataclass of the package is frozen and holds no list, dict or set,
 so a record cannot change after it is made, and only ``PoroState``'s memo
-writes past that with ``object.__setattr__``."""
+writes past that with ``object.__setattr__``.  No module rebinds a module
+global from inside a function with a ``global`` statement."""
 
 import ast
 import io
@@ -246,6 +247,33 @@ object.__setattr__(Record, "y", 7)
     got = [scope for _, scope in hidden_mutations(source)]
     assert sorted(got) == sorted(["PoroState._cached.inner", "PoroState.other",
                                   "Record._cached", "module_level", ""])
+
+
+def global_statements(source: str) -> list:
+    """Line of every ``global`` statement in ``source``, at any depth."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Global)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_global_statement(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert global_statements(source) == []
+
+
+def test_global_checker_sees_every_form():
+    source = '''
+global top
+
+def f():
+    global a, b
+    def g():
+        global c
+
+class C:
+    def m(self):
+        global d
+'''
+    assert sorted(global_statements(source)) == [2, 5, 7, 11]
 
 
 # Public names without a caller in the package or the benchmark, kept on
