@@ -1,7 +1,8 @@
 """Fixed-stress splitting schemes with Anderson acceleration for
 unsaturated poromechanics (Richards flow coupled with linear elasticity),
 plus the contraction theory of the restarted acceleration on linear
-Richardson iterations."""
+Richardson iterations.  The package root holds the library entry points;
+everything else is reached under its module (``porosplit.schemes``, ...)."""
 
 import os
 
@@ -9,42 +10,19 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .anderson import AndersonConfig, AndersonWindow, mixing_weights
-from .config import ConfigError, ScenarioConfig, load_config
-from .constitutive import (
-    PorosityLaw,
-    VanGenuchtenModel,
-    capillary_pressure,
-    equivalent_pore_pressure,
-    mobility,
-    mobility_derivative_wrt_p,
-    porosity,
-    saturation,
-    saturation_derivative,
-)
-from .fem import DiscreteOperators, SparseFactor, assemble
-from .mesh import RectMesh
-from .model import (
-    PhysicsParams,
-    PoroState,
-    inflow_rate,
-    initial_state,
-    newton_blocks,
-    volume_conservation_gap,
-)
-from .schemes import (
-    IterationReport,
-    SchemeConfig,
-    converged,
-    fixed_stress_beta,
-    fsl_iteration,
-    fsl_local_iteration,
-    fsmp_iteration,
-    fsnewton_iteration,
-    newton_iteration,
-    run_time_step,
-    run_transient,
-)
-from .sweep import SweepReport, SweepRow, emit_report, run_sweep
+from .anderson import AndersonConfig
+from .config import ScenarioConfig
+from .constitutive import PorosityLaw, VanGenuchtenModel
+from .fem import assemble
+from .model import initial_state
+from .schemes import SchemeConfig, run_time_step, run_transient
+from .sweep import emit_report, run_sweep
+
+__all__ = [
+    "ScenarioConfig", "run_sweep", "emit_report",
+    "SchemeConfig", "AndersonConfig", "run_time_step",
+    "run_transient", "initial_state", "assemble",
+    "VanGenuchtenModel", "PorosityLaw",
+]
 
 __version__ = "0.1.0"

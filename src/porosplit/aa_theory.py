@@ -117,10 +117,6 @@ class SpectralPair:
         if self.lam1 == 0.0 or self.lam2 == 0.0:
             raise SingularConfiguration("eigenvalues must be nonzero")
 
-    @property
-    def contraction(self) -> float:
-        return contraction_factor(self.lam1, self.lam2)
-
 
 @dataclass(frozen=True)
 class RichardsonResult:
@@ -138,7 +134,7 @@ class RichardsonResult:
 
     @property
     def bound(self) -> float:
-        return self.pair.contraction
+        return contraction_factor(self.pair.lam1, self.pair.lam2)
 
 
 def richardson_aa_experiment(pair: SpectralPair, n_quads: int) -> RichardsonResult:

@@ -26,6 +26,7 @@ whenever the increment at an iterate it returned exceeds
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,8 @@ def mixing_weights(increments: np.ndarray):
 
 
 class AndersonWindow:
-    """Sliding store of the last depth+1 images and increments.
+    """Sliding store of the last depth+1 images and increments, two deques
+    that drop their oldest entry on the push past depth+1.
 
     ``weights`` is an optional positive diagonal (e.g. mass-matrix diagonal)
     under which the mixing norm is taken, so that for PDE iterates the
@@ -86,10 +88,9 @@ class AndersonWindow:
     """
 
     def __init__(self, config: AndersonConfig, weights: np.ndarray | None = None):
-        self.config = config
         self._scale = None if weights is None else np.sqrt(np.asarray(weights, dtype=float))
-        self._images: list[np.ndarray] = []
-        self._increments: list[np.ndarray] = []
+        self._images = deque(maxlen=config.depth + 1)
+        self._increments = deque(maxlen=config.depth + 1)
 
     def push(self, image: np.ndarray, increment: np.ndarray):
         """Store one fixed-point application and return the next iterate.
@@ -99,9 +100,6 @@ class AndersonWindow:
         scaled = increment if self._scale is None else self._scale * increment
         self._images.append(np.asarray(image, dtype=float))
         self._increments.append(np.asarray(scaled, dtype=float))
-        keep = self.config.depth + 1
-        self._images = self._images[-keep:]
-        self._increments = self._increments[-keep:]
         alpha, fallback = mixing_weights(np.column_stack(self._increments))
         iterate = alpha @ np.vstack(self._images)
         return iterate, alpha, fallback

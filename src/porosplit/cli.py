@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 configuration error, 2 I/O error.  Solver failures
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -32,6 +33,7 @@ def _cmd_run(args) -> int:
         config = load_config(args.config)
     if args.out is not None:
         config = replace(config, out_dir=args.out)
+    os.makedirs(config.out_dir, exist_ok=True)  # a bad directory fails before the sweep
     report = run_sweep(config)
     paths = emit_report(report, config.out_dir)
     with open(paths["txt"]) as fh:

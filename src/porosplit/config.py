@@ -81,6 +81,8 @@ class ScenarioConfig:
             (self.kappa > 0, "kappa"),
             (self.mu_w > 0, "mu_w"),
             (all(0 < a <= 1 for a in self.alphas), "alphas"),
+            # alphas that print alike would share their rows' labels and field files
+            (len({f"{a:g}" for a in self.alphas}) == len(self.alphas), "alphas"),
             (self.N > 0, "N"),
             (self.tau > 0, "tau"),
             (self.tau > 0 and self.T >= self.tau and whole_multiple(self.T, self.tau), "T"),

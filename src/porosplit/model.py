@@ -199,7 +199,7 @@ def flow_parts(state: PoroState, prev: PoroState, params: PhysicsParams,
     r_p = -(storage + coupling + params.tau * (ops.D_pq @ state.q))
     _check_finite(r_p, "mass residual")
 
-    kw = laws.mobility(np.clip(s, 0.0, 1.0), params.vg)
+    kw = laws.mobility(s, params.vg)
     with np.errstate(divide="ignore"):
         kinv = 1.0 / kw
     f_q, _ = gravity_loads(ops, params)
@@ -209,12 +209,13 @@ def flow_parts(state: PoroState, prev: PoroState, params: PhysicsParams,
     return FlowParts(sat=s, mobility=kw, kinv=kinv, r_p=r_p, r_q=r_q)
 
 
-def mech_residual(p_state: PoroState, u: np.ndarray, params: PhysicsParams,
+def mech_residual(state: PoroState, params: PhysicsParams,
                   ops: DiscreteOperators) -> np.ndarray:
-    """Momentum residual at the given displacement and p_state's pressure."""
-    pe = p_state.pore_pressure(params)
+    """Momentum residual at ``state``'s displacement and equivalent pore
+    pressure, constrained rows zeroed."""
+    pe = state.pore_pressure(params)
     _, f_u = gravity_loads(ops, params)
-    r_u = f_u - (ops.A_uu @ u - params.alpha * (ops.D_pu_T @ pe))
+    r_u = f_u - (ops.A_uu @ state.u - params.alpha * (ops.D_pu_T @ pe))
     r_u[ops.fixed_u] = 0.0
     _check_finite(r_u, "momentum residual")
     return r_u

@@ -241,7 +241,7 @@ def split_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
         coupling, clamped = mobility_coupling(state, params, ops, parts)
     dp, dq = _flow_solve(state, params, ops, parts, cpp, coupling, t_new)
     trial = PoroState(p=state.p + dp, q=state.q + dq, u=state.u, time=t_new)
-    r_u = mech_residual(trial, state.u, params, ops)
+    r_u = mech_residual(trial, params, ops)
     du = np.zeros_like(state.u)
     du[ops.free_u] = ops.elastic_solve(r_u[ops.free_u])
     new_state = replace(trial, u=state.u + du)
@@ -297,7 +297,7 @@ def newton_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
     """One monolithic Newton step on the coupled system."""
     t_new = prev.time + params.tau
     matrix, parts, clamped = newton_blocks(state, prev, params, ops)
-    r_u = mech_residual(state, state.u, params, ops)
+    r_u = mech_residual(state, params, ops)
     dq, rhs_p, rhs_q = _flow_rhs(state, params, ops, parts, t_new)
     rhs = np.concatenate([rhs_p, rhs_q, r_u[ops.free_u]])
     sol = SparseFactor(matrix, ops.order).solve(rhs)

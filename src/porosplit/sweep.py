@@ -49,12 +49,6 @@ class SweepReport:
     config: ScenarioConfig
     rows: tuple
 
-    def row(self, scheme, depth, alpha) -> SweepRow:
-        for r in self.rows:
-            if r.scheme == scheme and r.depth == depth and r.alpha == alpha:
-                return r
-        raise KeyError((scheme, depth, alpha))
-
 
 @functools.lru_cache(maxsize=1)
 def _operators(config: ScenarioConfig):
@@ -140,23 +134,16 @@ def emit_report(report: SweepReport, out_dir) -> dict:
 
 
 def _text_table(report: SweepReport) -> str:
-    config = report.config
-    depths = sorted({r.depth for r in report.rows})
-    schemes = [s for s in config.schemes if any(r.scheme == s for r in report.rows)]
-    alphas = sorted({r.alpha for r in report.rows})
-    lines = [f"scenario {config.scenario}: average nonlinear iterations per time step"]
+    marks = {(r.scheme, r.depth, r.alpha): r.marker() for r in report.rows}
+    schemes = list(dict.fromkeys(s for s, _, _ in marks))
+    depths = sorted({d for _, d, _ in marks})
+    alphas = sorted({a for _, _, a in marks})
     width = 11
+    header = "  ".join(f"{SCHEMES[s][0]:>{width}}" for s in schemes)  # labels
+    lines = [f"scenario {report.config.scenario}: average nonlinear iterations per time step"]
     for alpha in alphas:
-        lines.append("")
-        lines.append(f"alpha = {alpha:g}")
-        header = "  ".join(f"{SCHEMES[s][0]:>{width}}" for s in schemes)  # labels
-        lines.append(f"{'':8}{header}")
+        lines += ["", f"alpha = {alpha:g}", f"{'':8}{header}"]
         for depth in depths:
-            cells = []
-            for s in schemes:
-                try:
-                    cells.append(f"{report.row(s, depth, alpha).marker():>{width}}")
-                except KeyError:
-                    cells.append(f"{'-':>{width}}")
-            lines.append(f"AA({depth})".ljust(8) + "  ".join(cells))
+            cells = "  ".join(f"{marks[s, depth, alpha]:>{width}}" for s in schemes)
+            lines.append(f"AA({depth})".ljust(8) + cells)
     return "\n".join(lines) + "\n"

@@ -43,7 +43,7 @@ def residuals(state, prev, params, ops):
     with the porosity frozen at ``prev``.  Rows of constrained flux and
     displacement dofs are zeroed."""
     parts = flow_parts(state, prev, params, ops)
-    return parts.r_p, parts.r_q, mech_residual(state, state.u, params, ops)
+    return parts.r_p, parts.r_q, mech_residual(state, params, ops)
 
 
 def settled_initial_state(mesh, params, p0, ops) -> PoroState:

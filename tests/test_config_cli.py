@@ -279,6 +279,8 @@ class TestCli:
         ("[physics]\nalpha =\n", "physics.alpha"),
         ("[sweep]\nschemes =\n", "sweep.schemes"),
         ("[sweep]\ndepths = 0, 0\n", "sweep.depths"),
+        # both print as 0.1: their rows, tables and field files would collide
+        ("[physics]\nalpha = 0.1, 0.1000001\n", "physics.alpha"),
     ])
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, text, path):
         bad = write(tmp_path, text)
@@ -303,6 +305,16 @@ class TestCli:
     def test_io_error_exit_code(self, tmp_path):
         missing = tmp_path / "missing.ini"
         assert main(["run", "--config", str(missing)]) == 2
+
+    @pytest.mark.parametrize("out", ["file/out", ""], ids=["below-a-file", "empty"])
+    def test_bad_output_directory_fails_before_the_sweep(self, tmp_path, capsys,
+                                                         monkeypatch, out):
+        (tmp_path / "file").write_text("")
+        swept = []
+        monkeypatch.setattr(cli, "run_sweep", swept.append)
+        assert main(["run", "--out", str(tmp_path / out) if out else ""]) == 2
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert swept == []
 
     def test_plane_verb(self, tmp_path):
         out = tmp_path / "plane.csv"

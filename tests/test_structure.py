@@ -10,10 +10,13 @@ import ast
 import io
 import re
 import tokenize
+import types
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import porosplit
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "porosplit"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -312,3 +315,20 @@ def uncalled_exports() -> list:
 
 def test_every_export_has_a_caller():
     assert uncalled_exports() == []
+
+
+def readme_entry_points() -> list:
+    """Names of the ``from porosplit import (...)`` statement in README's
+    "Library entry points" block, in order."""
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    block = re.search(r"## Library entry points\n\n```python\n(.*?)```", readme, re.S).group(1)
+    return [alias.name for node in ast.parse(block).body
+            if isinstance(node, ast.ImportFrom) and node.module == "porosplit"
+            for alias in node.names]
+
+
+def test_package_root_is_the_readme_entry_points():
+    assert porosplit.__all__ == readme_entry_points()
+    public = {name for name, value in vars(porosplit).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(porosplit.__all__)
