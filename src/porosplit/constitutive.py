@@ -16,10 +16,10 @@ two readings).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 from scipy.special import exprel, hyp2f1
 
 __all__ = [
@@ -234,6 +234,29 @@ def mobility_derivative_wrt_p(p, vg: VanGenuchtenModel):
 _SERIES_TERMS = 56   # T(V) for V <= 1/2: the dropped tail is below 2^-56 of it
 
 
+def _horner(coeffs, v):
+    """sum_k coeffs[-1 - k] v^k by Horner's rule in place, bitwise equal to
+    numpy's ``polyval(v, coeffs[::-1])``."""
+    out = np.full_like(v, coeffs[0])
+    for c in coeffs[1:]:
+        out *= v
+        out += c
+    return out
+
+
+@functools.cache
+def _series(n, m):
+    """T's coefficients, highest power first, and the constant C of the
+    X > 1 branch for n_vg = n, m_vg = m."""
+    eps = 1.0 - 2.0 / n
+    k = np.arange(1, _SERIES_TERMS + 1)
+    coeffs = np.concatenate([[0.0], np.cumprod((m + k - 1.0) / k) / (k + eps)])[::-1]
+    coeffs.flags.writeable = False   # shared by every call with this n_vg
+    const = (n * 2.0 ** (-1.0 / n) * hyp2f1(1.0 / n, 2.0 / n, 1.0 + 1.0 / n, 0.5)
+             + 2.0**-eps * _horner(coeffs, np.array(0.5)))
+    return coeffs, const
+
+
 def _pore_pressure_suction(pw, vg: VanGenuchtenModel):
     """p_E on the suction branch p < 0 (see the comment above)."""
     n, m, a = vg.n_vg, vg.m_vg, vg.a_vg
@@ -246,10 +269,7 @@ def _pore_pressure_suction(pw, vg: VanGenuchtenModel):
         ln_x = ln_x[far]
         ln_1px = ln_x + np.log1p(np.exp(-ln_x))
         eps = 1.0 - 2.0 / n
-        k = np.arange(1, _SERIES_TERMS + 1)
-        coeffs = np.concatenate([[0.0], np.cumprod((m + k - 1.0) / k) / (k + eps)])
-        const = (n * 2.0 ** (-1.0 / n) * hyp2f1(1.0 / n, 2.0 / n, 1.0 + 1.0 / n, 0.5)
-                 + 2.0**-eps * polyval(0.5, coeffs))
+        coeffs, const = _series(n, m)
         v_eps = np.exp(-eps * ln_1px)
         log_half = ln_1px - np.log(2.0)   # ln((1 + X)/2) >= 0
         # (2^-eps - V^eps)/eps = V^eps L exprel(eps L), L = ln((1 + X)/2);
@@ -258,7 +278,7 @@ def _pore_pressure_suction(pw, vg: VanGenuchtenModel):
         head = np.where(tame, v_eps * log_half * exprel(eps * np.where(tame, log_half, 0.0)),
                         (2.0**-eps - v_eps) / (eps or 1.0))
         v = np.exp(-ln_1px)
-        out[far] = -(const + head - v_eps * polyval(v, coeffs)) / (n * a)
+        out[far] = -(const + head - v_eps * _horner(coeffs, v)) / (n * a)
     return out
 
 

@@ -55,7 +55,7 @@ __all__ = [
 SOLVE_TOL = 1e-12
 PIVOT_THRESHOLD = 0.1   # threshold partial pivoting of the general LU
 LEAF_SIZE = 64          # boxes of at most this many dofs are not bisected
-_SUPERNODE_SIZE = 120   # flux dofs of the largest subtree factored as one dense front
+_SUPERNODE_SIZE = 240   # flux dofs of the largest subtree factored as one band leaf front
 # stiffness band entries n kd up to which every flux and stiffness factor of
 # the mesh is a band factor: between 50x50 (1.0e6) and 60x60 (1.7e6), near
 # the crossovers of all three factors (README)
@@ -153,60 +153,99 @@ class SparseFactor:
 class _Supernodes:
     """Symbolic analysis of a multifrontal Cholesky (Duff & Reid, ACM TOMS
     1983; Liu, SIAM Review 1992) on one CSC pattern (both triangles stored)
-    with supernodes [bounds[s], bounds[s + 1]).  A supernode's dense front
-    spans its columns and the rows below them that they or its children's
-    updates reach; its parent owns the first of those rows.  Kept: those
-    rows and flat Fortran-order front positions of the pattern's data and of
-    each child's update; each entry's column; the diagonal's positions."""
+    with supernodes [bounds[s], bounds[s + 1]).  A supernode's front spans
+    its columns and the rows below them that they or its children's updates
+    reach; its parent owns the first of those rows.  A supernode with
+    children has a dense front.  A leaf (no children) is a band front: its
+    columns go in the reverse Cuthill-McKee order of its own block (a
+    ``_Band``), with half-bandwidth kd, and ``perm`` (position -> index) is
+    the identity but on the leaves.  Kept per supernode: those rows, kd
+    (None for a dense front), the pattern's data positions and where they
+    go in the flat Fortran-order front (for a leaf: its band storage, then
+    the k x (rows below) right-hand side of dtbtrs), and each child's
+    update's positions; each entry's column; the diagonal's positions."""
 
     def __init__(self, indices, indptr, bounds):
         self.columns = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
         self.diagonal = np.flatnonzero(indices == self.columns)
+        self.perm = np.arange(len(indptr) - 1)
         owner = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
         rows_below, children, self.nodes = [], [[] for _ in bounds[:-1]], []
         for s, (b0, b1) in enumerate(zip(bounds[:-1], bounds[1:])):
             lo, rows = indptr[b0], indices[indptr[b0]:indptr[b1]]
             below = np.unique(np.concatenate([rows[rows >= b1]] + [
                 rows_below[c][rows_below[c] >= b1] for c in children[s]]))
-            front = np.concatenate([np.arange(b0, b1), below])
-            f, kept = len(front), np.flatnonzero(rows >= b0)
-            scatter = (self.columns[lo + kept] - b0) * f + np.searchsorted(front, rows[kept])
-            extend = [(c, (m[:, None] + f * m).ravel(order="F"))
-                      for c in children[s] for m in [np.searchsorted(front, rows_below[c])]]
-            self.nodes.append((b0, b1, below, lo + kept, scatter, extend))
+            column = self.columns[lo:indptr[b1]] - b0
+            if children[s]:
+                front = np.concatenate([np.arange(b0, b1), below])
+                f, kept = len(front), np.flatnonzero(rows >= b0)
+                kd, source = None, lo + kept
+                at = column[kept] * f + np.searchsorted(front, rows[kept])
+                extend = [(c, (m[:, None] + f * m).ravel(order="F"))
+                          for c in children[s] for m in [np.searchsorted(front, rows_below[c])]]
+            else:
+                k, inside = b1 - b0, np.flatnonzero((rows >= b0) & (rows < b1))
+                band = _Band(rows[inside] - b0, np.concatenate(
+                    [[0], np.cumsum(np.bincount(column[inside], minlength=k))]))
+                (lower, to), out = band._lower, np.flatnonzero(rows >= b1)
+                kd, extend = band.kd, []
+                source = lo + np.concatenate([inside[lower], out])
+                at = np.concatenate([to, (kd + 1) * k + band._rank[column[out]]
+                                     + k * np.searchsorted(below, rows[out])])
+                self.perm[b0:b1] = b0 + band.perm
+            self.nodes.append((b0, b1, below, kd, source, at, extend))
             rows_below.append(below)
             if len(below):
                 children[owner[below[0]]].append(s)
 
     def factor(self, data):
         """Panels (L11, L21) per supernode of the SPD matrix with CSC data
-        ``data``: dpotrf, dtrsm, then dsyrk for the parent's update."""
+        ``data``: dpotrf and dtrsm on a dense front, dpbtrf and dtbtrs on a
+        band leaf, then dsyrk for the parent's update."""
         updates, panels = {}, []
-        for s, (b0, b1, below, source, scatter, extend) in enumerate(self.nodes):
-            k, f = b1 - b0, b1 - b0 + len(below)
-            front = np.zeros(f * f)
-            front[scatter] = data[source]
-            for c, at in extend:
-                front[at] += updates.pop(c).ravel(order="K")
-            front = front.reshape(f, f, order="F")
-            l11, info = lapack.dpotrf(front[:k, :k], lower=1)
+        for s, (b0, b1, below, kd, source, at, extend) in enumerate(self.nodes):
+            k, r = b1 - b0, len(below)
+            front = np.zeros((k + r) ** 2 if kd is None else (kd + 1 + r) * k)
+            front[at] = data[source]
+            for c, to in extend:
+                front[to] += updates.pop(c).ravel(order="K")
+            if kd is None:
+                front = front.reshape(k + r, k + r, order="F")
+                l11, info = lapack.dpotrf(front[:k, :k], lower=1)
+                l21 = front[k:, :k]
+            else:
+                l11, info = lapack.dpbtrf(front[:(kd + 1) * k].reshape(kd + 1, k, order="F"),
+                                          lower=1, overwrite_ab=1)
+                l21 = front[(kd + 1) * k:].reshape(k, r, order="F")
             if info:
-                raise LinearSolveError(f"Cholesky pivot {b0 + info - 1} is not positive")
-            l21 = front[k:, :k]
-            if len(below):
+                raise LinearSolveError(f"Cholesky pivot {self.perm[b0 + info - 1]} is not positive")
+            if r and kd is None:
                 l21 = blas.dtrsm(1.0, l11, l21, side=1, lower=1, trans_a=1)
                 updates[s] = blas.dsyrk(-1.0, l21, beta=1.0, c=front[k:, k:], lower=1)
-            panels.append((l11, l21))
+            elif r:   # dtbtrs with no right-hand side aborts on scipy 1.17.1
+                l21 = lapack.dtbtrs(l11, l21, uplo="L", overwrite_b=1)[0]
+                updates[s] = blas.dsyrk(-1.0, l21, trans=1, lower=1)
+            panels.append((l11, l21 if kd is None else l21.T))
         return panels
 
     def solve(self, panels, x):
         """L^-T L^-1 x for the ``panels`` of L, overwriting x."""
-        for (b0, b1, below, *_), (l11, l21) in zip(self.nodes, panels):
-            x[b0:b1] = y = blas.dtrsv(l11, x[b0:b1], lower=1)
-            x[below] -= l21 @ y
-        for (b0, b1, below, *_), (l11, l21) in zip(reversed(self.nodes), reversed(panels)):
-            x[b0:b1] = blas.dtrsv(l11, x[b0:b1] - l21.T @ x[below], lower=1, trans=1)
+        y = x[self.perm]
+        for (b0, b1, below, kd, *_), (l11, l21) in zip(self.nodes, panels):
+            y[b0:b1] = z = _triangular_solve(kd, l11, y[b0:b1])
+            y[below] -= l21 @ z
+        for (b0, b1, below, kd, *_), (l11, l21) in zip(reversed(self.nodes), reversed(panels)):
+            y[b0:b1] = _triangular_solve(kd, l11, y[b0:b1] - l21.T @ y[below], trans=1)
+        x[self.perm] = y
         return x
+
+
+def _triangular_solve(kd, l11, v, trans=0):
+    """L11^-1 v, or L11^-T v with trans=1, for a dense lower L11 (kd None)
+    or one in lower band storage of half-bandwidth kd."""
+    if kd is None:
+        return blas.dtrsv(l11, v, lower=1, trans=trans)
+    return blas.dtbsv(kd, l11, v, lower=1, trans=trans)
 
 
 class _Band:

@@ -387,12 +387,12 @@ def run_time_step(scheme: SchemeConfig, accel: AndersonConfig | None,
         if not np.isfinite(total):
             termination, failure = "diverged", f"non-finite increment norms {inc}"
             break
-        state_norms = (
-            ops.pressure_norm(image.p),
-            ops.flux_norm(image.q),
-            ops.disp_norm(image.u),
-        )
-        if converged(inc, state_norms, scheme.eps_abs, scheme.eps_rel):
+        # converged() is False while the total is not below eps_abs, so the
+        # image's norms are only taken once it is
+        if total < scheme.eps_abs and converged(
+            inc, (ops.pressure_norm(image.p), ops.flux_norm(image.q), ops.disp_norm(image.u)),
+            scheme.eps_abs, scheme.eps_rel,
+        ):
             porosity = prev.porosity + porosity_increment(image, prev, params, ops)
             return (replace(image, porosity=porosity),
                     IterationReport("converged", tuple(records), None))

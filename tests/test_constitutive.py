@@ -213,6 +213,48 @@ class TestEquivalentPorePressure:
         assert worst <= 1e-14, worst
 
 
+def pore_pressure_by_polyval(pw, vg):
+    """The suction branch of p_E as first written, with the series
+    constants recomputed and T(V) summed by numpy's polyval on every call."""
+    from numpy.polynomial.polynomial import polyval
+    from scipy.special import exprel, hyp2f1
+
+    n, m, a = vg.n_vg, vg.m_vg, vg.a_vg
+    ln_x = n * np.log(-a * pw)
+    out = np.empty_like(pw)
+    near = ln_x <= 0.0
+    out[near] = pw[near] * hyp2f1(m, 1.0 / n, 1.0 + 1.0 / n, -np.exp(ln_x[near]))
+    far = ~near
+    ln_x = ln_x[far]
+    ln_1px = ln_x + np.log1p(np.exp(-ln_x))
+    eps = 1.0 - 2.0 / n
+    k = np.arange(1, laws._SERIES_TERMS + 1)
+    coeffs = np.concatenate([[0.0], np.cumprod((m + k - 1.0) / k) / (k + eps)])
+    const = (n * 2.0 ** (-1.0 / n) * hyp2f1(1.0 / n, 2.0 / n, 1.0 + 1.0 / n, 0.5)
+             + 2.0**-eps * polyval(0.5, coeffs))
+    v_eps = np.exp(-eps * ln_1px)
+    log_half = ln_1px - np.log(2.0)
+    tame = np.abs(eps) * log_half < 1.0
+    head = np.where(tame, v_eps * log_half * exprel(eps * np.where(tame, log_half, 0.0)),
+                    (2.0**-eps - v_eps) / (eps or 1.0))
+    v = np.exp(-ln_1px)
+    out[far] = -(const + head - v_eps * polyval(v, coeffs)) / (n * a)
+    return out
+
+
+@pytest.mark.parametrize("n_vg", [1.4, 2.0, 3.0])
+def test_series_constants_once_per_model_are_bitwise(n_vg):
+    # X = (a |p|)^n crosses 1 at |p| = 1/a: both branches, the crossing
+    # and a second model with the same n_vg, which shares the cached series
+    for a in (0.627, 0.1844):
+        vg = VanGenuchtenModel(a, n_vg, 1.0, 1.0)
+        p = -np.concatenate([np.geomspace(1e-3, 1e3, 301), [1.0]]) / a
+        expected = pore_pressure_by_polyval(p, vg)
+        assert np.any(p * a < -1.0) and np.any(p * a > -1.0)
+        for _ in range(2):
+            assert np.array_equal(equivalent_pore_pressure(p, vg), expected)
+
+
 class TestPorosity:
     def test_zero_increments(self):
         law = PorosityLaw(0.2, 1.0, 0.0)

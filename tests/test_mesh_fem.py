@@ -495,7 +495,7 @@ def both_analyses(ops):
 
 
 class TestFluxCholesky:
-    @pytest.mark.parametrize("nx, ny", [(25, 25), (50, 50), (13, 37)])
+    @pytest.mark.parametrize("nx, ny", [(25, 25), (50, 50), (13, 37), (60, 60)])
     @pytest.mark.parametrize("scheme", ["fsl", "fsmp"])
     def test_backward_error_without_refinement(self, nx, ny, scheme, rng, monkeypatch):
         mesh, ops, params, init = setup_problem(nx, ny, width=1.0)
@@ -560,6 +560,49 @@ class TestFluxCholesky:
             with pytest.raises(LinearSolveError, match="pivot"):
                 fem._AnalysedFactor(matrix, ops.flux_order, analysis, True)
 
+    @pytest.mark.parametrize("front", ["dense", "band leaf"])
+    def test_indefinite_block_fails_at_its_pivot(self, front):
+        # a 2x2 principal block {i, j} made indefinite with its diagonal
+        # kept: the leading minors stay positive until the later of i and
+        # j in the factor order, the pivot the error names
+        mesh, ops, params, init = setup_problem(20, 20, width=1.0)
+        d = ops.local_divergence
+        spd = ops.flux_pattern.matrix(np.tile(ops.local_flux_mass + np.outer(d, d),
+                                              (mesh.n_cells, 1, 1)))
+        _, supernodes = both_analyses(ops)
+        # the root separator's front is dense, the first front a band leaf
+        b0, b1, _, kd, *_ = supernodes.nodes[-1 if front == "dense" else 0]
+        assert (kd is None) == (front == "dense")
+        rank, rows, cols = np.argsort(supernodes.perm), spd.indices, supernodes.columns
+        pick = np.flatnonzero((cols >= b0) & (cols < b1) & (rank[rows] < rank[cols]))[0]
+        i, j = rows[pick], cols[pick]
+        data = spd.data.copy()
+        data[[pick, np.flatnonzero((rows == j) & (cols == i))[0]]] = 2.0 * np.sqrt(
+            data[supernodes.diagonal[i]] * data[supernodes.diagonal[j]])
+        matrix = sp.csc_array((data, spd.indices, spd.indptr), shape=spd.shape)
+        with pytest.raises(LinearSolveError, match=f"Cholesky pivot {j} is not positive"):
+            fem._AnalysedFactor(matrix, ops.flux_order, supernodes, True)
+
+    def test_leaf_with_no_rows_below_skips_dtbtrs(self, rng, monkeypatch):
+        # below about 11x11 the whole flux matrix is one band leaf, and
+        # dtbtrs with no right-hand side aborted the interpreter on scipy
+        # 1.17.1
+        mesh, ops, params, init = setup_problem(10, 10, width=1.0)
+        d = ops.local_divergence
+        matrix = ops.flux_pattern.matrix(np.tile(ops.local_flux_mass + np.outer(d, d),
+                                                 (mesh.n_cells, 1, 1)))
+        _, supernodes = both_analyses(ops)
+        ((b0, b1, below, kd, *_),) = supernodes.nodes
+        assert (b0, b1, len(below)) == (0, matrix.shape[0], 0) and kd is not None
+
+        def no_dtbtrs(*args, **kwargs):
+            raise AssertionError("dtbtrs called with no rows below")
+
+        monkeypatch.setattr(fem.lapack, "dtbtrs", no_dtbtrs)
+        factor = fem._AnalysedFactor(matrix, ops.flux_order, supernodes, True)
+        rhs = rng.standard_normal(matrix.shape[0])
+        assert backward_error(matrix, factor._raw_solve(rhs), rhs) <= 1e-12
+
     def test_negative_diagonal_entry_raises(self):
         mesh, ops, params, init = setup_problem(4, 4, width=1.0)
         spd = ops.flux_pattern.matrix(np.tile(ops.local_flux_mass, (mesh.n_cells, 1, 1)))
@@ -617,16 +660,23 @@ class TestFluxCholesky:
             ops = assemble(RectMesh(n, n, 1.0, 1.0, 1.0), MU, LAM)
             assert "flux_analysis" not in vars(ops)
             built.clear()
+
+            def whole():
+                # the supernodal analysis builds a _Band of each leaf block;
+                # only analyses of the whole flux pattern count
+                return [a for a in built if len(a.diagonal) == len(ops.free_q)]
+
             for weight in (1.0, 2.0):
                 matrix = ops.flux_pattern.matrix(weight * np.tile(
                     ops.local_flux_mass, (ops.mesh.n_cells, 1, 1)))
                 ops.flux_factor(matrix, False)
                 # beyond the band the general factor is SuperLU's: it
                 # builds no analysis
-                assert len(built) == (kind.__name__ == "_Band" or weight > 1.0)
+                assert len(whole()) == (kind.__name__ == "_Band" or weight > 1.0)
                 ops.flux_factor(matrix, True)
             # the analysis not chosen is never constructed
-            assert len(built) == 1 and type(built[0]) is kind and ops.flux_analysis is built[0]
+            assert len(whole()) == 1 and type(whole()[0]) is kind
+            assert ops.flux_analysis is whole()[0]
 
 
 class TestRefinement:

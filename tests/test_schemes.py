@@ -357,6 +357,20 @@ class TestRunTimeStep:
         assert plain.completed and accel.completed
         assert accel.average_iterations < plain.average_iterations
 
+    def test_state_norms_only_on_the_converging_iteration(self, monkeypatch):
+        mesh, ops, params, init = setup_problem(5, 5, width=0.2)
+        seen, flux_norm = [], ops.flux_norm
+        monkeypatch.setattr(ops, "flux_norm", lambda q: seen.append(q) or flux_norm(q))
+        scheme = SchemeConfig(kind="fsl")
+        state, report = run_time_step(scheme, None, init, params, ops)
+        assert report.converged and report.iterations > 1
+        totals = [sum(r.increments) for r in report.records]
+        assert all(t >= scheme.eps_abs for t in totals[:-1]) and totals[-1] < scheme.eps_abs
+        # one increment norm per iteration, and the image's flux norm once,
+        # on the converging iteration
+        assert len(seen) == report.iterations + 1
+        assert seen[-1] is state.q
+
     def test_max_iters_status(self):
         mesh, ops, params, init = setup_problem(5, 5, width=0.2)
         scheme = SchemeConfig(kind="fsl", max_iters=3)
