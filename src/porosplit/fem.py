@@ -28,8 +28,11 @@ takes SuperLU; the constant stiffness and the flux-only matrices
 stiffness's band in reverse Cuthill-McKee order holds n kd <= _BAND_ENTRIES
 entries (through 50x50), all take an ``_AnalysedFactor`` on a band analysis,
 a Cholesky if SPD, else an LU; beyond (from 60x60 on) the SPD flux matrix
-takes the supernodal Cholesky and the others SuperLU.  The README holds the
-crossover table.
+takes the supernodal Cholesky and the others SuperLU.  Its fronts are the
+dissection's pieces restricted to the flux dofs: subtrees of at most
+_SUPERNODE_SIZE dofs as band leaves, the separators above them as dense
+fronts, small ones folded into their parents (``_Supernodes``).  The
+README holds the crossover table.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ SOLVE_TOL = 1e-12
 PIVOT_THRESHOLD = 0.1   # threshold partial pivoting of the general LU
 LEAF_SIZE = 64          # boxes of at most this many dofs are not bisected
 _SUPERNODE_SIZE = 240   # flux dofs of the largest subtree factored as one band leaf front
+_MERGE_SIZE = 120       # columns of the largest dense front that folds in a dense child
 # stiffness band entries n kd up to which every flux and stiffness factor of
 # the mesh is a band factor: between 50x50 (1.0e6) and 60x60 (1.7e6), near
 # the crossovers of all three factors (README)
@@ -153,57 +157,118 @@ class SparseFactor:
 class _Supernodes:
     """Symbolic analysis of a multifrontal Cholesky (Duff & Reid, ACM TOMS
     1983; Liu, SIAM Review 1992) on one CSC pattern (both triangles stored)
-    with supernodes [bounds[s], bounds[s + 1]).  A supernode's front spans
-    its columns and the rows below them that they or its children's updates
-    reach; its parent owns the first of those rows.  A supernode with
-    children has a dense front.  A leaf (no children) is a band front: its
-    columns go in the reverse Cuthill-McKee order of its own block (a
-    ``_Band``), with half-bandwidth kd, and ``perm`` (position -> index) is
-    the identity but on the leaves.  Kept per supernode: those rows, kd
-    (None for a dense front), the pattern's data positions and where they
-    go in the flat Fortran-order front (for a leaf: its band storage, then
-    the k x (rows below) right-hand side of dtbtrs), and each child's
-    update's positions; each entry's column; the diagonal's positions."""
+    whose pieces [bounds[s], bounds[s + 1]) come in the dissection's
+    postorder.  A piece's front spans its columns and the rows below them
+    that they or its children's updates reach; its parent owns the first of
+    those rows.  A piece with no children is a leaf, a band front: its
+    columns go in the reverse Cuthill-McKee order of its own block (one
+    order of the block-diagonal pattern of all leaf blocks gives them all),
+    with half-bandwidth kd, and its rows below in the order of
+    the first leaf column they couple to, so that dtbtrs solves each group
+    of them on the trailing band from its first nonzero row.  The other
+    pieces have dense fronts, and a dense child folds into its parent while
+    the merged front keeps at most _MERGE_SIZE columns (relaxed supernode
+    amalgamation, Ashcraft & Grimes, ACM TOMS 1989); the fold moves the
+    child's columns to just before the parent's.  ``perm`` (position ->
+    index) is the postorder of the fronts with those moves and the leaves'
+    orders; a front holds the positions [b0, b1).  Kept per front: its rows
+    below (as positions), kd (None for a dense front), the pattern's data
+    positions and where they go in the flat Fortran-order front (for a
+    leaf: its band storage, then the k x (rows below) right-hand side of
+    dtbtrs), each child's update's positions and, for a leaf, the dtbtrs
+    groups; each entry's column; the diagonal's positions."""
 
     def __init__(self, indices, indptr, bounds):
-        self.columns = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        n = len(indptr) - 1
+        self.columns = np.repeat(np.arange(n), np.diff(indptr))
         self.diagonal = np.flatnonzero(indices == self.columns)
-        self.perm = np.arange(len(indptr) - 1)
+        # symbolic pass over the pieces in the dissection order: their rows
+        # below and children, and the pieces of each front
         owner = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-        rows_below, children, self.nodes = [], [[] for _ in bounds[:-1]], []
+        rows_below, children, pieces, width = [], [[] for _ in bounds[:-1]], [], []
         for s, (b0, b1) in enumerate(zip(bounds[:-1], bounds[1:])):
-            lo, rows = indptr[b0], indices[indptr[b0]:indptr[b1]]
-            below = np.unique(np.concatenate([rows[rows >= b1]] + [
-                rows_below[c][rows_below[c] >= b1] for c in children[s]]))
-            column = self.columns[lo:indptr[b1]] - b0
-            if children[s]:
+            rows = indices[indptr[b0]:indptr[b1]]
+            rows_below.append(np.unique(np.concatenate([rows[rows >= b1]] + [
+                rows_below[c][rows_below[c] >= b1] for c in children[s]])))
+            pieces.append([])
+            width.append(b1 - b0)
+            for c in children[s]:
+                if children[c] and width[s] + width[c] <= _MERGE_SIZE:
+                    pieces[s] += pieces[c]
+                    width[s] += width[c]
+                    pieces[c] = []
+            pieces[s].append(s)
+            if len(rows_below[s]):
+                children[owner[rows_below[s][0]]].append(s)
+        # each leaf's columns in the reverse Cuthill-McKee order of its
+        # block: one order of the block-diagonal pattern of all leaves
+        block = np.array([-1 if c else s for s, c in enumerate(children)], dtype=int)[owner]
+        inner = np.flatnonzero((block[self.columns] >= 0) & (block[indices] == block[self.columns]))
+        leaf_columns, local = np.flatnonzero(block >= 0), np.cumsum(block >= 0) - 1
+        m = len(leaf_columns)
+        leaf_rank = np.argsort(reverse_cuthill_mckee(sp.csc_array((
+            np.ones(len(inner)), local[indices[inner]],
+            np.searchsorted(local[self.columns[inner]], np.arange(m + 1))), shape=(m, m)),
+            symmetric_mode=True))
+        leaves = [s for s, c in enumerate(children) if not c]
+        leaf_order = dict(zip(leaves, np.split(
+            leaf_columns[np.lexsort((leaf_rank, block[leaf_columns]))],
+            np.cumsum(np.diff(bounds)[leaves])[:-1])))
+        # the fronts in postorder of their top piece, a folded piece's
+        # columns moved to just before its parent's
+        fronts = [p for p in pieces if p]
+        self.perm = np.concatenate([leaf_order[m] if m in leaf_order else
+                                    np.arange(bounds[m], bounds[m + 1])
+                                    for p in fronts for m in p] + [np.zeros(0, dtype=int)])
+        rank = np.argsort(self.perm)
+        row_at, col_at = rank[indices], rank[self.columns]
+        sizes = np.array([sum(bounds[m + 1] - bounds[m] for m in p) for p in fronts], dtype=int)
+        ends = np.cumsum(sizes)
+        starts, front_of = ends - sizes, np.repeat(np.arange(len(fronts)), sizes)
+        # a leaf's entry (i, j), i >= j, goes to (kd + 1) j + i - j of its
+        # band storage, kd the leaf's largest i - j (positions in the leaf)
+        lower = inner[row_at[inner] >= col_at[inner]]
+        leaf, offset = front_of[col_at[lower]], row_at[lower] - col_at[lower]
+        kd = np.zeros(len(fronts), dtype=int)
+        np.maximum.at(kd, leaf, offset)
+        at = np.full(len(indices), -1)
+        at[lower] = offset + (kd[leaf] + 1) * (col_at[lower] - starts[leaf])
+        self.nodes, kids = [], [[] for _ in fronts]
+        for s, (p, b0, b1) in enumerate(zip(fronts, starts, ends)):
+            below = np.sort(rank[rows_below[p[-1]]])
+            if children[p[-1]]:
+                source = np.concatenate([np.arange(indptr[bounds[m]], indptr[bounds[m + 1]])
+                                         for m in p])
+                source = source[row_at[source] >= b0]
                 front = np.concatenate([np.arange(b0, b1), below])
-                f, kept = len(front), np.flatnonzero(rows >= b0)
-                kd, source = None, lo + kept
-                at = column[kept] * f + np.searchsorted(front, rows[kept])
-                extend = [(c, (m[:, None] + f * m).ravel(order="F"))
-                          for c in children[s] for m in [np.searchsorted(front, rows_below[c])]]
+                f = len(front)
+                extend = [(c, _update_positions(np.searchsorted(front, self.nodes[c][2]), f))
+                          for c in kids[s]]
+                node = (None, source, (col_at[source] - b0) * f
+                        + np.searchsorted(front, row_at[source]), extend, ())
             else:
-                k, inside = b1 - b0, np.flatnonzero((rows >= b0) & (rows < b1))
-                band = _Band(rows[inside] - b0, np.concatenate(
-                    [[0], np.cumsum(np.bincount(column[inside], minlength=k))]))
-                (lower, to), out = band._lower, np.flatnonzero(rows >= b1)
-                kd, extend = band.kd, []
-                source = lo + np.concatenate([inside[lower], out])
-                at = np.concatenate([to, (kd + 1) * k + band._rank[column[out]]
-                                     + k * np.searchsorted(below, rows[out])])
-                self.perm[b0:b1] = b0 + band.perm
-            self.nodes.append((b0, b1, below, kd, source, at, extend))
-            rows_below.append(below)
+                # rows below in order of the first leaf column they couple
+                # to; dtbtrs solves each group of them from its first
+                k, lo, hi = b1 - b0, indptr[bounds[p[0]]], indptr[bounds[p[0] + 1]]
+                out = lo + np.flatnonzero(row_at[lo:hi] >= b1)
+                row = np.searchsorted(below, row_at[out])
+                first = np.full(len(below), k)
+                np.minimum.at(first, row, col_at[out] - b0)
+                order = np.argsort(first, kind="stable")
+                at[out] = (kd[s] + 1) * k + col_at[out] - b0 + k * np.argsort(order)[row]
+                source = lo + np.flatnonzero(at[lo:hi] >= 0)
+                below = below[order]
+                node = (int(kd[s]), source, at[source], [], _rhs_groups(first[order], k))
+            self.nodes.append((b0, b1, below) + node)
             if len(below):
-                children[owner[below[0]]].append(s)
+                kids[front_of[below.min()]].append(s)
 
     def factor(self, data):
         """Panels (L11, L21) per supernode of the SPD matrix with CSC data
         ``data``: dpotrf and dtrsm on a dense front, dpbtrf and dtbtrs on a
         band leaf, then dsyrk for the parent's update."""
         updates, panels = {}, []
-        for s, (b0, b1, below, kd, source, at, extend) in enumerate(self.nodes):
+        for s, (b0, b1, below, kd, source, at, extend, groups) in enumerate(self.nodes):
             k, r = b1 - b0, len(below)
             front = np.zeros((k + r) ** 2 if kd is None else (kd + 1 + r) * k)
             front[at] = data[source]
@@ -223,7 +288,9 @@ class _Supernodes:
                 l21 = blas.dtrsm(1.0, l11, l21, side=1, lower=1, trans_a=1)
                 updates[s] = blas.dsyrk(-1.0, l21, beta=1.0, c=front[k:, k:], lower=1)
             elif r:   # dtbtrs with no right-hand side aborts on scipy 1.17.1
-                l21 = lapack.dtbtrs(l11, l21, uplo="L", overwrite_b=1)[0]
+                for s0, j0, j1 in groups:
+                    l21[s0:, j0:j1] = lapack.dtbtrs(l11[:, s0:], l21[s0:, j0:j1], uplo="L",
+                                                    overwrite_b=1)[0]
                 updates[s] = blas.dsyrk(-1.0, l21, trans=1, lower=1)
             panels.append((l11, l21 if kd is None else l21.T))
         return panels
@@ -238,6 +305,37 @@ class _Supernodes:
             y[b0:b1] = _triangular_solve(kd, l11, y[b0:b1] - l21.T @ y[below], trans=1)
         x[self.perm] = y
         return x
+
+
+def _update_positions(m, f):
+    """Where a child's update goes in the flat Fortran-order f x f parent
+    front that holds the child's rows below at ``m``: entry (i, j) to
+    (m_i, m_j), but the two entries of a pair trade places where m_i, m_j
+    run against i, j (a leaf's rows below come in dtbtrs order, not
+    ascending), so that the update's lower triangle lands in the front's."""
+    at = np.add.outer(m, f * m)
+    o = np.arange(len(m))
+    return np.where(np.greater.outer(m, m) == np.greater.outer(o, o), at, at.T).ravel(order="F")
+
+
+def _rhs_groups(first, k):
+    """Contiguous groups (s0, j0, j1) of the right-hand sides j0:j1, whose
+    first nonzero rows ``first`` (ascending) are at least s0.  A group is
+    split where that trims the most rows while those are more than 2 k: one
+    more dtbtrs call costs about as much as two right-hand sides of k rows
+    (at 100x100 on a 2-core Xeon VM, about 4 us per call against 13 ns per
+    row of a right-hand side)."""
+    first, groups = first.tolist(), []
+    todo = [(0, len(first))] if first else []
+    while todo:
+        i, j = todo.pop()
+        trimmed = [(first[x] - first[i]) * (j - x) for x in range(i, j)]
+        if max(trimmed) > 2 * k:
+            t = i + trimmed.index(max(trimmed))
+            todo += [(t, j), (i, t)]
+        else:
+            groups.append((first[i], i, j))
+    return groups
 
 
 def _triangular_solve(kd, l11, v, trans=0):

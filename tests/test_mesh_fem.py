@@ -560,21 +560,34 @@ class TestFluxCholesky:
             with pytest.raises(LinearSolveError, match="pivot"):
                 fem._AnalysedFactor(matrix, ops.flux_order, analysis, True)
 
-    @pytest.mark.parametrize("front", ["dense", "band leaf"])
+    @pytest.mark.parametrize("front", ["dense", "band leaf", "merged"])
     def test_indefinite_block_fails_at_its_pivot(self, front):
         # a 2x2 principal block {i, j} made indefinite with its diagonal
         # kept: the leading minors stay positive until the later of i and
         # j in the factor order, the pivot the error names
-        mesh, ops, params, init = setup_problem(20, 20, width=1.0)
+        n = 60 if front == "merged" else 20
+        mesh, ops, params, init = setup_problem(n, n, width=1.0)
         d = ops.local_divergence
         spd = ops.flux_pattern.matrix(np.tile(ops.local_flux_mass + np.outer(d, d),
                                               (mesh.n_cells, 1, 1)))
         _, supernodes = both_analyses(ops)
-        # the root separator's front is dense, the first front a band leaf
-        b0, b1, _, kd, *_ = supernodes.nodes[-1 if front == "dense" else 0]
-        assert (kd is None) == (front == "dense")
         rank, rows, cols = np.argsort(supernodes.perm), spd.indices, supernodes.columns
-        pick = np.flatnonzero((cols >= b0) & (cols < b1) & (rank[rows] < rank[cols]))[0]
+
+        def pairs(b0, b1):
+            return np.flatnonzero((rank[cols] >= b0) & (rank[cols] < b1)
+                                  & (rank[rows] < rank[cols]))
+
+        if front == "merged":
+            # both in a front of folded separators, j in one that the fold
+            # moved past other subtrees: j sits at position rank[j] != j,
+            # and only the new perm names it
+            pick = [p for b0, b1, _, kd, *_ in supernodes.nodes if kd is None
+                    for p in pairs(b0, b1) if rank[rows[p]] >= b0 and rank[cols[p]] != cols[p]][0]
+        else:
+            # the root front is dense, the first front a band leaf
+            b0, b1, _, kd, *_ = supernodes.nodes[-1 if front == "dense" else 0]
+            assert (kd is None) == (front == "dense")
+            pick = pairs(b0, b1)[0]
         i, j = rows[pick], cols[pick]
         data = spd.data.copy()
         data[[pick, np.flatnonzero((rows == j) & (cols == i))[0]]] = 2.0 * np.sqrt(
@@ -602,6 +615,59 @@ class TestFluxCholesky:
         factor = fem._AnalysedFactor(matrix, ops.flux_order, supernodes, True)
         rhs = rng.standard_normal(matrix.shape[0])
         assert backward_error(matrix, factor._raw_solve(rhs), rhs) <= 1e-12
+
+    @pytest.mark.parametrize("n, parent_fronts", [(60, 63), (100, 255)])
+    def test_merged_fronts_tile_a_permutation(self, n, parent_fronts):
+        ops = assemble(RectMesh(n, n, 1.0, 1.0, 1.0), MU, LAM)
+        supernodes, bounds = ops.flux_analysis, ops._flux_supernodes
+        assert isinstance(supernodes, fem._Supernodes)
+        perm, size = supernodes.perm, len(ops.free_q)
+        assert np.array_equal(np.sort(perm), np.arange(size))
+        # the fronts tile the positions in order, each front's rows below
+        # lie after its columns, and every dissection piece keeps its
+        # columns together, inside one front
+        ends = [(b0, b1) for b0, b1, *_ in supernodes.nodes]
+        assert ends[0][0] == 0 and ends[-1][1] == size
+        assert all(b1 == next_b0 for (_, b1), (next_b0, _) in zip(ends, ends[1:]))
+        for b0, b1, below, *_ in supernodes.nodes:
+            assert np.all(below >= b1) and len(np.unique(below)) == len(below)
+        rank = np.argsort(perm)
+        front = np.repeat(np.arange(len(ends)), [b1 - b0 for b0, b1 in ends])
+        for p0, p1 in zip(bounds[:-1], bounds[1:]):
+            where = np.sort(rank[p0:p1])
+            assert where[-1] - where[0] == p1 - p0 - 1 and len(np.unique(front[where])) == 1
+        # small separators fold into their parents: fewer fronts than
+        # dissection pieces, and every folded front is dense
+        assert len(supernodes.nodes) < parent_fronts == len(bounds) - 1
+        for b0, b1, _, kd, *_ in supernodes.nodes:
+            if len(np.unique(np.searchsorted(bounds, perm[b0:b1], side="right"))) > 1:
+                assert kd is None
+
+    def test_trimmed_leaf_panels_are_bitwise(self, monkeypatch):
+        # a band leaf's rows below go in order of the first leaf column
+        # they couple to, and dtbtrs solves each group of them on the
+        # trailing band from the group's first: leading zeros give exact
+        # zeros, so each L21 equals dtbtrs on all of the leaf's rows
+        mesh, ops, params, init = setup_problem(60, 60, width=1.0)
+        (matrix,) = captured_flux_matrices(
+            ops, lambda: fsl_local_iteration(init, init, params, ops), monkeypatch)
+        supernodes = ops.flux_analysis
+        factor = fem._AnalysedFactor(matrix, ops.flux_order, supernodes, True)
+        scaled = sp.csc_array((matrix.data * factor._dr[matrix.indices]
+                               * factor._dc[supernodes.columns], matrix.indices, matrix.indptr),
+                              shape=matrix.shape)
+        perm, trimmed, leaves = supernodes.perm, 0, 0
+        for (b0, b1, below, kd, *_, groups), (l11, l21) in zip(supernodes.nodes, factor._factor):
+            if kd is None or not len(below):
+                continue
+            leaves += 1
+            rhs = scaled[perm[b0:b1]][:, perm[below]].toarray(order="F")
+            first = np.argmax(rhs != 0, axis=0)
+            assert np.all(np.diff(first) >= 0)
+            trimmed += sum(s0 > 0 for s0, *_ in groups)
+            reference = fem.lapack.dtbtrs(l11, rhs, uplo="L")[0]
+            assert np.array_equal(l21.T, reference)
+        assert leaves == 32 and trimmed > 0
 
     def test_negative_diagonal_entry_raises(self):
         mesh, ops, params, init = setup_problem(4, 4, width=1.0)
@@ -660,23 +726,17 @@ class TestFluxCholesky:
             ops = assemble(RectMesh(n, n, 1.0, 1.0, 1.0), MU, LAM)
             assert "flux_analysis" not in vars(ops)
             built.clear()
-
-            def whole():
-                # the supernodal analysis builds a _Band of each leaf block;
-                # only analyses of the whole flux pattern count
-                return [a for a in built if len(a.diagonal) == len(ops.free_q)]
-
             for weight in (1.0, 2.0):
                 matrix = ops.flux_pattern.matrix(weight * np.tile(
                     ops.local_flux_mass, (ops.mesh.n_cells, 1, 1)))
                 ops.flux_factor(matrix, False)
                 # beyond the band the general factor is SuperLU's: it
                 # builds no analysis
-                assert len(whole()) == (kind.__name__ == "_Band" or weight > 1.0)
+                assert len(built) == (kind.__name__ == "_Band" or weight > 1.0)
                 ops.flux_factor(matrix, True)
             # the analysis not chosen is never constructed
-            assert len(whole()) == 1 and type(whole()[0]) is kind
-            assert ops.flux_analysis is whole()[0]
+            assert len(built) == 1 and type(built[0]) is kind
+            assert ops.flux_analysis is built[0]
 
 
 class TestRefinement:

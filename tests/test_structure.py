@@ -4,10 +4,13 @@ another module needs is made public and listed in its owner's ``__all__``.
 Every dataclass of the package is frozen and holds no list, dict or set,
 so a record cannot change after it is made, and only ``PoroState``'s memo
 writes past that with ``object.__setattr__``.  No module rebinds a module
-global from inside a function with a ``global`` statement."""
+global from inside a function with a ``global`` statement.  Every benchmark
+record ``BENCH_*.json`` at the repository root states where its numbers
+came from."""
 
 import ast
 import io
+import json
 import re
 import tokenize
 import types
@@ -332,3 +335,21 @@ def test_package_root_is_the_readme_entry_points():
     public = {name for name, value in vars(porosplit).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == set(porosplit.__all__)
+
+
+def test_bench_records_carry_their_provenance():
+    """Every ``BENCH_*.json`` at the repository root parses and names its
+    change, parent commit, machine and versions, and claims a workload and
+    an end-to-end metric that ``BENCHMARK.json`` declares."""
+    root = PACKAGE.parents[1]
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in benchmark["workloads"]}
+    metrics = {m["name"] for m in benchmark["end_to_end"]}
+    records = sorted(root.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert {"change", "parent_commit", "machine", "versions", "claim"} <= set(record), path.name
+        assert {"python", "numpy", "scipy"} <= set(record["versions"]), path.name
+        claim = record["claim"]
+        assert claim["workload"] in workloads and claim["metric"] in metrics, path.name
