@@ -23,16 +23,16 @@ Matrices that change every iteration are summed from dense cell blocks onto
 a sparsity pattern built once per mesh, already in that ordering
 (``flux_pattern``, ``coupled_pattern``).  Every solve has ``SparseFactor``'s
 normwise backward-error contract of 1e-12 and iterative refinement.  Newton
-takes SuperLU; the constant stiffness and the flux-only matrices
-(``flux_factor``) follow one band decision per mesh: while the constrained
-stiffness's band in reverse Cuthill-McKee order holds n kd <= _BAND_ENTRIES
-entries (through 50x50), all take an ``_AnalysedFactor`` on a band analysis,
-a Cholesky if SPD, else an LU; beyond (from 60x60 on) the SPD flux matrix
-takes the supernodal Cholesky and the others SuperLU.  Its fronts are the
-dissection's pieces restricted to the flux dofs: subtrees of at most
-_SUPERNODE_SIZE dofs as band leaves, the separators above them as dense
-fronts, small ones folded into their parents (``_Supernodes``).  The
-README holds the crossover table.
+takes SuperLU; the rest follow one band decision per mesh, whether the
+constrained stiffness's band in reverse Cuthill-McKee order holds
+n kd <= _BAND_ENTRIES entries (through 50x50).  On a banded mesh an SPD
+matrix takes the supernodal Cholesky (``_Supernodes``) as one band leaf and
+a flux matrix that is not SPD the band LU (``_Band``).  Beyond (from 60x60
+on) only the SPD flux matrix keeps the Cholesky, on the dissection's pieces
+restricted to the flux dofs (subtrees of at most _SUPERNODE_SIZE dofs as
+band leaves, the separators above them as dense fronts, small ones folded
+into their parents); the stiffness and the general flux matrix take
+SuperLU.  The README holds the crossover table.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ PIVOT_THRESHOLD = 0.1   # threshold partial pivoting of the general LU
 LEAF_SIZE = 64          # boxes of at most this many dofs are not bisected
 _SUPERNODE_SIZE = 240   # flux dofs of the largest subtree factored as one band leaf front
 _MERGE_SIZE = 120       # columns of the largest dense front that folds in a dense child
-# stiffness band entries n kd up to which every flux and stiffness factor of
-# the mesh is a band factor: between 50x50 (1.0e6) and 60x60 (1.7e6), near
-# the crossovers of all three factors (README)
+# stiffness band entries n kd up to which the mesh is banded (every SPD matrix
+# one band leaf, the general flux matrix a band LU): between 50x50 (1.0e6) and
+# 60x60 (1.7e6), near the crossovers of all three factors (README)
 _BAND_ENTRIES = 1.3e6
 
 
@@ -87,7 +87,7 @@ def _equilibration(m):
 
 
 class SparseFactor:
-    """LU factorization wrapper enforcing the relative-residual contract.
+    """SuperLU factor enforcing the normwise backward-error contract.
 
     ``matrix`` holds the system A with rows and columns in ``order``:
     matrix[i, j] = A[order[i], order[j]]; ``solve`` takes and returns vectors
@@ -96,9 +96,9 @@ class SparseFactor:
     magnitude between rows), read off the CSC arrays, and pivots off the
     diagonal only below PIVOT_THRESHOLD times its column's largest entry
     (Newton's test1 factors never do).  Iterative refinement handles the
-    remaining ill-conditioning.  Its one subclass, ``_AnalysedFactor``,
-    replaces the constructor and the raw solve; the module docstring states
-    the one rule that picks between them.
+    remaining ill-conditioning.  ``_AnalysedFactor`` replaces the
+    constructor and the raw solve for the Cholesky and the band LU; the
+    module docstring states the one rule that picks between them.
     """
 
     def __init__(self, matrix, order):
@@ -156,32 +156,31 @@ class SparseFactor:
 
 class _Supernodes:
     """Symbolic analysis of a multifrontal Cholesky (Duff & Reid, ACM TOMS
-    1983; Liu, SIAM Review 1992) on one CSC pattern (both triangles stored)
-    whose pieces [bounds[s], bounds[s + 1]) come in the dissection's
-    postorder.  A piece's front spans its columns and the rows below them
-    that they or its children's updates reach; its parent owns the first of
-    those rows.  A piece with no children is a leaf, a band front: its
-    columns go in the reverse Cuthill-McKee order of its own block (one
-    order of the block-diagonal pattern of all leaf blocks gives them all),
-    with half-bandwidth kd, and its rows below in the order of
-    the first leaf column they couple to, so that dtbtrs solves each group
-    of them on the trailing band from its first nonzero row.  The other
-    pieces have dense fronts, and a dense child folds into its parent while
-    the merged front keeps at most _MERGE_SIZE columns (relaxed supernode
-    amalgamation, Ashcraft & Grimes, ACM TOMS 1989); the fold moves the
-    child's columns to just before the parent's.  ``perm`` (position ->
-    index) is the postorder of the fronts with those moves and the leaves'
-    orders; a front holds the positions [b0, b1).  Kept per front: its rows
-    below (as positions), kd (None for a dense front), the pattern's data
-    positions and where they go in the flat Fortran-order front (for a
-    leaf: its band storage, then the k x (rows below) right-hand side of
-    dtbtrs), each child's update's positions and, for a leaf, the dtbtrs
-    groups; each entry's column; the diagonal's positions."""
+    1983; Liu, SIAM Review 1992) on one CSC pattern (both triangles and
+    every diagonal stored) whose pieces [bounds[s], bounds[s + 1]) come in
+    the dissection's postorder; bounds [0, n] make the matrix one leaf.  A
+    piece's front spans its columns and the rows below them that they or
+    its children's updates reach; its parent owns the first of those rows.
+    A piece with no children is a leaf, a band front: its columns go in the
+    reverse Cuthill-McKee order of its own block (one order of the
+    block-diagonal pattern of all leaf blocks gives them all), with
+    half-bandwidth kd, and its rows below in the order of the first leaf
+    column they couple to, so that dtbtrs solves each group of them on the
+    trailing band from its first nonzero row.  The other pieces have dense
+    fronts, and a dense child folds into its parent while the merged front
+    keeps at most _MERGE_SIZE columns (relaxed supernode amalgamation,
+    Ashcraft & Grimes, ACM TOMS 1989); the fold moves the child's columns
+    to just before the parent's.  ``perm`` (position -> index) is the
+    postorder of the fronts with those moves and the leaves' orders; a front
+    holds the positions [b0, b1).  Kept per front: its rows below (as
+    positions), kd (None for a dense front), the pattern's data positions
+    and where they go in the flat Fortran-order front (for a leaf: its band
+    storage, then the k x (rows below) right-hand side of dtbtrs), each
+    child's update's positions and, for a leaf, the dtbtrs groups; and the
+    diagonal's data positions."""
 
     def __init__(self, indices, indptr, bounds):
         n = len(indptr) - 1
-        self.columns = np.repeat(np.arange(n), np.diff(indptr))
-        self.diagonal = np.flatnonzero(indices == self.columns)
         # symbolic pass over the pieces in the dissection order: their rows
         # below and children, and the pieces of each front
         owner = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
@@ -201,38 +200,34 @@ class _Supernodes:
             if len(rows_below[s]):
                 children[owner[rows_below[s][0]]].append(s)
         # each leaf's columns in the reverse Cuthill-McKee order of its
-        # block: one order of the block-diagonal pattern of all leaves
-        block = np.array([-1 if c else s for s, c in enumerate(children)], dtype=int)[owner]
-        inner = np.flatnonzero((block[self.columns] >= 0) & (block[indices] == block[self.columns]))
-        leaf_columns, local = np.flatnonzero(block >= 0), np.cumsum(block >= 0) - 1
-        m = len(leaf_columns)
-        leaf_rank = np.argsort(reverse_cuthill_mckee(sp.csc_array((
-            np.ones(len(inner)), local[indices[inner]],
-            np.searchsorted(local[self.columns[inner]], np.arange(m + 1))), shape=(m, m)),
-            symmetric_mode=True))
+        # block: one order of the block-diagonal pattern of all leaves.  A
+        # leaf couples to no earlier piece, so its block is its columns' rows
+        # before its end (0 on the other columns)
+        end = np.array([0 if c else b for c, b in zip(children, bounds[1:])], dtype=int)[owner]
+        inner = indices < np.repeat(end, np.diff(indptr))
+        columns = np.flatnonzero(end)
+        m = len(columns)
+        if m:
+            count = np.add.reduceat(inner, indptr[:-1])[columns]
+            rcm = columns[reverse_cuthill_mckee(sp.csc_array((
+                np.ones(count.sum(), dtype=bool), (np.cumsum(end > 0) - 1)[indices[inner]],
+                np.concatenate([[0], np.cumsum(count)])), shape=(m, m)), symmetric_mode=True)]
+            columns = rcm[np.argsort(end[rcm], kind="stable")]
         leaves = [s for s, c in enumerate(children) if not c]
-        leaf_order = dict(zip(leaves, np.split(
-            leaf_columns[np.lexsort((leaf_rank, block[leaf_columns]))],
-            np.cumsum(np.diff(bounds)[leaves])[:-1])))
+        leaf_order = dict(zip(leaves, np.split(columns, np.cumsum(np.diff(bounds)[leaves])[:-1])))
         # the fronts in postorder of their top piece, a folded piece's
         # columns moved to just before its parent's
         fronts = [p for p in pieces if p]
         self.perm = np.concatenate([leaf_order[m] if m in leaf_order else
                                     np.arange(bounds[m], bounds[m + 1])
                                     for p in fronts for m in p] + [np.zeros(0, dtype=int)])
-        rank = np.argsort(self.perm)
-        row_at, col_at = rank[indices], rank[self.columns]
+        rank = np.empty(n, dtype=int)
+        rank[self.perm] = np.arange(n)
+        row_at, col_at = rank[indices], np.repeat(rank, np.diff(indptr))
+        self.diagonal = np.flatnonzero(row_at == col_at)
         sizes = np.array([sum(bounds[m + 1] - bounds[m] for m in p) for p in fronts], dtype=int)
         ends = np.cumsum(sizes)
         starts, front_of = ends - sizes, np.repeat(np.arange(len(fronts)), sizes)
-        # a leaf's entry (i, j), i >= j, goes to (kd + 1) j + i - j of its
-        # band storage, kd the leaf's largest i - j (positions in the leaf)
-        lower = inner[row_at[inner] >= col_at[inner]]
-        leaf, offset = front_of[col_at[lower]], row_at[lower] - col_at[lower]
-        kd = np.zeros(len(fronts), dtype=int)
-        np.maximum.at(kd, leaf, offset)
-        at = np.full(len(indices), -1)
-        at[lower] = offset + (kd[leaf] + 1) * (col_at[lower] - starts[leaf])
         self.nodes, kids = [], [[] for _ in fronts]
         for s, (p, b0, b1) in enumerate(zip(fronts, starts, ends)):
             below = np.sort(rank[rows_below[p[-1]]])
@@ -247,21 +242,33 @@ class _Supernodes:
                 node = (None, source, (col_at[source] - b0) * f
                         + np.searchsorted(front, row_at[source]), extend, ())
             else:
-                # rows below in order of the first leaf column they couple
-                # to; dtbtrs solves each group of them from its first
+                # a leaf's entry (i, j), i >= j (positions in the leaf), goes
+                # to (kd + 1) j + i - j of its band storage, kd the largest
+                # i - j, or for a row below to the right-hand side, whose rows
+                # go in order of the first leaf column they couple to
                 k, lo, hi = b1 - b0, indptr[bounds[p[0]]], indptr[bounds[p[0] + 1]]
-                out = lo + np.flatnonzero(row_at[lo:hi] >= b1)
-                row = np.searchsorted(below, row_at[out])
+                source = lo + np.flatnonzero(row_at[lo:hi] >= col_at[lo:hi])
+                i, j = row_at[source] - b0, col_at[source] - b0
+                out = i >= k
+                kd = int(np.max(i - j, initial=0, where=~out))
+                row = np.searchsorted(below, i[out] + b0)
                 first = np.full(len(below), k)
-                np.minimum.at(first, row, col_at[out] - b0)
+                np.minimum.at(first, row, j[out])
                 order = np.argsort(first, kind="stable")
-                at[out] = (kd[s] + 1) * k + col_at[out] - b0 + k * np.argsort(order)[row]
-                source = lo + np.flatnonzero(at[lo:hi] >= 0)
+                at = i + kd * j
+                at[out] = (kd + 1) * k + j[out] + k * np.argsort(order)[row]
                 below = below[order]
-                node = (int(kd[s]), source, at[source], [], _rhs_groups(first[order], k))
+                node = (kd, source, at, [], _rhs_groups(first[order], k))
             self.nodes.append((b0, b1, below) + node)
             if len(below):
                 kids[front_of[below.min()]].append(s)
+
+    def scaling(self, matrix):
+        """Row and column scales of the SPD ``matrix``: to unit diagonal."""
+        diag = matrix.data[self.diagonal]
+        if not np.all((diag > 0) & np.isfinite(diag)):
+            raise LinearSolveError("Cholesky factorization needs a positive diagonal")
+        return (1.0 / np.sqrt(diag),) * 2
 
     def factor(self, data):
         """Panels (L11, L21) per supernode of the SPD matrix with CSC data
@@ -300,9 +307,11 @@ class _Supernodes:
         y = x[self.perm]
         for (b0, b1, below, kd, *_), (l11, l21) in zip(self.nodes, panels):
             y[b0:b1] = z = _triangular_solve(kd, l11, y[b0:b1])
-            y[below] -= l21 @ z
+            if len(below):
+                y[below] -= l21 @ z
         for (b0, b1, below, kd, *_), (l11, l21) in zip(reversed(self.nodes), reversed(panels)):
-            y[b0:b1] = _triangular_solve(kd, l11, y[b0:b1] - l21.T @ y[below], trans=1)
+            v = y[b0:b1] - l21.T @ y[below] if len(below) else y[b0:b1]
+            y[b0:b1] = _triangular_solve(kd, l11, v, trans=1)
         x[self.perm] = y
         return x
 
@@ -347,83 +356,56 @@ def _triangular_solve(kd, l11, v, trans=0):
 
 
 class _Band:
-    """Band analysis (George & Liu 1981) of a structurally symmetric CSC
-    pattern: reverse Cuthill-McKee order ``perm`` (position -> index), its
-    half-bandwidth ``kd``, and as in ``_Supernodes`` each entry's column and
-    the diagonal's positions.  Reordered entry (i, j) goes to ab[d + i - j, j]
-    of LAPACK band storage: d = 0 (lower triangle) for dpbtrf, d = 2 kd (room
-    for the fill) for dgbtrf."""
+    """Band LU analysis (George & Liu 1981) of a structurally symmetric CSC
+    pattern: reverse Cuthill-McKee order ``perm`` (position -> index) and
+    its half-bandwidth ``kd``.  Reordered entry (i, j) goes to
+    ab[2 kd + i - j, j] of dgbtrf's band storage, kd rows above the band
+    left for the fill.  Its scaling is the LU's equilibration."""
+
+    scaling = staticmethod(_equilibration)
 
     def __init__(self, indices, indptr):
         n = len(indptr) - 1
-        self.columns = np.repeat(np.arange(n), np.diff(indptr))
-        self.diagonal = np.flatnonzero(indices == self.columns)
         pattern = sp.csc_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
-        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True) if n else self.columns
-        self._indices, self._rank = indices, np.argsort(self.perm)
+        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True) if n else np.arange(0)
+        self._pattern, self._rank = (indices, np.diff(indptr)), np.argsort(self.perm)
         # symmetric, with every diagonal: kd is the lowest reach of a column
         lowest = np.maximum.reduceat(self._rank[indices], indptr[:-1])
         self.kd = int(np.max(lowest - self._rank, initial=0))
 
     @functools.cached_property
-    def _placed(self):
-        """Each entry's reordered column and its offset below the diagonal."""
-        column = self._rank[self.columns]
-        return column, self._rank[self._indices] - column
-
-    @functools.cached_property
-    def _lower(self):
-        column, offset = self._placed
-        kept = np.flatnonzero(offset >= 0)
-        return kept, (offset + (self.kd + 1) * column)[kept]
-
-    def _storage(self, values, at, ld):
-        ab = np.zeros(ld * len(self.perm))
-        ab[at] = values
-        return ab.reshape(ld, -1, order="F")
+    def _at(self):
+        """Each entry's place in the flat Fortran-order band storage."""
+        indices, counts = self._pattern
+        return 2 * self.kd + self._rank[indices] + 3 * self.kd * np.repeat(self._rank, counts)
 
     def factor(self, data):
-        """Band Cholesky (dpbtrf) of the SPD matrix with CSC data ``data``."""
-        ab = self._storage(data[self._lower[0]], self._lower[1], self.kd + 1)
-        c, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
-        if info:
-            raise LinearSolveError(f"Cholesky pivot {self.perm[info - 1]} is not positive")
-        return c
-
-    def lu_factor(self, data):
         """Band LU with partial pivoting (dgbtrf) of the CSC data ``data``."""
-        (column, offset), ld, kd = self._placed, 3 * self.kd + 1, self.kd
-        lu, piv, info = lapack.dgbtrf(self._storage(
-            data, 2 * kd + offset + ld * column, ld), kd, kd, overwrite_ab=1)
+        ab = np.zeros((3 * self.kd + 1) * len(self.perm))
+        ab[self._at] = data
+        lu, piv, info = lapack.dgbtrf(ab.reshape(3 * self.kd + 1, -1, order="F"),
+                                      self.kd, self.kd, overwrite_ab=1)
         if info:
             raise LinearSolveError(f"band LU pivot {self.perm[info - 1]} is zero")
         return lu, piv
 
     def solve(self, factor, x):
-        """A^-1 x for a ``factor`` or ``lu_factor`` of A, overwriting x."""
+        """A^-1 x for the ``factor`` of A, overwriting x."""
         b = x[self.perm]
-        x[self.perm] = (lapack.dgbtrs(factor[0], self.kd, self.kd, b, factor[1])
-                        if isinstance(factor, tuple) else lapack.dpbtrs(factor, b, lower=1))[0]
+        x[self.perm] = lapack.dgbtrs(factor[0], self.kd, self.kd, b, factor[1])[0]
         return x
 
 
 class _AnalysedFactor(SparseFactor):
-    """SparseFactor on the pattern of a ``_Band`` or ``_Supernodes`` analysis:
-    an SPD matrix is scaled to unit diagonal and takes its Cholesky, any other
-    the LU's equilibration and the band LU.  The refined solve is shared."""
+    """SparseFactor, with its refined solve, on an analysis that supplies the
+    scaling, the factor and its solve: ``_Supernodes`` the Cholesky of an SPD
+    matrix scaled to unit diagonal, ``_Band`` the band LU of an equilibrated one."""
 
-    def __init__(self, matrix, order, analysis, spd):
+    def __init__(self, matrix, order, analysis):
         self.matrix, self.order, self._analysis = matrix, order, analysis
-        if spd:
-            diag = matrix.data[analysis.diagonal]
-            if not np.all((diag > 0) & np.isfinite(diag)):
-                raise LinearSolveError("Cholesky factorization needs a positive diagonal")
-            self._dr = self._dc = 1.0 / np.sqrt(diag)
-            factor = analysis.factor
-        else:
-            self._dr, self._dc = _equilibration(matrix)
-            factor = analysis.lu_factor
-        self._factor = factor(matrix.data * self._dr[matrix.indices] * self._dc[analysis.columns])
+        self._dr, self._dc = analysis.scaling(matrix)
+        self._factor = analysis.factor(matrix.data * self._dr[matrix.indices]
+                                       * np.repeat(self._dc, np.diff(matrix.indptr)))
 
     def _raw_solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._dc * self._analysis.solve(self._factor, self._dr * rhs)
@@ -591,8 +573,6 @@ class DiscreteOperators:
         free_u_mask[self.fixed_u] = False
         self.free_u = np.nonzero(free_u_mask)[0]
 
-        self.A_ff = self.A_uu[np.ix_(self.free_u, self.free_u)].tocsc()
-
         self.D_pq_f = self.D_pq[:, self.free_q]
 
         # one nested-dissection ordering of the coupled free dofs
@@ -607,12 +587,6 @@ class DiscreteOperators:
             (self.free_u // mesh.n_nodes, self.free_u % mesh.n_nodes))])
         dissection, pieces = nested_dissection(xy[entry])
         order = entry[dissection]
-        # flux Cholesky supernodes: the pieces restricted to the flux dofs
-        # (contiguous in flux_order), subtrees of <= _SUPERNODE_SIZE merged
-        flux_before = np.concatenate([[0], np.cumsum((order >= n_p) & (order < n_p + n_qf))])
-        pieces = flux_before[pieces]
-        big = pieces[:, 3] - pieces[:, 0] > _SUPERNODE_SIZE
-        self._flux_supernodes = np.unique(np.concatenate([[0, n_qf], pieces[big].ravel()]))
         # each pressure dof moves to directly after the last of its cell's
         # free edges; key is twice the position, ties keep their order
         key = 2 * np.argsort(order)
@@ -624,14 +598,21 @@ class DiscreteOperators:
         self.flux_order = self.order[(self.order >= n_p) & (self.order < n_p + n_qf)] - n_p
         self.elastic_order = self.order[self.order >= n_p + n_qf] - n_p - n_qf
         eo = self.elastic_order
-        stiffness = self.A_ff[eo][:, eo]
-        band = _Band(stiffness.indices, stiffness.indptr)
-        self._banded = len(eo) * band.kd <= _BAND_ENTRIES
+        stiffness = self.A_uu.tocsc()[:, self.free_u[eo]][self.free_u[eo]]
+        self._banded = len(eo) * _Band(stiffness.indices, stiffness.indptr).kd <= _BAND_ENTRIES
+        # flux Cholesky supernodes: one leaf on a banded mesh, else the
+        # pieces restricted to the flux dofs (contiguous in flux_order),
+        # subtrees of <= _SUPERNODE_SIZE merged
+        flux_before = np.concatenate([[0], np.cumsum((order >= n_p) & (order < n_p + n_qf))])
+        pieces = flux_before[pieces]
+        big = (not self._banded) & (pieces[:, 3] - pieces[:, 0] > _SUPERNODE_SIZE)
+        self._flux_supernodes = np.unique(np.concatenate([[0, n_qf], pieces[big].ravel()]))
         try:
             # a singular constrained stiffness means the roller constraints
             # failed to remove all rigid modes
-            self._elastic_factor = self._factor(
-                stiffness, eo, True, lambda: band if self._banded else None)
+            self._elastic_factor = (_AnalysedFactor(stiffness, eo, _Supernodes(
+                stiffness.indices, stiffness.indptr, np.unique([0, len(eo)])))
+                if self._banded else SparseFactor(stiffness, eo))
         except LinearSolveError as exc:
             raise ValueError(f"constrained elasticity block is singular: {exc}") from exc
 
@@ -639,27 +620,31 @@ class DiscreteOperators:
         flux_position[self.free_q[self.flux_order]] = np.arange(n_qf)
         self.flux_pattern = _CellPattern(flux_position[ce], np.ones((4, 4), bool), n_qf)
 
-    def _factor(self, matrix, order, spd, analysis) -> SparseFactor:
-        """The mesh's one band decision, for the stiffness and both flux
-        factors: an SPD matrix, or any on a banded mesh, takes the analysed
-        factor on ``analysis()`` if that is not None; the rest take SuperLU."""
-        found = analysis() if spd or self._banded else None
-        if found is None:
-            return SparseFactor(matrix, order)
-        return _AnalysedFactor(matrix, order, found, spd)
-
     @functools.cached_property
-    def flux_analysis(self) -> _Band | _Supernodes:
-        """Symbolic analysis of the flux factors, built on first use: the
-        band one on a banded mesh, else the supernodal Cholesky's."""
+    def flux_cholesky(self) -> _Supernodes:
+        """Symbolic analysis of the SPD flux factor, built on first use."""
         pattern = self.flux_pattern
-        if self._banded:
-            return _Band(pattern._indices, pattern._indptr)
         return _Supernodes(pattern._indices, pattern._indptr, self._flux_supernodes)
 
+    @functools.cached_property
+    def flux_band_lu(self) -> _Band:
+        """Band analysis of the other flux factors, built on first use."""
+        pattern = self.flux_pattern
+        return _Band(pattern._indices, pattern._indptr)
+
     def flux_factor(self, matrix, spd: bool) -> SparseFactor:
-        """Factor of a matrix summed by flux_pattern, SPD or not."""
-        return self._factor(matrix, self.flux_order, spd, lambda: self.flux_analysis)
+        """Factor of a matrix summed by flux_pattern: the Cholesky if SPD,
+        else the band LU on a banded mesh and SuperLU beyond."""
+        if not (spd or self._banded):
+            return SparseFactor(matrix, self.flux_order)
+        return _AnalysedFactor(matrix, self.flux_order,
+                               self.flux_cholesky if spd else self.flux_band_lu)
+
+    @functools.cached_property
+    def A_ff(self) -> sp.csc_array:
+        """The constrained stiffness in the free displacement numbering,
+        built on first use: the coupled pattern's constant."""
+        return self.A_uu[np.ix_(self.free_u, self.free_u)].tocsc()
 
     # -- assembly helpers ------------------------------------------------
 

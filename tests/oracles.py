@@ -13,6 +13,8 @@ full three-field system.  Its dense K blocks are summed from the cell block
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from porosplit import constitutive as laws
 from porosplit.model import (
@@ -36,6 +38,25 @@ def dense_flux_mass(ops, cell_weights) -> np.ndarray:
     np.add.at(out, (ce[:, :, None], ce[:, None, :]),
               np.asarray(cell_weights)[:, None, None] * ops.local_flux_mass)
     return out
+
+
+def band_cholesky_solve(matrix, rhs) -> np.ndarray:
+    """A^-1 rhs by the band Cholesky (George & Liu 1981) of the SPD CSC
+    ``matrix``: its pattern in reverse Cuthill-McKee order, the lower band
+    factored by LAPACK's dpbtrf and solved by dpbtrs."""
+    n = matrix.shape[0]
+    pattern = sp.csc_array((np.ones(matrix.nnz), matrix.indices, matrix.indptr), shape=(n, n))
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    rank = np.argsort(perm)
+    row, col = rank[matrix.indices], rank[np.repeat(np.arange(n), np.diff(matrix.indptr))]
+    lower = row >= col
+    ab = np.zeros((np.max(row - col) + 1, n))
+    ab[(row - col)[lower], col[lower]] = matrix.data[lower]
+    factor, info = scipy.linalg.lapack.dpbtrf(ab, lower=1)
+    assert info == 0, f"band Cholesky pivot {info} is not positive"
+    x = np.empty(n)
+    x[perm] = scipy.linalg.lapack.dpbtrs(factor, rhs[perm], lower=1)[0]
+    return x
 
 
 def residuals(state, prev, params, ops):

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from porosplit import constitutive as laws
-from porosplit import fem
+from porosplit import fem, schemes
 from porosplit.fem import LinearSolveError, SparseFactor, assemble, nested_dissection
 from porosplit.mesh import MeshAlignmentError, RectMesh
 from porosplit.model import newton_blocks
@@ -12,7 +12,7 @@ from porosplit.schemes import (fixed_stress_beta, fsl_local_iteration, fsmp_iter
                                newton_iteration, split_iteration)
 
 from conftest import LAM, MU, natural, setup_problem
-from oracles import dense_flux_mass
+from oracles import band_cholesky_solve, dense_flux_mass
 
 
 class TestMesh:
@@ -215,18 +215,19 @@ class TestSolvers:
 
     def test_caller_matrix_is_left_as_given(self, rng):
         # the 25x25 constrained stiffness in elastic_order has unsorted row
-        # indices: SuperLU factors a sorted copy, and a band analysis built
-        # on the caller's pattern before still factors the caller's matrix
+        # indices: SuperLU factors a sorted copy, and a Cholesky analysis
+        # built on the caller's pattern before still factors the caller's
+        # matrix
         ops = assemble(RectMesh(25, 25, 1.0, 1.0, 1.0), MU, LAM)
         eo = ops.elastic_order
         stiffness = ops.A_ff[eo][:, eo]
         indices = stiffness.indices.copy()
-        band = fem._Band(stiffness.indices, stiffness.indptr)
+        analysis = fem._Supernodes(stiffness.indices, stiffness.indptr, np.unique([0, len(eo)]))
         assert not stiffness.has_sorted_indices
         lu = SparseFactor(stiffness, eo)
         assert np.array_equal(stiffness.indices, indices)
         rhs = rng.standard_normal(len(eo))
-        x = fem._AnalysedFactor(stiffness, eo, band, True).solve(rhs)
+        x = fem._AnalysedFactor(stiffness, eo, analysis).solve(rhs)
         y = lu.solve(rhs)
         assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
         # a matrix already in canonical form is factored as it is, uncopied
@@ -384,8 +385,11 @@ class TestNestedDissection:
     @pytest.mark.parametrize("nx, ny", [(25, 25), (13, 37), (50, 50)])
     def test_band_stiffness_solves_without_refinement(self, nx, ny, rng):
         ops = assemble(RectMesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
+        # one band leaf: the band Cholesky in reverse Cuthill-McKee order
         factor = ops._elastic_factor
-        assert isinstance(factor._analysis, fem._Band)
+        assert isinstance(factor._analysis, fem._Supernodes)
+        ((b0, b1, below, kd, *_),) = factor._analysis.nodes
+        assert (b0, b1, len(below)) == (0, len(ops.free_u), 0) and kd is not None
         rhs = rng.standard_normal(len(ops.free_u))
         # one application of the factor, no refinement step
         assert backward_error(factor.matrix, factor._raw_solve(rhs), rhs) <= 1e-12
@@ -488,10 +492,14 @@ def backward_error(matrix, x, b):
 
 
 def both_analyses(ops):
-    """The band and the supernodal analysis of the flux pattern."""
+    """Two Cholesky analyses of the flux pattern: one band leaf, as on a
+    banded mesh, and the dissection's fronts, as beyond the band."""
     pattern = ops.flux_pattern
-    return (fem._Band(pattern._indices, pattern._indptr),
-            fem._Supernodes(pattern._indices, pattern._indptr, ops._flux_supernodes))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fem, "_BAND_ENTRIES", -1.0)
+        bounds = assemble(ops.mesh, ops.mu, ops.lam)._flux_supernodes
+    return tuple(fem._Supernodes(pattern._indices, pattern._indptr, b)
+                 for b in (np.unique([0, len(ops.free_q)]), bounds))
 
 
 class TestFluxCholesky:
@@ -505,7 +513,7 @@ class TestFluxCholesky:
         rhs = rng.standard_normal(matrix.shape[0])
         y = SparseFactor(matrix, ops.flux_order).solve(rhs[np.argsort(ops.flux_order)])
         for analysis in both_analyses(ops):
-            factor = fem._AnalysedFactor(matrix, ops.flux_order, analysis, True)
+            factor = fem._AnalysedFactor(matrix, ops.flux_order, analysis)
             # one application of the factor, no refinement step
             assert backward_error(matrix, factor._raw_solve(rhs), rhs) <= 1e-12
             x = factor.solve(rhs[np.argsort(ops.flux_order)])
@@ -525,24 +533,67 @@ class TestFluxCholesky:
                                                  (ops.mesh.n_cells, 1, 1)))
         factors = {"stiffness": ops._elastic_factor, "spd flux": ops.flux_factor(matrix, True),
                    "general flux": ops.flux_factor(matrix, False)}
-        # on a banded mesh all three are analysed factors on a band
-        # analysis; beyond it only the SPD flux matrix is, on the
-        # supernodal one, and the others take SuperLU
-        on_band, superlu = (fem._AnalysedFactor, fem._Band), (SparseFactor, None)
-        expected = {"stiffness": on_band if banded else superlu,
-                    "spd flux": on_band if banded else (fem._AnalysedFactor, fem._Supernodes),
-                    "general flux": on_band if banded else superlu}
+        # every SPD factor is the supernodal Cholesky, one band leaf on a
+        # banded mesh; the general flux factor is the band LU there.
+        # Beyond the band the stiffness and the general flux factor take
+        # SuperLU
+        cholesky, superlu = (fem._AnalysedFactor, fem._Supernodes), (SparseFactor, None)
+        expected = {"stiffness": cholesky if banded else superlu, "spd flux": cholesky,
+                    "general flux": (fem._AnalysedFactor, fem._Band) if banded else superlu}
         got = {name: (type(f), type(f._analysis) if hasattr(f, "_analysis") else None)
                for name, f in factors.items()}
         assert got == expected
+        for factor in factors.values():
+            if isinstance(getattr(factor, "_analysis", None), fem._Supernodes):
+                leaves = [kd for _, _, _, kd, *_ in factor._analysis.nodes if kd is not None]
+                assert (len(factor._analysis.nodes) == len(leaves) == 1) is banded
 
     def test_single_cell_has_an_empty_flux_matrix(self):
         mesh, ops, params, init = setup_problem(1, 1, width=1.0)
         matrix = ops.flux_pattern.matrix(np.ones((1, 4, 4)))
         assert matrix.shape == (0, 0)
-        assert ops.flux_factor(matrix, True).solve(np.zeros(0)).shape == (0,)
+        factor = ops.flux_factor(matrix, True)
+        assert factor._analysis is ops.flux_cholesky and ops.flux_cholesky.nodes == []
+        assert factor.solve(np.zeros(0)).shape == (0,)
         state, inc, _ = fsl_local_iteration(init, init, params, ops)
         assert all(np.all(np.isfinite(f)) for f in (state.p, state.q, state.u, inc))
+
+    def test_empty_pattern_has_no_front(self):
+        analysis = fem._Supernodes(np.zeros(0, dtype=int), np.zeros(1, dtype=int), np.unique([0]))
+        assert analysis.nodes == [] and len(analysis.perm) == 0
+        factor = fem._AnalysedFactor(sp.csc_array((0, 0)), np.zeros(0, dtype=int), analysis)
+        assert factor.solve(np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("matrix, nx, ny", [("flux", 25, 25), ("flux", 40, 40),
+                                                ("flux", 50, 50), ("stiffness", 25, 25),
+                                                ("stiffness", 13, 37), ("stiffness", 50, 50)])
+    def test_one_leaf_is_the_band_cholesky(self, matrix, nx, ny, rng, monkeypatch):
+        # the test1 step-1 FSL flux matrix and the constrained stiffness,
+        # scaled to unit diagonal as their factors are: one band leaf
+        # solves bit for bit as dpbtrf and dpbtrs in reverse Cuthill-McKee
+        # order
+        if matrix == "flux":
+            mesh, ops, params, init = setup_problem(nx, ny)
+            (a,) = captured_flux_matrices(
+                ops, lambda: fsl_local_iteration(init, init, params, ops), monkeypatch)
+        else:
+            ops = assemble(RectMesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
+            a = ops.A_ff[ops.elastic_order][:, ops.elastic_order]
+        analysis = fem._Supernodes(a.indices, a.indptr, np.unique([0, a.shape[0]]))
+        scale, _ = analysis.scaling(a)
+        scaled = sp.csc_array((a.data * scale[a.indices] * np.repeat(scale, np.diff(a.indptr)),
+                               a.indices, a.indptr), shape=a.shape)
+        rhs = rng.standard_normal(a.shape[0])
+        x = analysis.solve(analysis.factor(scaled.data), rhs.copy())
+        assert np.array_equal(x, band_cholesky_solve(scaled, rhs))
+
+    def test_newton_takes_superlu(self, monkeypatch):
+        mesh, ops, params, init = setup_problem(10, 10)
+        made = []
+        monkeypatch.setattr(schemes, "SparseFactor",
+                            lambda *a: made.append(SparseFactor(*a)) or made[-1])
+        newton_iteration(init, init, params, ops)
+        assert len(made) == 1 and type(made[0]) is SparseFactor
 
     def test_indefinite_matrix_with_positive_diagonal_raises(self):
         mesh, ops, params, init = setup_problem(4, 4, width=1.0)
@@ -558,7 +609,7 @@ class TestFluxCholesky:
         assert np.all(matrix.diagonal() > 0)
         for analysis in both_analyses(ops):
             with pytest.raises(LinearSolveError, match="pivot"):
-                fem._AnalysedFactor(matrix, ops.flux_order, analysis, True)
+                fem._AnalysedFactor(matrix, ops.flux_order, analysis)
 
     @pytest.mark.parametrize("front", ["dense", "band leaf", "merged"])
     def test_indefinite_block_fails_at_its_pivot(self, front):
@@ -571,7 +622,8 @@ class TestFluxCholesky:
         spd = ops.flux_pattern.matrix(np.tile(ops.local_flux_mass + np.outer(d, d),
                                               (mesh.n_cells, 1, 1)))
         _, supernodes = both_analyses(ops)
-        rank, rows, cols = np.argsort(supernodes.perm), spd.indices, supernodes.columns
+        rank, rows = np.argsort(supernodes.perm), spd.indices
+        cols = np.repeat(np.arange(spd.shape[0]), np.diff(spd.indptr))
 
         def pairs(b0, b1):
             return np.flatnonzero((rank[cols] >= b0) & (rank[cols] < b1)
@@ -594,7 +646,7 @@ class TestFluxCholesky:
             data[supernodes.diagonal[i]] * data[supernodes.diagonal[j]])
         matrix = sp.csc_array((data, spd.indices, spd.indptr), shape=spd.shape)
         with pytest.raises(LinearSolveError, match=f"Cholesky pivot {j} is not positive"):
-            fem._AnalysedFactor(matrix, ops.flux_order, supernodes, True)
+            fem._AnalysedFactor(matrix, ops.flux_order, supernodes)
 
     def test_leaf_with_no_rows_below_skips_dtbtrs(self, rng, monkeypatch):
         # below about 11x11 the whole flux matrix is one band leaf, and
@@ -612,14 +664,14 @@ class TestFluxCholesky:
             raise AssertionError("dtbtrs called with no rows below")
 
         monkeypatch.setattr(fem.lapack, "dtbtrs", no_dtbtrs)
-        factor = fem._AnalysedFactor(matrix, ops.flux_order, supernodes, True)
+        factor = fem._AnalysedFactor(matrix, ops.flux_order, supernodes)
         rhs = rng.standard_normal(matrix.shape[0])
         assert backward_error(matrix, factor._raw_solve(rhs), rhs) <= 1e-12
 
     @pytest.mark.parametrize("n, parent_fronts", [(60, 63), (100, 255)])
     def test_merged_fronts_tile_a_permutation(self, n, parent_fronts):
         ops = assemble(RectMesh(n, n, 1.0, 1.0, 1.0), MU, LAM)
-        supernodes, bounds = ops.flux_analysis, ops._flux_supernodes
+        supernodes, bounds = ops.flux_cholesky, ops._flux_supernodes
         assert isinstance(supernodes, fem._Supernodes)
         perm, size = supernodes.perm, len(ops.free_q)
         assert np.array_equal(np.sort(perm), np.arange(size))
@@ -651,11 +703,11 @@ class TestFluxCholesky:
         mesh, ops, params, init = setup_problem(60, 60, width=1.0)
         (matrix,) = captured_flux_matrices(
             ops, lambda: fsl_local_iteration(init, init, params, ops), monkeypatch)
-        supernodes = ops.flux_analysis
-        factor = fem._AnalysedFactor(matrix, ops.flux_order, supernodes, True)
+        supernodes = ops.flux_cholesky
+        factor = fem._AnalysedFactor(matrix, ops.flux_order, supernodes)
         scaled = sp.csc_array((matrix.data * factor._dr[matrix.indices]
-                               * factor._dc[supernodes.columns], matrix.indices, matrix.indptr),
-                              shape=matrix.shape)
+                               * np.repeat(factor._dc, np.diff(matrix.indptr)), matrix.indices,
+                               matrix.indptr), shape=matrix.shape)
         perm, trimmed, leaves = supernodes.perm, 0, 0
         for (b0, b1, below, kd, *_, groups), (l11, l21) in zip(supernodes.nodes, factor._factor):
             if kd is None or not len(below):
@@ -673,11 +725,11 @@ class TestFluxCholesky:
         mesh, ops, params, init = setup_problem(4, 4, width=1.0)
         spd = ops.flux_pattern.matrix(np.tile(ops.local_flux_mass, (mesh.n_cells, 1, 1)))
         data = spd.data.copy()
-        data[ops.flux_analysis.diagonal[3]] *= -1.0
+        data[ops.flux_cholesky.diagonal[3]] *= -1.0
         matrix = sp.csc_array((data, spd.indices, spd.indptr), shape=spd.shape)
         for analysis in both_analyses(ops):
             with pytest.raises(LinearSolveError, match="positive diagonal"):
-                fem._AnalysedFactor(matrix, ops.flux_order, analysis, True)
+                fem._AnalysedFactor(matrix, ops.flux_order, analysis)
 
     def test_negative_pressure_coefficient_takes_the_general_lu(self, monkeypatch, rng):
         # C < 0 in one cell: the flux matrix takes an LU, the band one on a
@@ -712,31 +764,30 @@ class TestFluxCholesky:
     def test_singular_matrix_raises_in_the_band_lu(self):
         mesh, ops, params, init = setup_problem(4, 4, width=1.0)
         matrix = ops.flux_pattern.matrix(np.zeros((mesh.n_cells, 4, 4)))
-        assert isinstance(ops.flux_analysis, fem._Band)
+        assert ops._banded
         with pytest.raises(LinearSolveError, match="band LU pivot"):
             ops.flux_factor(matrix, False)
 
     def test_analysis_is_built_once_on_first_use(self, monkeypatch):
-        built, cases = [], ((12, fem._Band), (60, fem._Supernodes))
-        for name in ("_Band", "_Supernodes"):
-            analysis = getattr(fem, name)
-            monkeypatch.setattr(fem, name, lambda *a, analysis=analysis: built.append(
-                analysis(*a)) or built[-1])
-        for n, kind in cases:
+        band, supernodes = fem._Band, fem._Supernodes
+        built = []
+        for name, kind in (("_Band", band), ("_Supernodes", supernodes)):
+            monkeypatch.setattr(fem, name, lambda *a, kind=kind: built.append(kind(*a))
+                                or built[-1])
+        for n in (12, 60):
             ops = assemble(RectMesh(n, n, 1.0, 1.0, 1.0), MU, LAM)
-            assert "flux_analysis" not in vars(ops)
+            assert not {"flux_cholesky", "flux_band_lu"} & set(vars(ops))
             built.clear()
             for weight in (1.0, 2.0):
                 matrix = ops.flux_pattern.matrix(weight * np.tile(
                     ops.local_flux_mass, (ops.mesh.n_cells, 1, 1)))
                 ops.flux_factor(matrix, False)
-                # beyond the band the general factor is SuperLU's: it
-                # builds no analysis
-                assert len(built) == (kind.__name__ == "_Band" or weight > 1.0)
                 ops.flux_factor(matrix, True)
-            # the analysis not chosen is never constructed
-            assert len(built) == 1 and type(built[0]) is kind
-            assert ops.flux_analysis is built[0]
+            # each analysis once; beyond the band the general factor is
+            # SuperLU's, which builds none
+            assert [type(a) for a in built] == ([band] if ops._banded else []) + [supernodes]
+            assert built[-1] is ops.flux_cholesky
+            assert not ops._banded or built[0] is ops.flux_band_lu
 
 
 class TestRefinement:
@@ -751,13 +802,11 @@ class TestRefinement:
         d = ops.local_divergence
         matrix = ops.flux_pattern.matrix(np.tile(ops.local_flux_mass + np.outer(d, d),
                                                  (mesh.n_cells, 1, 1)))
-        band, supernodes = both_analyses(ops)
+        _, supernodes = both_analyses(ops)
         factor = {"lu": lambda: SparseFactor(matrix, ops.flux_order),
                   "cholesky": lambda: ops.flux_factor(matrix, True),
-                  "supernodal": lambda: fem._AnalysedFactor(matrix, ops.flux_order, supernodes,
-                                                            True),
-                  "band_lu": lambda: fem._AnalysedFactor(matrix, ops.flux_order, band,
-                                                         False)}[kind]()
+                  "supernodal": lambda: fem._AnalysedFactor(matrix, ops.flux_order, supernodes),
+                  "band_lu": lambda: ops.flux_factor(matrix, False)}[kind]()
         return factor, natural(matrix, ops.flux_order)
 
     @staticmethod
