@@ -11,7 +11,9 @@ on every boundary edge, roller supports (u.n = 0) on left/right/bottom,
 traction-free top.  The RT0 mass is encoded once, as the cell block
 ``local_flux_mass``: ``M_q`` is scattered from it, and the mobility-weighted
 mass is only ever applied cell by cell (``weighted_flux_mass``) or summed
-into a factored matrix.
+into a factored matrix.  ``A_uu`` is scattered from ``local_stiffness``,
+and its constrained slice, built once, is both the matrix the elastic
+factor holds and the constant of Newton's coupled pattern.
 
 Every sparse matrix is factored in one ordering of the free dofs
 [p | q_free | u_free] per mesh: their geometric nested dissection
@@ -513,6 +515,7 @@ class DiscreteOperators:
         fixed_u/free_u: constrained/free displacement dofs (rollers).
         local_flux_mass: per-cell RT0 mass (4x4, cell_edges order), from
             which every RT0 mass is summed.
+        local_stiffness: per-cell A_uu (8x8, x then y of the cell_nodes).
         local_divergence: per-cell row of D_pq (cell_edges order).
         local_displacement_divergence: per-cell row of D_pu (x then y of the
             cell_nodes).
@@ -558,7 +561,8 @@ class DiscreteOperators:
         self.D_pu = _scatter(self.local_displacement_divergence[None, :], cells, nodal,
                              (nc, n_u))
         self.D_pq_T, self.D_pu_T = self.D_pq.T, self.D_pu.T
-        self.A_uu = _scatter(self._elasticity_block(), nodal, nodal, (n_u, n_u))
+        self.local_stiffness = self._elasticity_block()
+        self.A_uu = _scatter(self.local_stiffness, nodal, nodal, (n_u, n_u))
         self.M_u = _scatter(self._vector_mass_block(), nodal, nodal, (n_u, n_u))
 
         self.fixed_q = mesh.all_boundary_edges
@@ -640,12 +644,6 @@ class DiscreteOperators:
         return _AnalysedFactor(matrix, self.flux_order,
                                self.flux_cholesky if spd else self.flux_band_lu)
 
-    @functools.cached_property
-    def A_ff(self) -> sp.csc_array:
-        """The constrained stiffness in the free displacement numbering,
-        built on first use: the coupled pattern's constant."""
-        return self.A_uu[np.ix_(self.free_u, self.free_u)].tocsc()
-
     # -- assembly helpers ------------------------------------------------
 
     def _q1_gradients(self):
@@ -691,10 +689,10 @@ class DiscreteOperators:
     def coupled_pattern(self) -> _CellPattern:
         """Pattern, in ``order``, of the coupled matrices summed from 13x13
         cell blocks over [pressure, cell_edges, x then y of cell_nodes],
-        with the constrained stiffness A_ff as constant.  The mask holds
-        the pressure row and column, the RT0 mass and the stiffness
-        nonzeros, so no q-u entry is stored.  Built on first use: only
-        monolithic Newton factors coupled matrices."""
+        with the factored stiffness (``_elastic_factor.matrix``) as constant.
+        The mask holds the pressure row and column, the RT0 mass and the
+        stiffness nonzeros, so no q-u entry is stored.  Built on first use:
+        only monolithic Newton factors coupled matrices."""
         mesh = self.mesh
         n_p, n_e = mesh.n_cells, mesh.n_edges
         cn = mesh.cell_nodes
@@ -703,10 +701,10 @@ class DiscreteOperators:
         position[free[self.order]] = np.arange(len(free))
         dofs = position[np.concatenate([np.arange(n_p)[:, None], n_p + mesh.cell_edges,
                                         n_p + n_e + cn, n_p + n_e + mesh.n_nodes + cn], axis=1)]
-        mask = sp.block_diag(([[1.0]], self.local_flux_mass, self._elasticity_block())).toarray()
+        mask = sp.block_diag(([[1.0]], self.local_flux_mass, self.local_stiffness)).toarray()
         mask[0, :] = mask[:, 0] = 1.0
-        stiffness = self.A_ff.tocoo()
-        u_position = position[n_p + n_e + self.free_u]
+        stiffness = self._elastic_factor.matrix.tocoo()
+        u_position = position[n_p + n_e + self.free_u[self.elastic_order]]
         constant = (u_position[stiffness.row], u_position[stiffness.col], stiffness.data)
         return _CellPattern(dofs, mask != 0, len(free), constant)
 

@@ -276,7 +276,7 @@ def newton_blocks(state: PoroState, prev: PoroState, params: PhysicsParams,
     coupling, clamped = mobility_coupling(state, params, ops, parts)
     d = ops.local_divergence
     apu = params.alpha * parts.sat[:, None] * ops.local_displacement_divergence
-    # the u-u block stays zero: the stiffness is the pattern's constant
+    # the u-u block stays zero: the pattern's constant is the factored stiffness
     blocks = np.zeros((ops.mesh.n_cells, 13, 13))
     blocks[:, 0, 0] = cpp
     blocks[:, 0, 1:5] = params.tau * d

@@ -40,6 +40,12 @@ def dense_flux_mass(ops, cell_weights) -> np.ndarray:
     return out
 
 
+def constrained_stiffness(ops) -> sp.csc_array:
+    """The constrained stiffness in the free displacement numbering, sliced
+    from the unconstrained ``A_uu`` here, not read off the elastic factor."""
+    return ops.A_uu[np.ix_(ops.free_u, ops.free_u)].tocsc()
+
+
 def band_cholesky_solve(matrix, rhs) -> np.ndarray:
     """A^-1 rhs by the band Cholesky (George & Liu 1981) of the SPD CSC
     ``matrix``: its pattern in reverse Cuthill-McKee order, the lower band
@@ -112,7 +118,7 @@ class DenseReducedProblem:
         self.params = params
         self.area = ops.M_p.copy()
 
-        a_lu = scipy.linalg.lu_factor(ops.A_ff.toarray())
+        a_lu = scipy.linalg.lu_factor(constrained_stiffness(ops).toarray())
         dpu_f = ops.D_pu[:, ops.free_u].toarray()
         f_q0, f_u0 = gravity_loads(ops, params)
         self.f_q0_f = f_q0[ops.free_q]

@@ -12,7 +12,7 @@ from porosplit.schemes import (fixed_stress_beta, fsl_local_iteration, fsmp_iter
                                newton_iteration, split_iteration)
 
 from conftest import LAM, MU, natural, setup_problem
-from oracles import band_cholesky_solve, dense_flux_mass
+from oracles import band_cholesky_solve, constrained_stiffness, dense_flux_mass
 
 
 class TestMesh:
@@ -164,9 +164,10 @@ class TestAssembly:
 
     def test_constrained_elasticity_is_spd(self, rng):
         ops = assemble(RectMesh(4, 4, 1, 1, 0.25), MU, LAM)
+        a = constrained_stiffness(ops)
         x = rng.standard_normal(len(ops.free_u))
-        assert x @ (ops.A_ff @ x) > 0
-        assert abs(ops.A_ff - ops.A_ff.T).max() <= 1e-14 * abs(ops.A_ff).max()
+        assert x @ (a @ x) > 0
+        assert abs(a - a.T).max() <= 1e-14 * abs(a).max()
 
 
 class TestSolvers:
@@ -220,7 +221,7 @@ class TestSolvers:
         # matrix
         ops = assemble(RectMesh(25, 25, 1.0, 1.0, 1.0), MU, LAM)
         eo = ops.elastic_order
-        stiffness = ops.A_ff[eo][:, eo]
+        stiffness = constrained_stiffness(ops)[eo][:, eo]
         indices = stiffness.indices.copy()
         analysis = fem._Supernodes(stiffness.indices, stiffness.indptr, np.unique([0, len(eo)]))
         assert not stiffness.has_sorted_indices
@@ -300,7 +301,7 @@ class TestCellPattern:
         np.add.at(dense, (dofs[:, :, None], dofs[:, None, :]), kept)
         expected = dense[np.ix_(free, free)]
         n_uf = len(ops.free_u)
-        expected[-n_uf:, -n_uf:] += ops.A_ff.toarray()
+        expected[-n_uf:, -n_uf:] += constrained_stiffness(ops).toarray()
         got = natural(ops.coupled_pattern.matrix(blocks), ops.order).toarray()
         assert np.abs(got - expected).max() < 1e-13
 
@@ -414,7 +415,7 @@ class TestNestedDissection:
             (np.asarray(i) + offset, np.asarray(j) + offset)
             for (i, j), offset in ((natural(coupled, ops.order).nonzero(), 0),
                                    (natural(flux, ops.flux_order).nonzero(), nc),
-                                   (ops.A_ff.nonzero(), nc + n_qf))
+                                   (constrained_stiffness(ops).nonzero(), nc + n_qf))
         ]
         assert len(bisections) >= 3
         for start, mid, stop in bisections:
@@ -437,11 +438,10 @@ class TestNestedDissection:
         flux = ops.flux_pattern.matrix(kinv[:, None, None] * ops.local_flux_mass
                                        + (params.tau / cpp)[:, None, None] * np.outer(d, d))
         coupled, _, _ = newton_blocks(state, init, params, ops)
-        eo = ops.elastic_order
         cases = [
             (flux, ops.flux_order, True),
             (coupled, ops.order, False),
-            (ops.A_ff[eo][:, eo], eo, True),
+            (ops._elastic_factor.matrix, ops.elastic_order, True),
         ]
         for matrix, order, spd in cases:
             lu = SparseFactor(matrix, order).lu
@@ -525,7 +525,7 @@ class TestFluxCholesky:
     def test_factors_follow_the_stiffness_band(self, nx, ny, banded):
         ops = assemble(RectMesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
         eo = ops.elastic_order
-        stiffness = ops.A_ff[eo][:, eo]
+        stiffness = constrained_stiffness(ops)[eo][:, eo]
         band = fem._Band(stiffness.indices, stiffness.indptr)
         assert (len(eo) * band.kd <= fem._BAND_ENTRIES) is banded
         d = ops.local_divergence
@@ -578,7 +578,7 @@ class TestFluxCholesky:
                 ops, lambda: fsl_local_iteration(init, init, params, ops), monkeypatch)
         else:
             ops = assemble(RectMesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
-            a = ops.A_ff[ops.elastic_order][:, ops.elastic_order]
+            a = ops._elastic_factor.matrix
         analysis = fem._Supernodes(a.indices, a.indptr, np.unique([0, a.shape[0]]))
         scale, _ = analysis.scaling(a)
         scaled = sp.csc_array((a.data * scale[a.indices] * np.repeat(scale, np.diff(a.indptr)),

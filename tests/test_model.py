@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import sympy
 
 from porosplit import constitutive as laws
+from porosplit import fem
 from porosplit.fem import assemble
 from porosplit.mesh import RectMesh
 from porosplit.model import (
@@ -37,6 +38,7 @@ from conftest import (
 from oracles import (
     DenseReducedProblem,
     ScaleGuardError,
+    constrained_stiffness,
     dense_flux_mass,
     residuals,
     settled_initial_state,
@@ -265,18 +267,21 @@ class TestNewtonBlocks:
         diag = natural(matrix, ops.order).diagonal()[: mesh.n_cells]
         assert diag == pytest.approx(0.25 * ops.M_p, rel=1e-14)
 
-    def test_elasticity_block_is_state_independent(self, rng):
-        mesh, ops, params, init = setup_problem(3, 3, width=1.0 / 3.0)
-        state = PoroState(
-            p=rng.uniform(-9.0, -1.0, mesh.n_cells),
-            q=np.zeros(mesh.n_edges),
-            u=np.zeros(2 * mesh.n_nodes),
-            time=params.tau,
-        )
-        matrix, _, _ = newton_blocks(state, init, params, ops)
-        n_p, n_qf = mesh.n_cells, len(ops.free_q)
-        uu = natural(matrix, ops.order)[n_p + n_qf:, n_p + n_qf:]
-        assert abs(uu - ops.A_ff).max() < 1e-14
+    def test_elasticity_block_is_state_independent(self, rng, monkeypatch):
+        # Newton's u-u block is the constrained stiffness exactly (their
+        # difference stores no entry), with the stiffness factored as one
+        # band leaf and, past the band, by SuperLU
+        p = rng.uniform(-9.0, -1.0, 3 * 3)   # one pressure per cell, drawn once
+        for band_entries, superlu in ((fem._BAND_ENTRIES, False), (-1, True)):
+            monkeypatch.setattr(fem, "_BAND_ENTRIES", band_entries)
+            mesh, ops, params, init = setup_problem(3, 3, width=1.0 / 3.0)
+            assert (type(ops._elastic_factor) is fem.SparseFactor) is superlu
+            state = PoroState(p=p, q=np.zeros(mesh.n_edges), u=np.zeros(2 * mesh.n_nodes),
+                              time=params.tau)
+            matrix, _, _ = newton_blocks(state, init, params, ops)
+            n_p, n_qf = mesh.n_cells, len(ops.free_q)
+            uu = natural(matrix, ops.order)[n_p + n_qf:, n_p + n_qf:]
+            assert (uu - constrained_stiffness(ops)).nnz == 0
 
     @pytest.mark.parametrize("scenario", ["smooth", "hoelder"])
     def test_matches_block_assembly(self, scenario):
@@ -307,7 +312,7 @@ class TestNewtonBlocks:
         expected = sp.block_array(
             [[sp.diags_array(cpp), params.tau * dq_f, apu],
              [sp.csr_array(bqp[free_q]) - dq_f.T, kinv[free_q][:, free_q], None],
-             [-apu.T, None, ops.A_ff]], format="csr").toarray()
+             [-apu.T, None, constrained_stiffness(ops)]], format="csr").toarray()
         got = natural(matrix, ops.order).toarray()
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
