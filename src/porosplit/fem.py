@@ -13,24 +13,25 @@ traction-free top.  The RT0 mass is encoded once, as the cell block
 mass is only ever applied cell by cell (``weighted_flux_mass``) or summed
 into a factored matrix.  ``A_uu`` is scattered from ``local_stiffness``,
 and its constrained slice, built once, is both the matrix the elastic
-factor holds and the constant of Newton's coupled pattern.
+factor holds and the constant of Newton's condensed pattern.
 
-Every sparse matrix is factored in one ordering of the free dofs
-[p | q_free | u_free] per mesh: their geometric nested dissection
-(``nested_dissection``), with each pressure dof moved to directly after the
-last of its cell's free edges, so that Newton's pressure pivot (zero on
-saturated cells) holds the fill of its edges when it is eliminated; the
-flux-only and elasticity matrices use its restriction to their dofs.
+Every sparse matrix is factored in a geometric nested-dissection ordering
+(``nested_dissection``) computed once per mesh.  The flux-only and
+elasticity matrices take the restrictions of the dissection of the free
+dofs [p | q_free | u_free] to their dofs.  Monolithic Newton condenses each
+cell's pressure and flux away (hybridization) and factors a matrix over
+[q_free | u_free] only, the edge traces and the displacements, in the
+dissection of those dofs with leaves of at most _HYBRID_LEAF_SIZE.
 Matrices that change every iteration are summed from dense cell blocks onto
-a sparsity pattern built once per mesh, already in that ordering
-(``flux_pattern``, ``coupled_pattern``).  Every solve has ``SparseFactor``'s
+a sparsity pattern built once per mesh, already in their ordering
+(``flux_pattern``, ``hybrid_pattern``).  Every solve has ``SparseFactor``'s
 normwise backward-error contract of 1e-12 and iterative refinement.  Newton
 takes SuperLU; the rest follow one band decision per mesh, whether the
 constrained stiffness's band in reverse Cuthill-McKee order holds
-n kd <= _BAND_ENTRIES entries (through 50x50).  On a banded mesh an SPD
-matrix takes the supernodal Cholesky (``_Supernodes``) as one band leaf and
-a flux matrix that is not SPD the band LU (``_Band``).  Beyond (from 60x60
-on) only the SPD flux matrix keeps the Cholesky, on the dissection's pieces
+n kd <= _BAND_ENTRIES entries (through 50x50).  On a banded mesh an SPD matrix
+takes the supernodal Cholesky (``_Supernodes``) as one band leaf and a flux
+matrix that is not SPD the band LU (``_Band``).  Beyond (from 60x60 on)
+only the SPD flux matrix keeps the Cholesky, on the dissection's pieces
 restricted to the flux dofs (subtrees of at most _SUPERNODE_SIZE dofs as
 band leaves, the separators above them as dense fronts, small ones folded
 into their parents); the stiffness and the general flux matrix take
@@ -60,6 +61,7 @@ __all__ = [
 SOLVE_TOL = 1e-12
 PIVOT_THRESHOLD = 0.1   # threshold partial pivoting of the general LU
 LEAF_SIZE = 64          # boxes of at most this many dofs are not bisected
+_HYBRID_LEAF_SIZE = 16  # the same for Newton's condensed dofs (least fill, README)
 _SUPERNODE_SIZE = 240   # flux dofs of the largest subtree factored as one band leaf front
 _MERGE_SIZE = 120       # columns of the largest dense front that folds in a dense child
 # stiffness band entries n kd up to which the mesh is banded (every SPD matrix
@@ -97,7 +99,8 @@ class SparseFactor:
     equilibration (mobility-weighted flow blocks span many orders of
     magnitude between rows), read off the CSC arrays, and pivots off the
     diagonal only below PIVOT_THRESHOLD times its column's largest entry
-    (Newton's test1 factors never do).  Iterative refinement handles the
+    (Newton's condensed factors never do on test1, nor on test2 at alpha = 1;
+    README).  Iterative refinement handles the
     remaining ill-conditioning.  ``_AnalysedFactor`` replaces the
     constructor and the raw solve for the Cholesky and the band LU; the
     module docstring states the one rule that picks between them.
@@ -413,7 +416,7 @@ class _AnalysedFactor(SparseFactor):
         return self._dc * self._analysis.solve(self._factor, self._dr * rhs)
 
 
-def nested_dissection(xy: np.ndarray):
+def nested_dissection(xy: np.ndarray, leaf_size: int = LEAF_SIZE):
     """Geometric nested-dissection ordering (George, SIAM J. Numer. Anal.
     1973) of dofs at integer half-grid coordinates ``xy`` (n, 2), those of
     ``RectMesh.cell_xy``, ``edge_xy`` and ``node_xy``.
@@ -422,7 +425,7 @@ def nested_dissection(xy: np.ndarray):
     coordinate) nearest its middle.  Every coupling of a P0/RT0/Q1 matrix
     stays inside one cell's closure, so the dofs on that line separate the
     two halves exactly; they are ordered after both.  A box of at most
-    LEAF_SIZE dofs is a leaf, whose dofs keep their order in ``xy``.
+    ``leaf_size`` dofs is a leaf, whose dofs keep their order in ``xy``.
 
     Returns the order (position -> dof) and its pieces in postorder, rows
     (first, mid, start, stop) of order positions: the piece is
@@ -433,7 +436,7 @@ def nested_dissection(xy: np.ndarray):
 
     def dissect(idx, lo, hi, first):
         mid = start = first
-        if len(idx) > LEAF_SIZE:
+        if len(idx) > leaf_size:
             for axis in ((0, 1) if hi[0] - lo[0] >= hi[1] - lo[1] else (1, 0)):
                 line = 2 * ((lo[axis] + hi[axis] + 2) // 4)
                 if lo[axis] < line < hi[axis]:
@@ -454,20 +457,33 @@ def nested_dissection(xy: np.ndarray):
     return order, np.array(rows, dtype=int).reshape(-1, 4)
 
 
+def _free_dissection(mesh, free_q, free_u, cells, leaf_size):
+    """``nested_dissection`` of the free dofs [p | q_free | u_free], or of
+    [q_free | u_free] without ``cells``, in that numbering, with its pieces.
+    The displacement dofs enter node by node, so that within a leaf the x
+    and y dofs of a node stay adjacent (less elasticity fill)."""
+    xy = np.concatenate(([mesh.cell_xy] if cells else [])
+                        + [mesh.edge_xy[free_q], np.tile(mesh.node_xy, (2, 1))[free_u]])
+    n = len(xy) - len(free_u)
+    entry = np.concatenate([np.arange(n), n + np.lexsort(
+        (free_u // mesh.n_nodes, free_u % mesh.n_nodes))])
+    dissection, pieces = nested_dissection(xy[entry], leaf_size)
+    return entry[dissection], pieces
+
+
 class _CellPattern:
     """CSC pattern of an n x n matrix summed from dense per-cell blocks
     (n_cells, k, k) over the cell's dofs ``dofs`` (n_cells, k), given as
     positions in the factor ordering with -1 for a constrained dof.  Only
-    entries inside the structural nonzeros ``mask`` (k, k) and between
-    free dofs are stored; every other block entry is summed into one spare
-    slot past the end and dropped.  ``constant`` (rows, cols, values), at
-    distinct pattern positions, is added to every matrix."""
+    entries between free dofs are stored; every other block entry is summed
+    into one spare slot past the end and dropped.  ``constant`` (rows, cols,
+    values), at distinct pattern positions, is added to every matrix."""
 
-    def __init__(self, dofs, mask, n, constant=None):
+    def __init__(self, dofs, n, constant=None):
         k = dofs.shape[1]
         rows = np.broadcast_to(dofs[:, :, None], (len(dofs), k, k)).ravel()
         cols = np.broadcast_to(dofs[:, None, :], (len(dofs), k, k)).ravel()
-        kept = (rows >= 0) & (cols >= 0) & np.tile(mask.ravel(), len(dofs))
+        kept = (rows >= 0) & (cols >= 0)
         keys, slot = np.unique(cols[kept] * n + rows[kept], return_inverse=True)
         self.n = n
         self._slot = np.full(len(rows), len(keys))
@@ -519,14 +535,18 @@ class DiscreteOperators:
         local_divergence: per-cell row of D_pq (cell_edges order).
         local_displacement_divergence: per-cell row of D_pu (x then y of the
             cell_nodes).
-        order: ordering of the coupled free dofs [p | q_free | u_free]
-            (position -> dof): their nested dissection, with each pressure
-            dof moved to directly after the last of its cell's free edges.
-        flux_order/elastic_order: its restrictions to the free flux and
-            free displacement dofs, numbered within them.
-        flux_pattern/coupled_pattern: sum cell blocks into the free-flux
-            matrix (4x4 blocks in cell_edges order; in flux_order) and the
-            coupled matrix (13x13, see ``coupled_pattern``; in ``order``).
+        flux_order/elastic_order: orderings of the free flux and free
+            displacement dofs (position -> dof, numbered within them): the
+            restrictions of the nested dissection of the free dofs
+            [p | q_free | u_free] to them.
+        order: ordering of Newton's condensed dofs [q_free | u_free] (the
+            edge traces and the free displacements): their own nested
+            dissection, with leaves of at most _HYBRID_LEAF_SIZE dofs.
+        flux_pattern/hybrid_pattern: sum cell blocks into the free-flux
+            matrix (4x4 blocks in cell_edges order; in flux_order) and
+            Newton's condensed matrix (12x12 over ``hybrid_dofs``, see
+            ``hybrid_pattern``; in ``order``).  The Newton attributes are
+            built on first use.
     """
 
     def __init__(self, mesh: RectMesh, mu: float, lam: float):
@@ -579,28 +599,13 @@ class DiscreteOperators:
 
         self.D_pq_f = self.D_pq[:, self.free_q]
 
-        # one nested-dissection ordering of the coupled free dofs
-        # [p | q_free | u_free]; the flux and elasticity orderings are its
-        # restrictions to their dofs
+        # the flux and elasticity orderings restrict one nested dissection of
+        # the free dofs [p | q_free | u_free]; the cells only count towards
+        # its leaf sizes, and they keep both orderings as they were measured
         n_p, n_qf = nc, len(self.free_q)
-        xy = np.concatenate([mesh.cell_xy, mesh.edge_xy[self.free_q],
-                             np.tile(mesh.node_xy, (2, 1))[self.free_u]])
-        # displacement dofs enter node by node, so that within a leaf the x
-        # and y dofs of a node stay adjacent (less elasticity fill)
-        entry = np.concatenate([np.arange(n_p + n_qf), n_p + n_qf + np.lexsort(
-            (self.free_u // mesh.n_nodes, self.free_u % mesh.n_nodes))])
-        dissection, pieces = nested_dissection(xy[entry])
-        order = entry[dissection]
-        # each pressure dof moves to directly after the last of its cell's
-        # free edges; key is twice the position, ties keep their order
-        key = 2 * np.argsort(order)
-        last_edge = np.full(mesh.n_edges, -1)
-        last_edge[self.free_q] = key[n_p:n_p + n_qf]
-        last_edge = last_edge[ce].max(axis=1)
-        key[:n_p] = np.where(last_edge >= 0, last_edge + 1, key[:n_p])
-        self.order = order[np.argsort(key[order], kind="stable")]
-        self.flux_order = self.order[(self.order >= n_p) & (self.order < n_p + n_qf)] - n_p
-        self.elastic_order = self.order[self.order >= n_p + n_qf] - n_p - n_qf
+        order, pieces = _free_dissection(mesh, self.free_q, self.free_u, True, LEAF_SIZE)
+        self.flux_order = order[(order >= n_p) & (order < n_p + n_qf)] - n_p
+        self.elastic_order = order[order >= n_p + n_qf] - n_p - n_qf
         eo = self.elastic_order
         stiffness = self.A_uu.tocsc()[:, self.free_u[eo]][self.free_u[eo]]
         self._banded = len(eo) * _Band(stiffness.indices, stiffness.indptr).kd <= _BAND_ENTRIES
@@ -622,7 +627,7 @@ class DiscreteOperators:
 
         flux_position = np.full(mesh.n_edges, -1)
         flux_position[self.free_q[self.flux_order]] = np.arange(n_qf)
-        self.flux_pattern = _CellPattern(flux_position[ce], np.ones((4, 4), bool), n_qf)
+        self.flux_pattern = _CellPattern(flux_position[ce], n_qf)
 
     @functools.cached_property
     def flux_cholesky(self) -> _Supernodes:
@@ -686,27 +691,34 @@ class DiscreteOperators:
         return M
 
     @functools.cached_property
-    def coupled_pattern(self) -> _CellPattern:
-        """Pattern, in ``order``, of the coupled matrices summed from 13x13
-        cell blocks over [pressure, cell_edges, x then y of cell_nodes],
-        with the factored stiffness (``_elastic_factor.matrix``) as constant.
-        The mask holds the pressure row and column, the RT0 mass and the
-        stiffness nonzeros, so no q-u entry is stored.  Built on first use:
-        only monolithic Newton factors coupled matrices."""
-        mesh = self.mesh
-        n_p, n_e = mesh.n_cells, mesh.n_edges
-        cn = mesh.cell_nodes
-        free = np.concatenate([np.arange(n_p), n_p + self.free_q, n_p + n_e + self.free_u])
-        position = np.full(n_p + n_e + 2 * mesh.n_nodes, -1)
-        position[free[self.order]] = np.arange(len(free))
-        dofs = position[np.concatenate([np.arange(n_p)[:, None], n_p + mesh.cell_edges,
-                                        n_p + n_e + cn, n_p + n_e + mesh.n_nodes + cn], axis=1)]
-        mask = sp.block_diag(([[1.0]], self.local_flux_mass, self.local_stiffness)).toarray()
-        mask[0, :] = mask[:, 0] = 1.0
+    def order(self) -> np.ndarray:
+        """Newton's ordering of its condensed dofs [q_free | u_free]."""
+        return _free_dissection(self.mesh, self.free_q, self.free_u, False,
+                                _HYBRID_LEAF_SIZE)[0]
+
+    @functools.cached_property
+    def hybrid_dofs(self) -> np.ndarray:
+        """Each cell's [cell_edges | x then y of cell_nodes] in Newton's
+        numbering [q_free | u_free], len(order) for a constrained dof."""
+        mesh, n = self.mesh, len(self.order)
+        index = np.full(mesh.n_edges + 2 * mesh.n_nodes, n)
+        index[np.concatenate([self.free_q, mesh.n_edges + self.free_u])] = np.arange(n)
+        cn = mesh.n_edges + mesh.cell_nodes
+        return index[np.concatenate([mesh.cell_edges, cn, cn + mesh.n_nodes], axis=1)]
+
+    @functools.cached_property
+    def hybrid_pattern(self) -> _CellPattern:
+        """Pattern, in ``order``, of Newton's condensed matrices summed from
+        12x12 cell blocks over ``hybrid_dofs``, with the factored stiffness
+        (``_elastic_factor.matrix``) as constant.  Built on first use: only
+        monolithic Newton factors condensed matrices."""
+        n = len(self.order)
+        position = np.full(n + 1, -1)
+        position[self.order] = np.arange(n)
         stiffness = self._elastic_factor.matrix.tocoo()
-        u_position = position[n_p + n_e + self.free_u[self.elastic_order]]
+        u_position = position[len(self.free_q) + self.elastic_order]
         constant = (u_position[stiffness.row], u_position[stiffness.col], stiffness.data)
-        return _CellPattern(dofs, mask != 0, len(free), constant)
+        return _CellPattern(position[self.hybrid_dofs], n, constant)
 
     # -- factories and solves --------------------------------------------
 

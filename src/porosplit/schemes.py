@@ -22,9 +22,12 @@ Every non-constant C comes from ``model.pressure_coefficient``.  beta_FS =
 alpha^2 / (2 mu / d + lambda) is the classical fixed-stress stabilization,
 with the moduli ``ops.mu`` and ``ops.lam`` that the stiffness is built from.
 A split scheme eliminates its diagonal pressure block and factors one
-flux-only matrix per iteration (``_flow_solve``); monolithic Newton keeps
-the coupled saddle solve, whose pressure diagonal phi ds/dp + (1/N) s^2
-vanishes on saturated cells when 1/N = 0.  Convergence combines absolute
+flux-only matrix per iteration (``_flow_solve``).  Monolithic Newton's
+pressure diagonal phi ds/dp + (1/N) s^2 vanishes on saturated cells when
+1/N = 0, so it cannot be eliminated alone; Newton instead eliminates each
+cell's pressure together with its own copy of the cell's edge fluxes
+(``model.newton_blocks``) and factors one matrix over the edge traces and
+the displacements per iteration.  Convergence combines absolute
 and relative L2 criteria on the increments.  Anderson acceleration is
 applied as post-processing on the concatenated mass-weighted coefficient
 vector; the raw scheme increment at the current (possibly accelerated)
@@ -294,20 +297,31 @@ def fsnewton_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
 
 def newton_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
                      ops: DiscreteOperators):
-    """One monolithic Newton step on the coupled system."""
+    """One monolithic Newton step on the coupled system, by static
+    condensation: ``newton_blocks``' matrix gives the edge traces and the
+    displacement increment, and each cell's pressure and flux increments
+    follow from its own block.  Each free edge's flux residual is split
+    evenly between its two cells (the trace takes up the difference), and
+    its increment is the mean of the two cells' copies."""
     t_new = prev.time + params.tau
-    matrix, parts, clamped = newton_blocks(state, prev, params, ops)
+    matrix, (blocks, trace, lift), parts, clamped = newton_blocks(state, prev, params, ops)
     r_u = mech_residual(state, params, ops)
     dq, rhs_p, rhs_q = _flow_rhs(state, params, ops, parts, t_new)
-    rhs = np.concatenate([rhs_p, rhs_q, r_u[ops.free_u]])
+    ce, n_e, n_qf = ops.mesh.cell_edges, ops.mesh.n_edges, len(ops.free_q)
+    half = np.zeros(n_e)
+    half[ops.free_q] = 0.5 * rhs_q
+    local = np.linalg.solve(blocks, np.concatenate([rhs_p[:, None], half[ce]], axis=1)[:, :, None])
+    n = len(ops.order)
+    pushed = np.swapaxes(trace, 1, 2) @ local
+    rhs = np.bincount(ops.hybrid_dofs.ravel(), pushed.ravel(), minlength=n + 1)[:n]
+    rhs[n_qf:] += r_u[ops.free_u]
     sol = SparseFactor(matrix, ops.order).solve(rhs)
 
-    n_p = ops.mesh.n_cells
-    n_qf = len(ops.free_q)
-    dp = sol[:n_p]
-    dq[ops.free_q] = sol[n_p:n_p + n_qf]
+    local = (local - lift @ np.append(sol, 0.0)[ops.hybrid_dofs][:, :, None])[:, :, 0]
+    dp = local[:, 0]
+    dq[ops.free_q] = 0.5 * np.bincount(ce.ravel(), local[:, 1:].ravel(), minlength=n_e)[ops.free_q]
     du = np.zeros(2 * ops.mesh.n_nodes)
-    du[ops.free_u] = sol[n_p + n_qf:]
+    du[ops.free_u] = sol[n_qf:]
     new_state = PoroState(p=state.p + dp, q=state.q + dq, u=state.u + du, time=t_new)
     inc = (ops.pressure_norm(dp), ops.flux_norm(dq), ops.disp_norm(du))
     return new_state, inc, clamped

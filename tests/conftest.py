@@ -81,6 +81,13 @@ def natural(matrix, order):
     return sp.csr_array(matrix)[rank][:, rank]
 
 
+def backward_error(matrix, x, b):
+    """Normwise backward error |A x - b| / (|b| + |A| |x|), with |A| the max
+    row sum: the measure of ``SparseFactor``'s contract."""
+    norm = abs(matrix).sum(axis=1).max()
+    return np.linalg.norm(matrix @ x - b) / (np.linalg.norm(b) + norm * np.linalg.norm(x))
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

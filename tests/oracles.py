@@ -14,16 +14,20 @@ full three-field system.  Its dense K blocks are summed from the cell block
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from porosplit import constitutive as laws
+from porosplit import fem
 from porosplit.model import (
     PoroState,
     flow_parts,
     gravity_loads,
     initial_state,
     mech_residual,
+    mobility_coupling,
     prescribed_flux,
+    pressure_coefficient,
 )
 
 
@@ -63,6 +67,68 @@ def band_cholesky_solve(matrix, rhs) -> np.ndarray:
     x = np.empty(n)
     x[perm] = scipy.linalg.lapack.dpbtrs(factor, rhs[perm], lower=1)[0]
     return x
+
+
+def coupled_jacobian(state, prev, params, ops) -> sp.csr_array:
+    """Monolithic Newton's coupled Jacobian at ``state`` over the free dofs
+    [p | q_free | u_free], in that numbering: 13x13 cell blocks over
+    [pressure, cell_edges, x then y of cell_nodes] summed by a
+    ``fem._CellPattern``, plus the constrained stiffness that the elastic
+    factor holds.  The pressure block carries phi^{i-1} ds/dp + (1/N) s^2
+    with the porosity evaluated at the current iterate; the flux block
+    carries the chain-rule derivative of k_w^{-1}; the elasticity block is
+    state independent."""
+    parts = flow_parts(state, prev, params, ops)
+    sd = laws.saturation_derivative(state.p, params.vg)
+    cpp = pressure_coefficient(state, prev, params, ops, sd, 0.0)
+    coupling, _ = mobility_coupling(state, params, ops, parts)
+    d = ops.local_divergence
+    apu = params.alpha * parts.sat[:, None] * ops.local_displacement_divergence
+    blocks = np.zeros((ops.mesh.n_cells, 13, 13))
+    blocks[:, 0, 0] = cpp
+    blocks[:, 0, 1:5] = params.tau * d
+    blocks[:, 0, 5:] = apu
+    blocks[:, 1:5, 0] = coupling - d
+    blocks[:, 5:, 0] = -apu
+    blocks[:, 1:5, 1:5] = parts.kinv[:, None, None] * ops.local_flux_mass
+
+    mesh = ops.mesh
+    n_p, n_e, n_qf = mesh.n_cells, mesh.n_edges, len(ops.free_q)
+    cn = mesh.cell_nodes
+    free = np.concatenate([np.arange(n_p), n_p + ops.free_q, n_p + n_e + ops.free_u])
+    position = np.full(n_p + n_e + 2 * mesh.n_nodes, -1)
+    position[free] = np.arange(len(free))
+    dofs = position[np.concatenate([np.arange(n_p)[:, None], n_p + mesh.cell_edges,
+                                    n_p + n_e + cn, n_p + n_e + mesh.n_nodes + cn], axis=1)]
+    stiffness = ops._elastic_factor.matrix.tocoo()
+    u_index = n_p + n_qf + ops.elastic_order
+    constant = (u_index[stiffness.row], u_index[stiffness.col], stiffness.data)
+    return fem._CellPattern(dofs, len(free), constant).matrix(blocks).tocsr()
+
+
+def coupled_newton_step(state, prev, params, ops):
+    """Monolithic Newton's increments (dp, dq, du) at ``state`` from a
+    sparse direct solve of the coupled Jacobian with three steps of
+    iterative refinement, with that matrix and the right-hand side over
+    [p | q_free | u_free]: the flow and momentum residuals, with the
+    prescribed flux increment on the constrained edges moved across."""
+    parts = flow_parts(state, prev, params, ops)
+    dq = np.zeros(ops.mesh.n_edges)
+    dq[ops.fixed_q] = (prescribed_flux(ops, params, prev.time + params.tau)
+                       - state.q[ops.fixed_q])
+    rhs = np.concatenate([parts.r_p - params.tau * (ops.D_pq @ dq),
+                          (parts.r_q - ops.weighted_flux_mass(parts.kinv, dq))[ops.free_q],
+                          mech_residual(state, params, ops)[ops.free_u]])
+    matrix = coupled_jacobian(state, prev, params, ops)
+    lu = spla.splu(matrix.tocsc())
+    sol = lu.solve(rhs)
+    for _ in range(3):
+        sol = sol + lu.solve(rhs - matrix @ sol)
+    n_p, n_qf = ops.mesh.n_cells, len(ops.free_q)
+    dq[ops.free_q] = sol[n_p:n_p + n_qf]
+    du = np.zeros(2 * ops.mesh.n_nodes)
+    du[ops.free_u] = sol[n_p + n_qf:]
+    return (sol[:n_p], dq, du), matrix, rhs
 
 
 def residuals(state, prev, params, ops):

@@ -11,7 +11,7 @@ from porosplit.model import newton_blocks
 from porosplit.schemes import (fixed_stress_beta, fsl_local_iteration, fsmp_iteration,
                                newton_iteration, split_iteration)
 
-from conftest import LAM, MU, natural, setup_problem
+from conftest import LAM, MU, backward_error, natural, setup_problem
 from oracles import band_cholesky_solve, constrained_stiffness, dense_flux_mass
 
 
@@ -272,63 +272,54 @@ class TestSolvers:
         assert np.abs(got - expected).max() < 1e-14
 
 
-def coupled_dofs(ops):
-    """Each cell's dofs [pressure, cell_edges, x then y of cell_nodes] in
-    the full numbering [p | q | u], and the free dofs [p | q_free |
-    u_free] in it."""
+def hybrid_dofs(ops):
+    """Each cell's dofs [cell_edges, x then y of cell_nodes] in the full
+    numbering [q | u], and Newton's condensed dofs [q_free | u_free] in it."""
     mesh = ops.mesh
-    nc, ne, nn = mesh.n_cells, mesh.n_edges, mesh.n_nodes
+    ne, nn = mesh.n_edges, mesh.n_nodes
     cn = mesh.cell_nodes
-    dofs = np.concatenate([np.arange(nc)[:, None], nc + mesh.cell_edges,
-                           nc + ne + cn, nc + ne + nn + cn], axis=1)
-    free = np.concatenate([np.arange(nc), nc + ops.free_q, nc + ne + ops.free_u])
+    dofs = np.concatenate([mesh.cell_edges, ne + cn, ne + nn + cn], axis=1)
+    free = np.concatenate([ops.free_q, ne + ops.free_u])
     return dofs, free
 
 
 class TestCellPattern:
-    def test_coupled_matrix_matches_dense_assembly(self, rng):
-        # random 13x13 blocks summed densely over the structural nonzeros
-        # (no q-u coupling, RT0 mass pairs only) and the free dofs, plus
-        # the constrained stiffness
+    def test_hybrid_matrix_matches_dense_assembly(self, rng):
+        # random 12x12 blocks summed densely over the free dofs, plus the
+        # constrained stiffness
         m = RectMesh(4, 3, 1, 1, 0.25)
         ops = assemble(m, MU, LAM)
-        dofs, free = coupled_dofs(ops)
-        blocks = rng.uniform(1.0, 2.0, (m.n_cells, 13, 13))
-        kept = blocks.copy()
-        kept[:, 1:5, 5:] = kept[:, 5:, 1:5] = 0.0
-        kept[:, 1:5, 1:5] *= ops.local_flux_mass != 0
-        dense = np.zeros((m.n_cells + m.n_edges + 2 * m.n_nodes,) * 2)
-        np.add.at(dense, (dofs[:, :, None], dofs[:, None, :]), kept)
+        dofs, free = hybrid_dofs(ops)
+        assert np.array_equal(free[ops.hybrid_dofs[ops.hybrid_dofs < len(free)]],
+                              dofs[ops.hybrid_dofs < len(free)])
+        blocks = rng.uniform(1.0, 2.0, (m.n_cells, 12, 12))
+        dense = np.zeros((m.n_edges + 2 * m.n_nodes,) * 2)
+        np.add.at(dense, (dofs[:, :, None], dofs[:, None, :]), blocks)
         expected = dense[np.ix_(free, free)]
         n_uf = len(ops.free_u)
         expected[-n_uf:, -n_uf:] += constrained_stiffness(ops).toarray()
-        got = natural(ops.coupled_pattern.matrix(blocks), ops.order).toarray()
+        got = natural(ops.hybrid_pattern.matrix(blocks), ops.order).toarray()
         assert np.abs(got - expected).max() < 1e-13
 
-    def test_coupled_pattern_stores_no_flux_displacement_entry(self):
+    def test_hybrid_matrix_holds_the_traces_and_displacements(self):
+        # 25x25: one trace per free edge and the free displacements, 2474
+        # dofs against the coupled matrix's 3099
         m = RectMesh(25, 25, 1, 1, 0.2)
         ops = assemble(m, MU, LAM)
-        matrix = ops.coupled_pattern.matrix(np.ones((m.n_cells, 13, 13)))
-        assert matrix.nnz == 40149
-        rows, cols = natural(matrix, ops.order).nonzero()
-        # kind 0, 1, 2 for p, q, u: only a q-u pair sums to 3
-        kind = np.repeat([0, 1, 2], [m.n_cells, len(ops.free_q), len(ops.free_u)])
-        assert not np.any(kind[rows] + kind[cols] == 3)
+        matrix = ops.hybrid_pattern.matrix(np.ones((m.n_cells, 12, 12)))
+        assert matrix.shape == (2474, 2474) == (len(ops.free_q) + len(ops.free_u),) * 2
+        assert matrix.nnz == 57700
 
     def test_masked_and_constrained_entries_are_dropped(self, rng):
         m = RectMesh(5, 4, 1, 1, 0.2)
         ops = assemble(m, MU, LAM)
-        dofs, free = coupled_dofs(ops)
-        is_free = np.zeros(m.n_cells + m.n_edges + 2 * m.n_nodes, dtype=bool)
+        dofs, free = hybrid_dofs(ops)
+        is_free = np.zeros(m.n_edges + 2 * m.n_nodes, dtype=bool)
         is_free[free] = True
-        outside = np.zeros((13, 13), dtype=bool)
-        outside[1:5, 5:] = outside[5:, 1:5] = True
-        outside[1:5, 1:5] = ops.local_flux_mass == 0
         constrained = ~is_free[dofs]
-        dropped = outside | constrained[:, :, None] | constrained[:, None, :]
-        is_free_edge = is_free[m.n_cells + m.cell_edges]
+        is_free_edge = is_free[m.cell_edges]
         cases = [
-            (ops.coupled_pattern, dropped),
+            (ops.hybrid_pattern, constrained[:, :, None] | constrained[:, None, :]),
             (ops.flux_pattern, ~is_free_edge[:, :, None] | ~is_free_edge[:, None, :]),
         ]
         for pattern, drop in cases:
@@ -342,36 +333,39 @@ class TestNestedDissection:
     @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 4), (5, 3), (8, 8)])
     def test_orderings_are_permutations(self, nx, ny):
         ops = assemble(RectMesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
-        n_p, n_qf, n_uf = ops.mesh.n_cells, len(ops.free_q), len(ops.free_u)
-        for order, n in ((ops.order, n_p + n_qf + n_uf), (ops.flux_order, n_qf),
+        n_qf, n_uf = len(ops.free_q), len(ops.free_u)
+        for order, n in ((ops.order, n_qf + n_uf), (ops.flux_order, n_qf),
                          (ops.elastic_order, n_uf)):
             assert np.array_equal(np.sort(order), np.arange(n))
 
     @pytest.mark.parametrize("nx, ny", [(1, 4), (5, 3), (8, 8), (16, 5), (25, 25)])
-    def test_pressure_follows_its_last_free_edge(self, nx, ny):
+    def test_orders_restrict_the_dissection(self, nx, ny):
+        # the flux and elasticity orderings keep the relative order of their
+        # dofs in the nested dissection of [p | q_free | u_free], which takes
+        # the displacements node by node; Newton's is the dissection of its
+        # own dofs [q_free | u_free]
         mesh = RectMesh(nx, ny, 1.0, 1.0, 1.0)
         ops = assemble(mesh, MU, LAM)
         nc, n_qf = mesh.n_cells, len(ops.free_q)
-        position = np.argsort(ops.order)
-        edge_position = np.full(mesh.n_edges, -1)
-        edge_position[ops.free_q] = position[nc:nc + n_qf]
-        for cell, edges in enumerate(mesh.cell_edges):
-            last = edge_position[edges].max()
-            assert last >= 0
-            assert position[cell] > last
-            assert np.all(ops.order[last + 1:position[cell]] < nc)
-        assert np.array_equal(ops.flux_order, ops.order[(ops.order >= nc)
-                                                         & (ops.order < nc + n_qf)] - nc)
-        assert np.array_equal(ops.elastic_order, ops.order[ops.order >= nc + n_qf] - nc - n_qf)
+        node_major = np.lexsort((ops.free_u // mesh.n_nodes, ops.free_u % mesh.n_nodes))
+        xy = np.concatenate([mesh.cell_xy, mesh.edge_xy[ops.free_q],
+                             np.tile(mesh.node_xy, (2, 1))[ops.free_u]])
+        entry = np.concatenate([np.arange(nc + n_qf), nc + n_qf + node_major])
+        order = entry[nested_dissection(xy[entry])[0]]
+        assert np.array_equal(ops.flux_order, order[(order >= nc) & (order < nc + n_qf)] - nc)
+        assert np.array_equal(ops.elastic_order, order[order >= nc + n_qf] - nc - n_qf)
+        entry = np.concatenate([np.arange(n_qf), n_qf + node_major])
+        newton = entry[nested_dissection(xy[nc + entry], fem._HYBRID_LEAF_SIZE)[0]]
+        assert np.array_equal(ops.order, newton)
 
     def test_newton_factor_pivots_on_the_diagonal(self):
-        # 25x25 test1, first two Newton iterates of step 1: every pressure
-        # pivot holds the fill of its edges when it is eliminated
+        # 25x25 test1, first two Newton iterates of step 1: the condensed
+        # matrix's LU takes every pivot on the diagonal
         mesh, ops, params, init = setup_problem(25, 25)
         state = init
         for _ in range(2):
             state, _, _ = newton_iteration(state, init, params, ops)
-            matrix, _, _ = newton_blocks(state, init, params, ops)
+            matrix, *_ = newton_blocks(state, init, params, ops)
             lu = SparseFactor(matrix, ops.order).lu
             assert np.array_equal(lu.perm_r, np.arange(matrix.shape[0]))
 
@@ -400,30 +394,31 @@ class TestNestedDissection:
         mesh = RectMesh(nx, ny, 1.0, 1.0, 1.0)
         ops = assemble(mesh, MU, LAM)
         nc, n_qf = mesh.n_cells, len(ops.free_q)
-        # half-grid coordinates of the coupled free dofs [p | q_free | u_free]
+        # half-grid coordinates of the free dofs [p | q_free | u_free]
         xy = np.concatenate([mesh.cell_xy, mesh.edge_xy[ops.free_q],
                              np.tile(mesh.node_xy, (2, 1))[ops.free_u]])
-        order, pieces = nested_dissection(xy)
-        # a separator's row (first, mid, start, stop) holds the two halves
-        # it separates, order[first:mid] and order[mid:start]
-        bisections = pieces[pieces[:, 0] < pieces[:, 2], :3]
-        coupled = ops.coupled_pattern.matrix(rng.uniform(1.0, 2.0, (nc, 13, 13)))
+        hybrid = ops.hybrid_pattern.matrix(rng.uniform(1.0, 2.0, (nc, 12, 12)))
         flux = ops.flux_pattern.matrix(rng.uniform(1.0, 2.0, (nc, 4, 4)))
-        # nonzero positions of each pattern in the coupled numbering
+        # nonzero positions of each pattern in the numbering
         # [p | q_free | u_free]
         entries = [
             (np.asarray(i) + offset, np.asarray(j) + offset)
-            for (i, j), offset in ((natural(coupled, ops.order).nonzero(), 0),
+            for (i, j), offset in ((natural(hybrid, ops.order).nonzero(), nc),
                                    (natural(flux, ops.flux_order).nonzero(), nc),
                                    (constrained_stiffness(ops).nonzero(), nc + n_qf))
         ]
-        assert len(bisections) >= 3
-        for start, mid, stop in bisections:
-            side = np.zeros(len(order), dtype=int)
-            side[order[start:mid]] = 1
-            side[order[mid:stop]] = 2
-            for rows, cols in entries:
-                assert not np.any(side[rows] * side[cols] == 2)
+        for leaf_size in (fem.LEAF_SIZE, fem._HYBRID_LEAF_SIZE):
+            order, pieces = nested_dissection(xy, leaf_size)
+            # a separator's row (first, mid, start, stop) holds the two
+            # halves it separates, order[first:mid] and order[mid:start]
+            bisections = pieces[pieces[:, 0] < pieces[:, 2], :3]
+            assert len(bisections) >= 3
+            for start, mid, stop in bisections:
+                side = np.zeros(len(order), dtype=int)
+                side[order[start:mid]] = 1
+                side[order[mid:stop]] = 2
+                for rows, cols in entries:
+                    assert not np.any(side[rows] * side[cols] == 2)
 
     def test_fill_no_larger_than_with_superlu_orderings(self):
         # 25x25 test1 at an iterate inside the first step: the FSL flux-only
@@ -437,10 +432,10 @@ class TestNestedDissection:
         d = ops.local_divergence
         flux = ops.flux_pattern.matrix(kinv[:, None, None] * ops.local_flux_mass
                                        + (params.tau / cpp)[:, None, None] * np.outer(d, d))
-        coupled, _, _ = newton_blocks(state, init, params, ops)
+        hybrid, *_ = newton_blocks(state, init, params, ops)
         cases = [
             (flux, ops.flux_order, True),
-            (coupled, ops.order, False),
+            (hybrid, ops.order, False),
             (ops._elastic_factor.matrix, ops.elastic_order, True),
         ]
         for matrix, order, spd in cases:
@@ -484,11 +479,6 @@ def captured_flux_matrices(ops, step, monkeypatch):
     step()
     monkeypatch.undo()
     return seen
-
-
-def backward_error(matrix, x, b):
-    norm = abs(matrix).sum(axis=1).max()
-    return np.linalg.norm(matrix @ x - b) / (np.linalg.norm(b) + norm * np.linalg.norm(x))
 
 
 def both_analyses(ops):

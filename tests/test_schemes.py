@@ -8,11 +8,11 @@ import scipy.sparse as sp
 from porosplit import constitutive as laws
 from porosplit import schemes
 from porosplit.anderson import AndersonConfig
-from porosplit.fem import LinearSolveError
+from porosplit.fem import LinearSolveError, assemble
+from porosplit.mesh import RectMesh
 from porosplit.model import (
     PoroState,
     initial_state,
-    newton_blocks,
     prescribed_flux,
     pressure_coefficient,
 )
@@ -38,11 +38,18 @@ from conftest import (
     P0_SMOOTH,
     TEST1,
     VG_SMOOTH,
-    natural,
+    backward_error,
+    hoelder_params,
     pressure_iterates,
     setup_problem,
 )
-from oracles import dense_flux_mass, residuals, settled_initial_state
+from oracles import (
+    coupled_jacobian,
+    coupled_newton_step,
+    dense_flux_mass,
+    residuals,
+    settled_initial_state,
+)
 
 
 class TestFixedStressBeta:
@@ -253,8 +260,7 @@ class TestReducedFlowSolve:
         n_p = ops.mesh.n_cells
         n_qf = len(ops.free_q)
         if kind == "fsnewton":
-            matrix, _, _ = newton_blocks(state, prev, params, ops)
-            a_qp = natural(matrix, ops.order)[n_p:n_p + n_qf, :n_p]
+            a_qp = coupled_jacobian(state, prev, params, ops)[n_p:n_p + n_qf, :n_p]
         else:
             a_qp = -ops.D_pq[:, ops.free_q].T
         kinv = sp.csr_array(dense_flux_mass(ops, 1.0 / laws.mobility(s, params.vg)))
@@ -299,6 +305,64 @@ class TestReducedFlowSolve:
         for L in (-beta, np.nan):
             with pytest.raises(LinearSolveError, match="cannot be eliminated"):
                 fsl_iteration(init, init, params, ops, L=L)
+
+
+def hybrid_cases():
+    """(name, prev, params, ops) of the hybrid Newton checks: step 8 of
+    test1 at alpha = 1 and step 7 of test2 at alpha = 0.1 on 25x25 (cells
+    with a zero pressure coefficient among their first iterates), and
+    step 1 of test2 on a 13x37 mesh of 2.6 x 1 cells."""
+    for name, scenario, alpha, steps in (("test1-step8", "smooth", 1.0, 7),
+                                         ("test2-step7", "hoelder", 0.1, 6)):
+        mesh, ops, params, init = setup_problem(25, 25, alpha=alpha, scenario=scenario)
+        result = run_transient(SchemeConfig(kind="newton"), None, init,
+                               replace(params, T=steps * params.tau), ops)
+        assert result.completed
+        yield name, result.states[-1], params, ops
+    mesh = RectMesh(13, 37, 2.6, 1.0, 0.2)
+    ops = assemble(mesh, MU, LAM)
+    params = hoelder_params(alpha=0.1)
+    yield "13x37", initial_state(mesh, params, P0_HOELDER, ops), params, ops
+
+
+class TestHybridNewton:
+    """Newton's step by static condensation against the coupled solve of
+    the oracle's Jacobian, over the first two iterates of each case."""
+
+    @pytest.fixture(scope="class")
+    def steps(self):
+        """Per case: the hybrid and the coupled increments, the coupled
+        matrix and right-hand side, the operators and the number of cells
+        with a zero pressure coefficient, at each iterate."""
+        out = {}
+        for name, prev, params, ops in hybrid_cases():
+            state = prev
+            for _ in range(2):
+                sd = laws.saturation_derivative(state.p, params.vg)
+                zero = np.sum(pressure_coefficient(state, prev, params, ops, sd, 0.0) == 0)
+                new_state, _, _ = newton_iteration(state, prev, params, ops)
+                hybrid = (new_state.p - state.p, new_state.q - state.q, new_state.u - state.u)
+                coupled, matrix, rhs = coupled_newton_step(state, prev, params, ops)
+                out.setdefault(name, []).append((hybrid, coupled, matrix, rhs, ops, zero))
+                state = new_state
+        return out
+
+    def test_saturated_cells_are_covered(self, steps):
+        # the cell blocks stay invertible where the pressure coefficient is 0
+        zero = {name: [step[-1] for step in case] for name, case in steps.items()}
+        assert min(zero["test1-step8"]) > 0 and max(zero["test2-step7"]) > 0
+
+    @pytest.mark.parametrize("case", ["test1-step8", "test2-step7", "13x37"])
+    def test_step_matches_the_coupled_solve(self, steps, case):
+        for hybrid, coupled, *_ in steps[case]:
+            for got, expected in zip(hybrid, coupled):
+                assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("case", ["test1-step8", "test2-step7", "13x37"])
+    def test_backward_error_on_the_coupled_matrix(self, steps, case):
+        for (dp, dq, du), _, matrix, rhs, ops, _ in steps[case]:
+            x = np.concatenate([dp, dq[ops.free_q], du[ops.free_u]])
+            assert backward_error(matrix, x, rhs) <= 1e-10
 
 
 class TestConverged:
@@ -441,6 +505,15 @@ class TestTerminationReasons:
         _, report = run_time_step(SchemeConfig(kind="fsl", L=1.0), None, init, params, ops)
         assert report.termination == "diverged" and report.records == ()
         assert report.failure == "pressure coefficient 0.000e+00 at cell 0 cannot be eliminated"
+
+    def test_singular_newton_cell_block_names_the_cell(self):
+        # a saturated 1x1 mesh: the cell has no free edge and a zero
+        # pressure coefficient, so Newton cannot condense its block
+        mesh, ops, params, _ = setup_problem(1, 1, width=1.0)
+        init = initial_state(mesh, params, 2.0, ops)
+        _, report = run_time_step(SchemeConfig(kind="newton"), None, init, params, ops)
+        assert report.termination == "diverged" and report.records == ()
+        assert report.failure == "Newton's pressure-flux block of cell 0 is singular"
 
     def test_non_finite_increment(self, monkeypatch):
         mesh, ops, params, init = setup_problem(4, 4, width=0.25)
