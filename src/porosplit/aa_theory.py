@@ -26,7 +26,7 @@ the generic acceleration window, and samples (l1, l2) planes.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,7 +125,6 @@ class RichardsonResult:
     pair: SpectralPair
     aa_errors: np.ndarray       # |e^i| at i = 0, 4, 8, ...
     plain_errors: np.ndarray    # same indices, plain Richardson
-    plain_full: np.ndarray = field(repr=False, default=None)
 
     @property
     def block_ratios(self) -> np.ndarray:
@@ -178,7 +177,6 @@ def richardson_aa_experiment(pair: SpectralPair, n_quads: int) -> RichardsonResu
         pair=pair,
         aa_errors=aa_full[idx],
         plain_errors=plain_full[idx],
-        plain_full=plain_full,
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass, replace
 
 from .constitutive import PorosityLaw, VanGenuchtenModel
@@ -62,7 +63,8 @@ class ScenarioConfig:
     # sweep
     schemes: tuple = tuple(SCHEMES)
     depths: tuple = (0, 1, 3, 5, 10)
-    workers: int = 1
+    workers: int = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)  # the usable cores; 1 runs serially
     # output
     out_dir: str = "out"
     fields: str = "none"

@@ -44,7 +44,7 @@ def write_point_csv(path, mesh: RectMesh, u: np.ndarray):
             )
 
 
-def write_vtk(path, mesh: RectMesh, cell_fields: dict, u: np.ndarray | None = None):
+def write_vtk(path, mesh: RectMesh, cell_fields: dict, u: np.ndarray):
     """Legacy-VTK rectilinear grid with cell scalars and nodal displacement."""
     n = mesh.n_nodes
     with open(path, "w") as fh:
@@ -62,7 +62,6 @@ def write_vtk(path, mesh: RectMesh, cell_fields: dict, u: np.ndarray | None = No
                 fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
                 fh.write("\n".join(f"{v:.12g}" for v in values))
                 fh.write("\n")
-        if u is not None:
-            fh.write(f"POINT_DATA {n}\nVECTORS displacement double\n")
-            for v in range(n):
-                fh.write(f"{u[v]:.12g} {u[n + v]:.12g} 0\n")
+        fh.write(f"POINT_DATA {n}\nVECTORS displacement double\n")
+        for v in range(n):
+            fh.write(f"{u[v]:.12g} {u[n + v]:.12g} 0\n")

@@ -18,10 +18,9 @@ factor holds and the constant of Newton's condensed pattern.
 Every sparse matrix is factored in a geometric nested-dissection ordering
 (``nested_dissection``) computed once per mesh.  The flux-only and
 elasticity matrices take the restrictions of the dissection of the free
-dofs [p | q_free | u_free] to their dofs.  Monolithic Newton condenses each
-cell's pressure and flux away (hybridization) and factors a matrix over
-[q_free | u_free] only, the edge traces and the displacements, in the
-dissection of those dofs with leaves of at most _HYBRID_LEAF_SIZE.
+dofs [p | q_free | u_free] to their dofs.  Monolithic Newton's condensed
+matrix (``schemes.newton_blocks``) over [q_free | u_free] takes the
+dissection of those dofs alone, with leaves of at most _HYBRID_LEAF_SIZE.
 Matrices that change every iteration are summed from dense cell blocks onto
 a sparsity pattern built once per mesh, already in their ordering
 (``flux_pattern``, ``hybrid_pattern``).  Every solve has ``SparseFactor``'s
@@ -416,7 +415,7 @@ class _AnalysedFactor(SparseFactor):
         return self._dc * self._analysis.solve(self._factor, self._dr * rhs)
 
 
-def nested_dissection(xy: np.ndarray, leaf_size: int = LEAF_SIZE):
+def nested_dissection(xy: np.ndarray, leaf_size: int):
     """Geometric nested-dissection ordering (George, SIAM J. Numer. Anal.
     1973) of dofs at integer half-grid coordinates ``xy`` (n, 2), those of
     ``RectMesh.cell_xy``, ``edge_xy`` and ``node_xy``.

@@ -1,4 +1,4 @@
-"""Time-discrete nonlinear Biot system: states, residuals, Newton blocks.
+"""Time-discrete nonlinear Biot system: states, residuals, linearization terms.
 
 One backward-Euler step of the coupled Richards/elasticity system reads, for
 P0 pressure p, RT0 flux q, Q1 displacement u and test functions (w, z, v):
@@ -12,7 +12,8 @@ P0 pressure p, RT0 flux q, Q1 displacement u and test functions (w, z, v):
 with s = s_w(p), pE the equivalent pore pressure and phi^{n-1} frozen at the
 previous time level.  Residuals are data minus operator.  The porosity of an
 accepted state is tracked through the linear update law, which keeps the
-per-cell volume balance an exact algebraic identity.
+per-cell volume balance an exact algebraic identity.  ``schemes`` builds
+and solves the linear systems from these residuals and terms.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import constitutive as laws
 from .constitutive import PorosityLaw, VanGenuchtenModel
-from .fem import DiscreteOperators, LinearSolveError
+from .fem import DiscreteOperators
 from .mesh import RectMesh, whole_multiple
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "porosity_increment",
     "pressure_coefficient",
     "mobility_coupling",
-    "newton_blocks",
     "volume_conservation_gap",
 ]
 
@@ -164,7 +164,7 @@ def initial_state(mesh: RectMesh, params: PhysicsParams, p0: float,
 
 
 # ----------------------------------------------------------------------
-# Residuals and Newton blocks
+# Residuals and linearization terms
 # ----------------------------------------------------------------------
 
 
@@ -257,52 +257,6 @@ def mobility_coupling(state: PoroState, params: PhysicsParams,
     wcell[~np.isfinite(wcell)] = 0.0
     local = state.q[ops.mesh.cell_edges] @ ops.local_flux_mass
     return wcell[:, None] * local, bool(np.any(clamped))
-
-
-def newton_blocks(state: PoroState, prev: PoroState, params: PhysicsParams,
-                  ops: DiscreteOperators):
-    """Monolithic Newton matrix of the coupled step, linearized at ``state``,
-    hybridized and condensed onto the edge traces and free displacements
-    [q_free | u_free] in the operators' ``order``.
-
-    Each cell holds its own copy of its edge fluxes.  Its block over
-    [pressure | fluxes] is L_c = [[C_c, tau d^T], [b_c - d, k_c^-1 M_c]]:
-    C_c carries phi^{i-1} ds/dp + (1/N) s^2 with the porosity evaluated at
-    the current iterate, b_c the chain-rule derivative of k_w^{-1}, and a
-    constrained edge takes an identity row and column.  L_c is invertible
-    even where C_c = 0, since without b_c its Schur complement is C_c + tau
-    d^T (k_c^-1 M_c)^-1 d over the free edges.  T_c (5 x 12) maps the cell's
-    [traces | x then y of its nodes] onto those rows: sign(d) ties a free
-    edge's two copies, and alpha s_c d_u couples the displacements into the
-    pressure row.  The condensed matrix is the constrained stiffness plus
-    the blocks T_c^T L_c^-1 T_c, from one batched solve over all cells.
-    Returns it, the cell arrays (L_c, T_c, L_c^-1 T_c), the flow residual
-    parts at ``state`` and the clamp flag of the mobility derivative.  A
-    singular L_c raises LinearSolveError naming the cell.
-    """
-    parts = flow_parts(state, prev, params, ops)
-    sd = laws.saturation_derivative(state.p, params.vg)
-    cpp = pressure_coefficient(state, prev, params, ops, sd, 0.0)
-    coupling, clamped = mobility_coupling(state, params, ops, parts)
-    d = ops.local_divergence
-    n = ops.mesh.n_cells
-    free = ops.hybrid_dofs[:, :4] < len(ops.order)
-    blocks = np.empty((n, 5, 5))
-    blocks[:, 0, 0] = cpp
-    blocks[:, 0, 1:] = params.tau * d * free
-    blocks[:, 1:, 0] = (coupling - d) * free
-    blocks[:, 1:, 1:] = np.where(free[:, :, None] & free[:, None, :],
-                                 parts.kinv[:, None, None] * ops.local_flux_mass, np.eye(4))
-    trace = np.zeros((n, 5, 12))
-    trace[:, 1:, :4] = np.diag(np.sign(d))
-    trace[:, 0, 4:] = params.alpha * parts.sat[:, None] * ops.local_displacement_divergence
-    try:
-        lift = np.linalg.solve(blocks, trace)
-    except np.linalg.LinAlgError:
-        cell = int(np.argmin(np.abs(np.linalg.det(blocks))))
-        raise LinearSolveError(f"Newton's pressure-flux block of cell {cell} is singular") from None
-    matrix = ops.hybrid_pattern.matrix(np.swapaxes(trace, 1, 2) @ lift)
-    return matrix, (blocks, trace, lift), parts, clamped
 
 
 def volume_conservation_gap(state: PoroState, prev: PoroState,

@@ -5,7 +5,8 @@ the initial guess of a time step is the previous time level.  ``SCHEMES``
 is the table of the five schemes of the study, by the names that
 ``SchemeConfig.kind`` takes.
 
-* monolithic Newton: coupled solve for (dp, dq, du) with the exact Jacobian;
+* monolithic Newton: the exact Jacobian's step for (dp, dq, du), solved by
+  hybridization (``newton_blocks``);
 * fixed-stress splits (``split_iteration``): a flow solve with a diagonal
   pressure coefficient C, then an elasticity solve at the new pressure.
   FSL, FS-MP and FS-Newton differ only in C and in one flag:
@@ -21,13 +22,11 @@ is the table of the five schemes of the study, by the names that
 Every non-constant C comes from ``model.pressure_coefficient``.  beta_FS =
 alpha^2 / (2 mu / d + lambda) is the classical fixed-stress stabilization,
 with the moduli ``ops.mu`` and ``ops.lam`` that the stiffness is built from.
-A split scheme eliminates its diagonal pressure block and factors one
-flux-only matrix per iteration (``_flow_solve``).  Monolithic Newton's
-pressure diagonal phi ds/dp + (1/N) s^2 vanishes on saturated cells when
-1/N = 0, so it cannot be eliminated alone; Newton instead eliminates each
-cell's pressure together with its own copy of the cell's edge fluxes
-(``model.newton_blocks``) and factors one matrix over the edge traces and
-the displacements per iteration.  Convergence combines absolute
+This module builds, factors and back-substitutes every linear system of an
+iteration: a split scheme eliminates its diagonal pressure block and
+factors one flux-only matrix (``_flow_solve``); monolithic Newton condenses
+each cell's pressure and flux and factors one matrix over the edge traces
+and the displacements (``newton_blocks``).  Convergence combines absolute
 and relative L2 criteria on the increments.  Anderson acceleration is
 applied as post-processing on the concatenated mass-weighted coefficient
 vector; the raw scheme increment at the current (possibly accelerated)
@@ -70,7 +69,6 @@ from .model import (
     flow_parts,
     mech_residual,
     mobility_coupling,
-    newton_blocks,
     porosity_increment,
     pressure_coefficient,
     prescribed_flux,
@@ -83,6 +81,7 @@ __all__ = [
     "IterationReport",
     "fixed_stress_beta",
     "split_iteration",
+    "newton_blocks",
     "newton_iteration",
     "fsl_iteration",
     "fsl_local_iteration",
@@ -252,9 +251,9 @@ def split_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
     return new_state, inc, clamped
 
 
-def _picard_coefficient(state, prev, params, ops):
-    """Modified-Picard pressure coefficient of FS-MP and FS-Newton."""
-    beta = fixed_stress_beta(ops.mu, ops.lam, params.alpha)
+def _derivative_coefficient(state, prev, params, ops, beta):
+    """First-order pressure coefficient M_p (phi ds/dp + (1/N + beta) s^2):
+    FS-MP's and FS-Newton's with beta = beta_FS, Newton's with beta = 0."""
     sd = laws.saturation_derivative(state.p, params.vg)
     return pressure_coefficient(state, prev, params, ops, sd, beta)
 
@@ -283,7 +282,8 @@ def fsmp_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
                    ops: DiscreteOperators):
     """Fixed-stress modified Picard sweep: first-order saturation
     linearization in the pressure block, Picard mobility."""
-    cpp = _picard_coefficient(state, prev, params, ops)
+    beta = fixed_stress_beta(ops.mu, ops.lam, params.alpha)
+    cpp = _derivative_coefficient(state, prev, params, ops, beta)
     return split_iteration(state, prev, params, ops, cpp)
 
 
@@ -291,18 +291,65 @@ def fsnewton_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
                        ops: DiscreteOperators):
     """Fixed-stress Newton sweep: FS-MP plus the chain-rule mobility
     derivative coupling in the flux block."""
-    cpp = _picard_coefficient(state, prev, params, ops)
+    beta = fixed_stress_beta(ops.mu, ops.lam, params.alpha)
+    cpp = _derivative_coefficient(state, prev, params, ops, beta)
     return split_iteration(state, prev, params, ops, cpp, mobility_block=True)
+
+
+def newton_blocks(state: PoroState, prev: PoroState, params: PhysicsParams,
+                  ops: DiscreteOperators):
+    """Monolithic Newton's matrix of the coupled step at ``state``,
+    hybridized (Arnold & Brezzi, M2AN 19, 1985) and condensed onto the edge
+    traces and free displacements [q_free | u_free] in ``ops.order``.
+
+    Newton's pressure coefficient C_c (beta = 0) vanishes on saturated cells
+    when 1/N = 0, so it cannot be eliminated alone.  Instead each cell holds
+    its own copy of its edge fluxes, with the block over [pressure | fluxes]
+    L_c = [[C_c, tau d^T], [b_c - d, k_c^-1 M_c]]: b_c the mobility coupling,
+    and an identity row and column at a constrained edge.  L_c is invertible
+    even where C_c = 0, since without b_c its Schur complement is C_c + tau
+    d^T (k_c^-1 M_c)^-1 d over the free edges.  T_c (5 x 12) maps the cell's
+    ``ops.hybrid_dofs`` [traces | x then y of its nodes] onto those rows:
+    sign(d) ties a free edge's two copies, and alpha s_c d_u couples the
+    displacements into the pressure row.  The matrix is the constrained
+    stiffness plus the blocks T_c^T L_c^-1 T_c, from one batched solve.
+    ``newton_iteration`` splits each free edge's flux residual evenly
+    between its two copies (the trace takes up the difference), and after
+    the condensed solve takes each cell's dp and flux copies from its own
+    block; an edge's dq is the mean of its two copies.
+
+    Returns the matrix, (L_c, T_c, L_c^-1 T_c), the flow residual parts at
+    ``state`` and the clamp flag of the mobility derivative.  A singular
+    L_c raises LinearSolveError naming the cell.
+    """
+    parts = flow_parts(state, prev, params, ops)
+    cpp = _derivative_coefficient(state, prev, params, ops, 0.0)
+    coupling, clamped = mobility_coupling(state, params, ops, parts)
+    d = ops.local_divergence
+    n = ops.mesh.n_cells
+    free = ops.hybrid_dofs[:, :4] < len(ops.order)
+    blocks = np.empty((n, 5, 5))
+    blocks[:, 0, 0] = cpp
+    blocks[:, 0, 1:] = params.tau * d * free
+    blocks[:, 1:, 0] = (coupling - d) * free
+    blocks[:, 1:, 1:] = np.where(free[:, :, None] & free[:, None, :],
+                                 parts.kinv[:, None, None] * ops.local_flux_mass, np.eye(4))
+    trace = np.zeros((n, 5, 12))
+    trace[:, 1:, :4] = np.diag(np.sign(d))
+    trace[:, 0, 4:] = params.alpha * parts.sat[:, None] * ops.local_displacement_divergence
+    try:
+        lift = np.linalg.solve(blocks, trace)
+    except np.linalg.LinAlgError:
+        cell = int(np.argmin(np.abs(np.linalg.det(blocks))))
+        raise LinearSolveError(f"Newton's pressure-flux block of cell {cell} is singular") from None
+    matrix = ops.hybrid_pattern.matrix(np.swapaxes(trace, 1, 2) @ lift)
+    return matrix, (blocks, trace, lift), parts, clamped
 
 
 def newton_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
                      ops: DiscreteOperators):
-    """One monolithic Newton step on the coupled system, by static
-    condensation: ``newton_blocks``' matrix gives the edge traces and the
-    displacement increment, and each cell's pressure and flux increments
-    follow from its own block.  Each free edge's flux residual is split
-    evenly between its two cells (the trace takes up the difference), and
-    its increment is the mean of the two cells' copies."""
+    """One monolithic Newton step on the coupled system, by the static
+    condensation that ``newton_blocks`` describes."""
     t_new = prev.time + params.tau
     matrix, (blocks, trace, lift), parts, clamped = newton_blocks(state, prev, params, ops)
     r_u = mech_residual(state, params, ops)

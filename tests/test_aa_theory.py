@@ -110,7 +110,10 @@ class TestRichardsonExperiment:
     def test_non_contractive_rescue(self):
         result = richardson_aa_experiment(SpectralPair(1.5, 0.5), 30)
         assert result.aa_errors[-1] < 1e-10
-        assert np.all(np.diff(result.plain_full) > 0)
+        # plain Richardson from e0 = (1, 1): |e^i| = |(1.5^i, 0.5^i)|
+        plain = np.linalg.norm(np.array([1.5, 0.5]) ** np.arange(121)[:, None], axis=1)
+        np.testing.assert_allclose(plain[::4] / plain[0], result.plain_errors, rtol=1e-12)
+        assert np.all(np.diff(plain) > 0)
 
     def test_degenerate_pair_reaches_machine_zero(self):
         result = richardson_aa_experiment(SpectralPair(0.6, 0.6), 2)

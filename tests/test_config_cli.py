@@ -150,7 +150,7 @@ class TestSweep:
         assert open(pa["csv"]).read() == open(pb["csv"]).read()
 
     def test_worker_pool_matches_serial(self, tmp_path):
-        serial = run_sweep(SMALL)
+        serial = run_sweep(replace(SMALL, workers=1))
         parallel = run_sweep(replace(SMALL, workers=2))
         for r1, r2 in zip(serial.rows, parallel.rows):
             assert r1 == r2
@@ -160,7 +160,7 @@ class TestSweep:
         inner = ScenarioConfig.operators
         monkeypatch.setattr(ScenarioConfig, "operators",
                             lambda config: built.append(config) or inner(config))
-        report = run_sweep(replace(SMALL, out_dir=str(tmp_path)))  # a new config
+        report = run_sweep(replace(SMALL, workers=1, out_dir=str(tmp_path)))  # a new config
         assert len(report.rows) == 4 and len(built) == 1
 
     def test_pool_has_at_most_one_worker_per_combination(self, monkeypatch):

@@ -7,9 +7,8 @@ from porosplit import constitutive as laws
 from porosplit import fem, schemes
 from porosplit.fem import LinearSolveError, SparseFactor, assemble, nested_dissection
 from porosplit.mesh import MeshAlignmentError, RectMesh
-from porosplit.model import newton_blocks
 from porosplit.schemes import (fixed_stress_beta, fsl_local_iteration, fsmp_iteration,
-                               newton_iteration, split_iteration)
+                               newton_blocks, newton_iteration, split_iteration)
 
 from conftest import LAM, MU, backward_error, natural, setup_problem
 from oracles import band_cholesky_solve, constrained_stiffness, dense_flux_mass
@@ -351,7 +350,7 @@ class TestNestedDissection:
         xy = np.concatenate([mesh.cell_xy, mesh.edge_xy[ops.free_q],
                              np.tile(mesh.node_xy, (2, 1))[ops.free_u]])
         entry = np.concatenate([np.arange(nc + n_qf), nc + n_qf + node_major])
-        order = entry[nested_dissection(xy[entry])[0]]
+        order = entry[nested_dissection(xy[entry], fem.LEAF_SIZE)[0]]
         assert np.array_equal(ops.flux_order, order[(order >= nc) & (order < nc + n_qf)] - nc)
         assert np.array_equal(ops.elastic_order, order[order >= nc + n_qf] - nc - n_qf)
         entry = np.concatenate([np.arange(n_qf), n_qf + node_major])

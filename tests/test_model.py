@@ -14,13 +14,13 @@ from porosplit.model import (
     gravity_loads,
     inflow_rate,
     initial_state,
-    newton_blocks,
     porosity_increment,
     volume_conservation_gap,
 )
 from porosplit.schemes import (
     SchemeConfig,
     fsl_local_iteration,
+    newton_blocks,
     run_time_step,
     run_transient,
 )

@@ -4,9 +4,11 @@ another module needs is made public and listed in its owner's ``__all__``.
 Every dataclass of the package is frozen and holds no list, dict or set,
 so a record cannot change after it is made, and only ``PoroState``'s memo
 writes past that with ``object.__setattr__``.  No module rebinds a module
-global from inside a function with a ``global`` statement.  Every benchmark
-record ``BENCH_*.json`` at the repository root states where its numbers
-came from."""
+global from inside a function with a ``global`` statement.  Monolithic
+Newton's condensed cell layout is named only in ``fem``, which fixes its
+columns, and ``schemes``, which builds and reads its blocks.  Every
+benchmark record ``BENCH_*.json`` at the repository root states where its
+numbers came from."""
 
 import ast
 import io
@@ -280,6 +282,39 @@ class C:
         global d
 '''
     assert sorted(global_statements(source)) == [2, 5, 7, 11]
+
+
+# Newton's condensed cell layout: fem fixes the 12 columns of a cell
+# (hybrid_dofs) and their pattern, schemes builds and reads the blocks.
+CONDENSED_LAYOUT = ("hybrid_dofs", "hybrid_pattern", "newton_blocks")
+LAYOUT_MODULES = ("fem", "schemes")
+
+
+def layout_mentions(source: str) -> list:
+    """(line, name) of every CONDENSED_LAYOUT name in ``source``: a name or
+    attribute token, or a word of a string or a comment."""
+    word = re.compile(rf"\b({'|'.join(CONDENSED_LAYOUT)})\b")
+    kinds = (tokenize.NAME, tokenize.STRING, tokenize.COMMENT)
+    return [(tok.start[0] + tok.string[:m.start()].count("\n"), m.group())
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type in kinds for m in word.finditer(tok.string)]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m not in LAYOUT_MODULES])
+def test_condensed_layout_stays_in_fem_and_schemes(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert layout_mentions(source) == []
+
+
+def test_layout_checker_sees_every_form():
+    source = '''"""Residuals only; the Newton
+matrix is schemes.newton_blocks'."""
+from .schemes import newton_blocks
+free = ops.hybrid_dofs[:, :4]  # the hybrid_pattern columns
+my_hybrid_dofs = newton_blocks_s = "hybrid_dofsx"
+'''
+    assert layout_mentions(source) == [(2, "newton_blocks"), (3, "newton_blocks"),
+                                       (4, "hybrid_dofs"), (4, "hybrid_pattern")]
 
 
 # Public names without a caller in the package or the benchmark, kept on
