@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -38,13 +39,13 @@ COND_CAP = 1e10   # condition-number cap of the mixing least squares
 
 @dataclass(frozen=True)
 class AndersonConfig:
-    """Acceleration depth m >= 0."""
+    """Acceleration depth m >= 0, an integer."""
 
     depth: int = 0
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
+        if not (isinstance(self.depth, Integral) and self.depth >= 0):
+            raise ValueError("depth must be an integer >= 0")
 
 
 def mixing_weights(increments: np.ndarray):

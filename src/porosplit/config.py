@@ -6,8 +6,9 @@ Hoelder-continuous mobility and weaker inflow; ``custom`` starts from the
 ``test1`` defaults and expects overrides.  Any key may be overridden in the
 file; unknown keys are rejected with their full path.  Every construction of a
 ``ScenarioConfig``, ``dataclasses.replace`` included, is checked: an out-of-range
-or non-finite value (but ``N = inf``, incompressible), or an empty sweep list or
-one that repeats a value, raises ``ConfigError``.
+or non-finite value (but ``N = inf``, incompressible), a count that is not an
+integer, or an empty sweep list or one that repeats a value, raises
+``ConfigError``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import configparser
 import math
 import os
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 from .constitutive import PorosityLaw, VanGenuchtenModel
 from .fem import assemble
@@ -72,7 +74,8 @@ class ScenarioConfig:
     def __post_init__(self):
         checks = [
             (self.scenario in ("test1", "test2", "custom"), "scenario"),
-            (self.nx >= 1, "nx"), (self.ny >= 1, "ny"),
+            (isinstance(self.nx, Integral) and self.nx >= 1, "nx"),
+            (isinstance(self.ny, Integral) and self.ny >= 1, "ny"),
             (self.Lx > 0, "Lx"), (self.Ly > 0, "Ly"),
             (0 <= self.inflow_width <= self.Lx, "inflow_width"),
             (self.E > 0, "E"),
@@ -89,10 +92,10 @@ class ScenarioConfig:
             (self.tau > 0, "tau"),
             (self.tau > 0 and self.T >= self.tau and whole_multiple(self.T, self.tau), "T"),
             (self.eps_abs > 0, "eps_abs"), (self.eps_rel > 0, "eps_rel"),
-            (self.max_iters >= 1, "max_iters"),
+            (isinstance(self.max_iters, Integral) and self.max_iters >= 1, "max_iters"),
             (all(s in SCHEMES for s in self.schemes), "schemes"),
-            (all(d >= 0 for d in self.depths), "depths"),
-            (self.workers >= 1, "workers"),
+            (all(isinstance(d, Integral) and d >= 0 for d in self.depths), "depths"),
+            (isinstance(self.workers, Integral) and self.workers >= 1, "workers"),
             (self.fields in ("none", "csv", "vtk"), "fields"),
         ] + [(math.isfinite(value), name) for name, value in vars(self).items()
              if isinstance(value, float) and name != "N"] + [

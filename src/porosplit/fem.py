@@ -15,12 +15,11 @@ into a factored matrix.  ``A_uu`` is scattered from ``local_stiffness``,
 and its constrained slice, built once, is both the matrix the elastic
 factor holds and the constant of Newton's condensed pattern.
 
-Every sparse matrix is factored in a geometric nested-dissection ordering
-(``nested_dissection``) computed once per mesh.  The flux-only and
-elasticity matrices take the restrictions of the dissection of the free
-dofs [p | q_free | u_free] to their dofs.  Monolithic Newton's condensed
-matrix (``schemes.newton_blocks``) over [q_free | u_free] takes the
-dissection of those dofs alone, with leaves of at most _HYBRID_LEAF_SIZE.
+Every sparse matrix is factored in one geometric nested-dissection ordering
+(``nested_dissection``), computed once per mesh: that of monolithic Newton's
+condensed dofs [q_free | u_free] (``schemes.newton_blocks``), with leaves of
+at most LEAF_SIZE dofs.  The flux-only and elasticity matrices take its
+restrictions to their dofs.
 Matrices that change every iteration are summed from dense cell blocks onto
 a sparsity pattern built once per mesh, already in their ordering
 (``flux_pattern``, ``hybrid_pattern``).  Every solve has ``SparseFactor``'s
@@ -59,8 +58,7 @@ __all__ = [
 
 SOLVE_TOL = 1e-12
 PIVOT_THRESHOLD = 0.1   # threshold partial pivoting of the general LU
-LEAF_SIZE = 64          # boxes of at most this many dofs are not bisected
-_HYBRID_LEAF_SIZE = 16  # the same for Newton's condensed dofs (least fill, README)
+LEAF_SIZE = 16          # boxes of at most this many dofs are not bisected (least fill, README)
 _SUPERNODE_SIZE = 240   # flux dofs of the largest subtree factored as one band leaf front
 _MERGE_SIZE = 120       # columns of the largest dense front that folds in a dense child
 # stiffness band entries n kd up to which the mesh is banded (every SPD matrix
@@ -456,23 +454,9 @@ def nested_dissection(xy: np.ndarray, leaf_size: int):
     return order, np.array(rows, dtype=int).reshape(-1, 4)
 
 
-def _free_dissection(mesh, free_q, free_u, cells, leaf_size):
-    """``nested_dissection`` of the free dofs [p | q_free | u_free], or of
-    [q_free | u_free] without ``cells``, in that numbering, with its pieces.
-    The displacement dofs enter node by node, so that within a leaf the x
-    and y dofs of a node stay adjacent (less elasticity fill)."""
-    xy = np.concatenate(([mesh.cell_xy] if cells else [])
-                        + [mesh.edge_xy[free_q], np.tile(mesh.node_xy, (2, 1))[free_u]])
-    n = len(xy) - len(free_u)
-    entry = np.concatenate([np.arange(n), n + np.lexsort(
-        (free_u // mesh.n_nodes, free_u % mesh.n_nodes))])
-    dissection, pieces = nested_dissection(xy[entry], leaf_size)
-    return entry[dissection], pieces
-
-
 class _CellPattern:
     """CSC pattern of an n x n matrix summed from dense per-cell blocks
-    (n_cells, k, k) over the cell's dofs ``dofs`` (n_cells, k), given as
+    (nc, k, k), one per cell, over each cell's dofs ``dofs`` (nc, k), given as
     positions in the factor ordering with -1 for a constrained dof.  Only
     entries between free dofs are stored; every other block entry is summed
     into one spare slot past the end and dropped.  ``constant`` (rows, cols,
@@ -495,7 +479,7 @@ class _CellPattern:
             self._constant = (np.searchsorted(keys, cols * n + rows), values)
 
     def matrix(self, blocks: np.ndarray) -> sp.csc_array:
-        """Sum of ``blocks`` (n_cells, k, k), plus the constant."""
+        """Sum of ``blocks`` (nc, k, k), plus the constant."""
         data = np.bincount(self._slot, weights=blocks.ravel(),
                            minlength=len(self._indices) + 1)[:-1]
         if self._constant is not None:
@@ -506,8 +490,8 @@ class _CellPattern:
 
 def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp.csr_array:
     """Matrix summed from one block ``local`` per cell (identical on a
-    uniform grid) at the cell's row dofs (n_cells, k_r) and column dofs
-    (n_cells, k_c); zero entries of the block are left out."""
+    uniform grid) at the cell's row dofs (nc, k_r) and column dofs
+    (nc, k_c), one row per cell; zero entries of the block are left out."""
     r, c = np.nonzero(local)
     return sp.csr_array((np.tile(local[r, c], len(rows)),
                          (rows[:, r].ravel(), cols[:, c].ravel())), shape=shape)
@@ -534,13 +518,13 @@ class DiscreteOperators:
         local_divergence: per-cell row of D_pq (cell_edges order).
         local_displacement_divergence: per-cell row of D_pu (x then y of the
             cell_nodes).
+        order: ordering (position -> dof) of Newton's condensed dofs
+            [q_free | u_free] (the edge traces and the free displacements):
+            their nested dissection, with leaves of at most LEAF_SIZE dofs,
+            the one dissection of the mesh.
         flux_order/elastic_order: orderings of the free flux and free
-            displacement dofs (position -> dof, numbered within them): the
-            restrictions of the nested dissection of the free dofs
-            [p | q_free | u_free] to them.
-        order: ordering of Newton's condensed dofs [q_free | u_free] (the
-            edge traces and the free displacements): their own nested
-            dissection, with leaves of at most _HYBRID_LEAF_SIZE dofs.
+            displacement dofs (numbered within them): the restrictions of
+            ``order`` to them.
         flux_pattern/hybrid_pattern: sum cell blocks into the free-flux
             matrix (4x4 blocks in cell_edges order; in flux_order) and
             Newton's condensed matrix (12x12 over ``hybrid_dofs``, see
@@ -555,20 +539,20 @@ class DiscreteOperators:
         self.mu = float(mu)
         self.lam = float(lam)
         area = mesh.cell_area
-        nc = mesh.n_cells
+        ce = mesh.cell_edges
+        nc = len(ce)
 
         self.M_p = np.full(nc, area)
 
         # RT0 mass: per cell only the (W,E) and (S,N) pairs couple
-        ce = mesh.cell_edges
         self.local_flux_mass = np.zeros((4, 4))
         self.local_flux_mass[:2, :2] = self.local_flux_mass[2:, 2:] = (
             np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]]) * area)
         self.M_q = _scatter(self.local_flux_mass, ce, ce, (mesh.n_edges, mesh.n_edges))
 
-        cells = np.arange(nc)[:, None]
+        cell_index = np.arange(nc)[:, None]
         self.local_divergence = np.array([-mesh.hy, mesh.hy, -mesh.hx, mesh.hx])
-        self.D_pq = _scatter(self.local_divergence[None, :], cells, ce, (nc, mesh.n_edges))
+        self.D_pq = _scatter(self.local_divergence[None, :], cell_index, ce, (nc, mesh.n_edges))
 
         # integrated Q1 divergence: values per x then y of (SW, SE, NE, NW)
         cn = mesh.cell_nodes
@@ -577,7 +561,7 @@ class DiscreteOperators:
         ) / 2.0
         nodal = np.concatenate([cn, cn + mesh.n_nodes], axis=1)
         n_u = 2 * mesh.n_nodes
-        self.D_pu = _scatter(self.local_displacement_divergence[None, :], cells, nodal,
+        self.D_pu = _scatter(self.local_displacement_divergence[None, :], cell_index, nodal,
                              (nc, n_u))
         self.D_pq_T, self.D_pu_T = self.D_pq.T, self.D_pu.T
         self.local_stiffness = self._elasticity_block()
@@ -598,20 +582,26 @@ class DiscreteOperators:
 
         self.D_pq_f = self.D_pq[:, self.free_q]
 
-        # the flux and elasticity orderings restrict one nested dissection of
-        # the free dofs [p | q_free | u_free]; the cells only count towards
-        # its leaf sizes, and they keep both orderings as they were measured
-        n_p, n_qf = nc, len(self.free_q)
-        order, pieces = _free_dissection(mesh, self.free_q, self.free_u, True, LEAF_SIZE)
-        self.flux_order = order[(order >= n_p) & (order < n_p + n_qf)] - n_p
-        self.elastic_order = order[order >= n_p + n_qf] - n_p - n_qf
-        eo = self.elastic_order
+        # one nested dissection of Newton's dofs [q_free | u_free], which the
+        # flux and elasticity orderings restrict.  The displacements enter
+        # node by node, so that within a leaf the x and y dofs of a node stay
+        # adjacent (less elasticity fill)
+        n_qf = len(self.free_q)
+        xy = np.concatenate([mesh.edge_xy[self.free_q],
+                             np.tile(mesh.node_xy, (2, 1))[self.free_u]])
+        entry = np.concatenate([np.arange(n_qf), n_qf + np.lexsort(
+            (self.free_u // mesh.n_nodes, self.free_u % mesh.n_nodes))])
+        dissection, pieces = nested_dissection(xy[entry], LEAF_SIZE)
+        self.order = entry[dissection]
+        is_flux = self.order < n_qf
+        self.flux_order = self.order[is_flux]
+        self.elastic_order = eo = self.order[~is_flux] - n_qf
         stiffness = self.A_uu.tocsc()[:, self.free_u[eo]][self.free_u[eo]]
         self._banded = len(eo) * _Band(stiffness.indices, stiffness.indptr).kd <= _BAND_ENTRIES
         # flux Cholesky supernodes: one leaf on a banded mesh, else the
         # pieces restricted to the flux dofs (contiguous in flux_order),
         # subtrees of <= _SUPERNODE_SIZE merged
-        flux_before = np.concatenate([[0], np.cumsum((order >= n_p) & (order < n_p + n_qf))])
+        flux_before = np.concatenate([[0], np.cumsum(is_flux)])
         pieces = flux_before[pieces]
         big = (not self._banded) & (pieces[:, 3] - pieces[:, 0] > _SUPERNODE_SIZE)
         self._flux_supernodes = np.unique(np.concatenate([[0, n_qf], pieces[big].ravel()]))
@@ -688,12 +678,6 @@ class DiscreteOperators:
         M[:4, :4] = m_scalar
         M[4:, 4:] = m_scalar
         return M
-
-    @functools.cached_property
-    def order(self) -> np.ndarray:
-        """Newton's ordering of its condensed dofs [q_free | u_free]."""
-        return _free_dissection(self.mesh, self.free_q, self.free_u, False,
-                                _HYBRID_LEAF_SIZE)[0]
 
     @functools.cached_property
     def hybrid_dofs(self) -> np.ndarray:

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -133,8 +134,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.kind not in SCHEMES:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (isinstance(self.max_iters, Integral) and self.max_iters >= 1):
+            raise ValueError("max_iters must be an integer >= 1")
         if not (self.eps_abs > 0 and self.eps_rel > 0):
             raise ValueError("tolerances eps_abs and eps_rel must be positive")
         if self.L is not None and self.kind != "fsl":

@@ -160,3 +160,5 @@ class TestAndersonWindow:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AndersonConfig(depth=-1)
+        with pytest.raises(ValueError, match="integer"):
+            AndersonConfig(depth=1.0)

@@ -106,6 +106,10 @@ class TestScenarioConfig:
         (dict(Lx=math.inf), "scenario.lx"), (dict(tau=0.2, T=0.1), "numerics.t"),
         (dict(nx=4, inflow_width=0.3), "scenario.inflow_width"),
         (dict(T=0.35), "numerics.t"),
+        # counts are integers: a float would fail later, inside a run
+        (dict(nx=5.0), "scenario.nx"), (dict(ny=5.0), "scenario.ny"),
+        (dict(max_iters=1e3), "numerics.max_iters"), (dict(depths=(1.0,)), "sweep.depths"),
+        (dict(workers=1.5), "sweep.workers"),
     ])
     def test_replace_is_checked(self, change, path):
         with pytest.raises(ConfigError, match=f"^{path}: value out of range$"):

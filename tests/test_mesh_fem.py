@@ -339,23 +339,20 @@ class TestNestedDissection:
 
     @pytest.mark.parametrize("nx, ny", [(1, 4), (5, 3), (8, 8), (16, 5), (25, 25)])
     def test_orders_restrict_the_dissection(self, nx, ny):
-        # the flux and elasticity orderings keep the relative order of their
-        # dofs in the nested dissection of [p | q_free | u_free], which takes
-        # the displacements node by node; Newton's is the dissection of its
-        # own dofs [q_free | u_free]
+        # Newton's ordering is the nested dissection of its dofs
+        # [q_free | u_free], which takes the displacements node by node; the
+        # flux and elasticity orderings keep the relative order of their dofs
+        # in it
         mesh = RectMesh(nx, ny, 1.0, 1.0, 1.0)
         ops = assemble(mesh, MU, LAM)
-        nc, n_qf = mesh.n_cells, len(ops.free_q)
+        n_qf = len(ops.free_q)
         node_major = np.lexsort((ops.free_u // mesh.n_nodes, ops.free_u % mesh.n_nodes))
-        xy = np.concatenate([mesh.cell_xy, mesh.edge_xy[ops.free_q],
-                             np.tile(mesh.node_xy, (2, 1))[ops.free_u]])
-        entry = np.concatenate([np.arange(nc + n_qf), nc + n_qf + node_major])
-        order = entry[nested_dissection(xy[entry], fem.LEAF_SIZE)[0]]
-        assert np.array_equal(ops.flux_order, order[(order >= nc) & (order < nc + n_qf)] - nc)
-        assert np.array_equal(ops.elastic_order, order[order >= nc + n_qf] - nc - n_qf)
+        xy = np.concatenate([mesh.edge_xy[ops.free_q], np.tile(mesh.node_xy, (2, 1))[ops.free_u]])
         entry = np.concatenate([np.arange(n_qf), n_qf + node_major])
-        newton = entry[nested_dissection(xy[nc + entry], fem._HYBRID_LEAF_SIZE)[0]]
-        assert np.array_equal(ops.order, newton)
+        order = entry[nested_dissection(xy[entry], fem.LEAF_SIZE)[0]]
+        assert np.array_equal(ops.order, order)
+        assert np.array_equal(ops.flux_order, order[order < n_qf])
+        assert np.array_equal(ops.elastic_order, order[order >= n_qf] - n_qf)
 
     def test_newton_factor_pivots_on_the_diagonal(self):
         # 25x25 test1, first two Newton iterates of step 1: the condensed
@@ -406,18 +403,17 @@ class TestNestedDissection:
                                    (natural(flux, ops.flux_order).nonzero(), nc),
                                    (constrained_stiffness(ops).nonzero(), nc + n_qf))
         ]
-        for leaf_size in (fem.LEAF_SIZE, fem._HYBRID_LEAF_SIZE):
-            order, pieces = nested_dissection(xy, leaf_size)
-            # a separator's row (first, mid, start, stop) holds the two
-            # halves it separates, order[first:mid] and order[mid:start]
-            bisections = pieces[pieces[:, 0] < pieces[:, 2], :3]
-            assert len(bisections) >= 3
-            for start, mid, stop in bisections:
-                side = np.zeros(len(order), dtype=int)
-                side[order[start:mid]] = 1
-                side[order[mid:stop]] = 2
-                for rows, cols in entries:
-                    assert not np.any(side[rows] * side[cols] == 2)
+        order, pieces = nested_dissection(xy, fem.LEAF_SIZE)
+        # a separator's row (first, mid, start, stop) holds the two halves it
+        # separates, order[first:mid] and order[mid:start]
+        bisections = pieces[pieces[:, 0] < pieces[:, 2], :3]
+        assert len(bisections) >= 3
+        for start, mid, stop in bisections:
+            side = np.zeros(len(order), dtype=int)
+            side[order[start:mid]] = 1
+            side[order[mid:stop]] = 2
+            for rows, cols in entries:
+                assert not np.any(side[rows] * side[cols] == 2)
 
     def test_fill_no_larger_than_with_superlu_orderings(self):
         # 25x25 test1 at an iterate inside the first step: the FSL flux-only

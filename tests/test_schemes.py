@@ -102,7 +102,7 @@ class TestSchemeConfig:
     @pytest.mark.parametrize("field, value", [
         ("L", float("nan")), ("L", -1.0), ("L", 0.0), ("max_iters", 0),
         ("eps_abs", float("nan")), ("eps_rel", float("nan")), ("kind", "FSL"),
-        ("kind", "picard"),
+        ("kind", "picard"), ("max_iters", 1e3),
     ])
     def test_rejects_non_positive_or_nan(self, field, value):
         # an invalid value, or a kind outside the table, is caught at
