@@ -13,9 +13,11 @@ traction-free top.  The RT0 mass is encoded once, as the cell block
 mass is only ever applied cell by cell (``weighted_flux_mass``) or summed
 into a factored matrix.  ``A_uu`` is scattered from ``local_stiffness``,
 and its constrained slice, built once, is both the matrix the elastic
-factor holds and the constant of Newton's condensed pattern.
+factor holds and the constant of Newton's condensed pattern.  That
+stiffness is solved by fast diagonalization on every mesh (``_Separable``):
+sines and cosines in x, one band per x-mode in y, factored once.
 
-Every sparse matrix is factored in one geometric nested-dissection ordering
+Every sparse matrix is held in one geometric nested-dissection ordering
 (``nested_dissection``), computed once per mesh: that of monolithic Newton's
 condensed dofs [q_free | u_free] (``schemes.newton_blocks``), with leaves of
 at most LEAF_SIZE dofs.  The flux-only and elasticity matrices take its
@@ -24,16 +26,16 @@ Matrices that change every iteration are summed from dense cell blocks onto
 a sparsity pattern built once per mesh, already in their ordering
 (``flux_pattern``, ``hybrid_pattern``).  Every solve has ``SparseFactor``'s
 normwise backward-error contract of 1e-12 and iterative refinement.  Newton
-takes SuperLU; the rest follow one band decision per mesh, whether the
-constrained stiffness's band in reverse Cuthill-McKee order holds
-n kd <= _BAND_ENTRIES entries (through 50x50).  On a banded mesh an SPD matrix
-takes the supernodal Cholesky (``_Supernodes``) as one band leaf and a flux
-matrix that is not SPD the band LU (``_Band``).  Beyond (from 60x60 on)
-only the SPD flux matrix keeps the Cholesky, on the dissection's pieces
-restricted to the flux dofs (subtrees of at most _SUPERNODE_SIZE dofs as
-band leaves, the separators above them as dense fronts, small ones folded
-into their parents); the stiffness and the general flux matrix take
-SuperLU.  The README holds the crossover table.
+takes SuperLU; the flux matrices follow one band decision per mesh, whether
+the constrained stiffness's band in reverse Cuthill-McKee order holds
+n kd <= _BAND_ENTRIES entries (through 50x50), a yardstick only.  On a
+banded mesh the SPD flux matrix takes the supernodal Cholesky
+(``_Supernodes``) as one band leaf and a flux matrix that is not SPD the
+band LU (``_Band``).  Beyond (from 60x60 on) the SPD flux matrix keeps the
+Cholesky, on the dissection's pieces restricted to the flux dofs (subtrees
+of at most _SUPERNODE_SIZE dofs as band leaves, the separators above them
+as dense fronts, small ones folded into their parents); the general flux
+matrix takes SuperLU.  The README holds the crossover table.
 """
 
 from __future__ import annotations
@@ -61,9 +63,9 @@ PIVOT_THRESHOLD = 0.1   # threshold partial pivoting of the general LU
 LEAF_SIZE = 16          # boxes of at most this many dofs are not bisected (least fill, README)
 _SUPERNODE_SIZE = 240   # flux dofs of the largest subtree factored as one band leaf front
 _MERGE_SIZE = 120       # columns of the largest dense front that folds in a dense child
-# stiffness band entries n kd up to which the mesh is banded (every SPD matrix
-# one band leaf, the general flux matrix a band LU): between 50x50 (1.0e6) and
-# 60x60 (1.7e6), near the crossovers of all three factors (README)
+# stiffness band entries n kd up to which the mesh is banded (the SPD flux
+# matrix one band leaf, the general flux matrix a band LU): between 50x50
+# (1.0e6) and 60x60 (1.7e6), near the crossovers of the flux factors (README)
 _BAND_ENTRIES = 1.3e6
 
 
@@ -99,8 +101,9 @@ class SparseFactor:
     (Newton's condensed factors never do on test1, nor on test2 at alpha = 1;
     README).  Iterative refinement handles the
     remaining ill-conditioning.  ``_AnalysedFactor`` replaces the
-    constructor and the raw solve for the Cholesky and the band LU; the
-    module docstring states the one rule that picks between them.
+    constructor and the raw solve for the Cholesky and the band LU, and
+    ``_Separable`` for the constant stiffness; the module docstring states
+    the one rule that picks between them.
     """
 
     def __init__(self, matrix, order):
@@ -413,6 +416,110 @@ class _AnalysedFactor(SparseFactor):
         return self._dc * self._analysis.solve(self._factor, self._dr * rhs)
 
 
+def _line_matrices(n, h):
+    """Stiffness, mass and derivative mass (the integral of phi_i' phi_j) of
+    linear elements on n cells of width h, over all n + 1 nodes, dense."""
+    local = np.array([[[1, -1], [-1, 1]], [[2, 1], [1, 2]], [[-1, -1], [1, 1]]])
+    local = local * np.array([1 / h, h / 6, 0.5])[:, None, None]
+    out, cell = np.zeros((3, n + 1, n + 1)), np.arange(n)
+    for a in (0, 1):
+        for b in (0, 1):
+            out[:, cell + a, cell + b] += local[:, a, b, None]
+    return out
+
+
+class _Separable(SparseFactor):
+    """SparseFactor, with its refined solve, of the constrained stiffness by
+    fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964;
+    Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).
+
+    On the uniform grid the Q1 stiffness is a sum of tensor products of the
+    1-D linear-element stiffness K, mass M and derivative mass G in x and y:
+    u_x-u_x (2 mu + lam) K_x M_y + mu M_x K_y, u_y-u_y (2 mu + lam) M_x K_y
+    + mu K_x M_y, and u_x-u_y G_x (lam G_y^T - mu G_y), as G_x^T = -G_x on
+    the rows of the interior nodes.  The rollers fix u_x at both ends in x
+    and leave u_y free there: the sines S on the interior nodes diagonalize
+    K_x and M_x on those nodes, the cosines C on all nodes diagonalize them
+    on all nodes, and S G_x C pairs sine k with cosine k.  With u = T z,
+    T = S (u_x) and C (u_y) at every y node, T^T A T is one band per x-mode,
+    u_x and u_y of the mode interleaved by y node (half-bandwidth 3),
+    factored once by dpbtrf; S and C are scaled to unit mass.  A raw solve
+    is T^T, dpbtrs and T; ``matrix``, the assembled stiffness, stays the one
+    the refinement and the backward error see.  The transforms and the
+    factor are read-only."""
+
+    def __init__(self, matrix, order, dofs, mesh, mu, lam):
+        """``dofs``: the displacement dof (x then y of the nodes) at each
+        position of ``order``."""
+        self.matrix, self.order = matrix, order
+        nx, ny = mesh.nx, mesh.ny
+        kx, mx, gx = _line_matrices(nx, mesh.hx)
+        ky, my, gy = _line_matrices(ny, mesh.hy)
+
+        def diagonal(a, left, right):
+            """The diagonal of left^T a right."""
+            return np.sum(left * (a @ right), axis=0)
+
+        # the x eigenvectors, scaled to unit mass
+        node, inner = np.arange(nx + 1), slice(1, -1)
+        s = np.sin(np.pi / nx * np.outer(node[inner], node[inner]))
+        s /= np.sqrt(diagonal(mx[inner, inner], s, s))
+        c = np.cos(np.pi / nx * np.outer(node, node))
+        c /= np.sqrt(diagonal(mx, c, c))
+        # the transformed stiffness in the spectral numbering, u_x by (mode,
+        # y node), then u_y: terms diag(d) (x) b at row and column offsets.
+        # Sine k pairs with cosine k, and the constant and alternating
+        # cosines (modes 0 and nx) with no sine
+        p, n_x = 2 * mu + lam, (nx - 1) * (ny + 1)
+        g, cross = diagonal(gx[inner], s, c[:, inner]), (lam * gy.T - mu * gy)[:, 1:]
+        terms = [(p * diagonal(kx[inner, inner], s, s), my, 0, 0),
+                 (mu * diagonal(mx[inner, inner], s, s), ky, 0, 0),
+                 (p * diagonal(mx, c, c), ky[1:, 1:], n_x, n_x),
+                 (mu * diagonal(kx, c, c), my[1:, 1:], n_x, n_x),
+                 (g, cross, 0, n_x + ny), (g, cross.T, n_x + ny, 0)]
+        entries = []
+        for d, b, r0, c0 in terms:
+            i, j = np.nonzero(b)
+            mode = np.arange(len(d))[:, None]
+            entries.append([(r0 + mode * b.shape[0] + i).ravel(),
+                            (c0 + mode * b.shape[1] + j).ravel(), (d[:, None] * b[i, j]).ravel()])
+        row, col, value = (np.concatenate(e) for e in zip(*entries))
+        # the band goes by mode, then y node, u_x before u_y
+        mode = np.concatenate([np.repeat(node[inner], ny + 1), np.repeat(node, ny)])
+        y_node = np.concatenate([np.tile(np.arange(ny + 1), nx - 1),
+                                 np.tile(np.arange(1, ny + 1), nx + 1)])
+        self._band = np.lexsort((y_node, mode))
+        rank = np.argsort(self._band)
+        row, col = rank[row], rank[col]
+        lower = row >= col
+        kd = int(np.max(row - col, initial=0))
+        # summed into lower band storage, entry (i, j) at ab[i - j, j]
+        ab = np.bincount((row - col + (kd + 1) * col)[lower], value[lower],
+                         (kd + 1) * len(rank)).reshape(kd + 1, -1, order="F")
+        self._factor, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info:
+            raise LinearSolveError(f"separable stiffness: band pivot {info - 1} is not positive")
+        # each transform with the positions of its dofs on the grid
+        # (x node, y node)
+        component, n = np.divmod(dofs, mesh.n_nodes)
+        y, x = np.divmod(n, nx + 1)
+        self._transforms = []
+        for k, t, grid in ((0, s, (nx - 1, ny + 1)), (1, c, (nx + 1, ny))):
+            at = np.empty(grid, dtype=int)
+            at[x[component == k] - 1 + k, y[component == k] - k] = np.flatnonzero(component == k)
+            self._transforms.append((t, at))
+            t.flags.writeable = at.flags.writeable = False
+        self._factor.flags.writeable = self._band.flags.writeable = False
+
+    def _raw_solve(self, rhs: np.ndarray) -> np.ndarray:
+        z = np.concatenate([(t.T @ rhs[at]).ravel() for t, at in self._transforms])
+        z[self._band] = lapack.dpbtrs(self._factor, z[self._band], lower=1)[0]
+        x = np.empty_like(rhs)
+        for (t, at), w in zip(self._transforms, np.split(z, [self._transforms[0][1].size])):
+            x[at] = t @ w.reshape(at.shape)
+        return x
+
+
 def nested_dissection(xy: np.ndarray, leaf_size: int):
     """Geometric nested-dissection ordering (George, SIAM J. Numer. Anal.
     1973) of dofs at integer half-grid coordinates ``xy`` (n, 2), those of
@@ -428,30 +535,65 @@ def nested_dissection(xy: np.ndarray, leaf_size: int):
     (first, mid, start, stop) of order positions: the piece is
     order[start:stop], after the halves order[first:mid] and
     order[mid:start] that it separates (empty for a leaf).
+
+    All boxes of one level are bisected at once.  A piece's dofs keep
+    their order in ``xy``, so the order is one stable sort of the dofs by
+    the first position of their piece.
     """
-    pieces, rows = [], []
-
-    def dissect(idx, lo, hi, first):
-        mid = start = first
-        if len(idx) > leaf_size:
-            for axis in ((0, 1) if hi[0] - lo[0] >= hi[1] - lo[1] else (1, 0)):
-                line = 2 * ((lo[axis] + hi[axis] + 2) // 4)
-                if lo[axis] < line < hi[axis]:
-                    coord = xy[idx, axis]
-                    mid = dissect(idx[coord < line], lo, {**hi, axis: line - 1}, first)
-                    start = dissect(idx[coord > line], {**lo, axis: line + 1}, hi, mid)
-                    idx = idx[coord == line]
-                    break
-        pieces.append(idx)
-        rows.append((first, mid, start, start + len(idx)))
-        return start + len(idx)
-
     n = len(xy)
-    if n:
-        lo, hi = xy.min(axis=0), xy.max(axis=0)
-        dissect(np.arange(n), {0: lo[0], 1: lo[1]}, {0: hi[0], 1: hi[1]}, 0)
-    order = np.concatenate(pieces) if pieces else np.zeros(0, dtype=int)
-    return order, np.array(rows, dtype=int).reshape(-1, 4)
+    if not n:
+        return np.arange(0), np.zeros((0, 4), dtype=int)
+    rows, paths, levels = [], [], []
+    # the boxes of one level: bounds, first position, size, and path from
+    # the root (its bits, 0 for a lower half); the box of each dof not yet
+    # in a piece
+    lo, hi = xy.min(axis=0)[None], xy.max(axis=0)[None]
+    first, size, path = np.zeros(1, dtype=int), np.array([n]), np.zeros(1, dtype=int)
+    dof, box = np.arange(n), np.zeros(n, dtype=int)
+    piece_start, flat = np.empty(n, dtype=int), xy.ravel()
+    level = 0
+    while len(first):
+        # each box's axes in turn, longer side first, and their node lines
+        # nearest the middle; a box splits at the first line inside it
+        axes = np.where((hi - lo)[:, :1] >= (hi - lo)[:, 1:], [0, 1], [1, 0])
+        lines = 2 * ((np.take_along_axis(lo + hi, axes, 1) + 2) // 4)
+        cuts = ((np.take_along_axis(lo, axes, 1) < lines)
+                & (lines < np.take_along_axis(hi, axes, 1)))
+        pick = np.argmax(cuts, axis=1)[:, None]
+        split = (size > leaf_size) & cuts.any(axis=1)
+        axis = np.take_along_axis(axes, pick, 1)[:, 0]
+        line = np.take_along_axis(lines, pick, 1)[:, 0]
+        # each dof's part of its box: 0 below the line, 1 above, 2 on it
+        # (all of a leaf's)
+        part = (2 - np.sign((flat[2 * dof + axis[box]] - line[box]) * split[box])) % 3
+        count = np.bincount(3 * box + part, minlength=3 * len(first)).reshape(-1, 3)
+        mid = first + count[:, 0]
+        start = mid + count[:, 1]
+        rows.append(np.column_stack([first, mid, start, first + size]))
+        paths.append(path)
+        levels.append(np.full(len(first), level))
+        on = part == 2
+        piece_start[dof[on]] = start[box[on]]
+        # the halves of the split boxes are the next level's boxes
+        s = np.flatnonzero(split)
+        half = np.full((len(first), 2), -1)
+        half[s] = np.arange(2 * len(s)).reshape(-1, 2)
+        lo, hi = np.repeat(lo[s], 2, axis=0), np.repeat(hi[s], 2, axis=0)
+        lower = 2 * np.arange(len(s))
+        hi[lower, axis[s]] = line[s] - 1
+        lo[lower + 1, axis[s]] = line[s] + 1
+        first = np.column_stack([first[s], mid[s]]).ravel()
+        size = count[s, :2].ravel()
+        path = (2 * path[s, None] + [0, 1]).ravel()
+        dof, box = dof[~on], half[box[~on], part[~on]]
+        level += 1
+    # postorder: paths padded with ones to the deepest level compare as
+    # their boxes do, except a box against the descendants on its upper
+    # edge, which go first (deeper first)
+    path, depth = np.concatenate(paths), np.concatenate(levels)
+    key = ((path + 1) << (level - 1 - depth)) - 1
+    return (np.argsort(piece_start, kind="stable"),
+            np.concatenate(rows)[np.lexsort((-depth, key))])
 
 
 class _CellPattern:
@@ -511,7 +653,9 @@ class DiscreteOperators:
         D_pq_T/D_pu_T: their transposes (CSC views), built once.
         A_uu: plane-strain elasticity stiffness (unconstrained).
         fixed_q/free_q: constrained/free flux dofs (all boundary edges fixed).
-        fixed_u/free_u: constrained/free displacement dofs (rollers).
+        fixed_u/free_u: constrained/free displacement dofs (rollers); the
+            constrained stiffness is solved by ``elastic_solve``, through a
+            separable factor built here.
         local_flux_mass: per-cell RT0 mass (4x4, cell_edges order), from
             which every RT0 mass is summed.
         local_stiffness: per-cell A_uu (8x8, x then y of the cell_nodes).
@@ -608,9 +752,8 @@ class DiscreteOperators:
         try:
             # a singular constrained stiffness means the roller constraints
             # failed to remove all rigid modes
-            self._elastic_factor = (_AnalysedFactor(stiffness, eo, _Supernodes(
-                stiffness.indices, stiffness.indptr, np.unique([0, len(eo)])))
-                if self._banded else SparseFactor(stiffness, eo))
+            self._elastic_factor = _Separable(stiffness, eo, self.free_u[eo], mesh,
+                                              self.mu, self.lam)
         except LinearSolveError as exc:
             raise ValueError(f"constrained elasticity block is singular: {exc}") from exc
 
@@ -692,7 +835,8 @@ class DiscreteOperators:
     @functools.cached_property
     def hybrid_pattern(self) -> _CellPattern:
         """Pattern, in ``order``, of Newton's condensed matrices summed from
-        12x12 cell blocks over ``hybrid_dofs``, with the factored stiffness
+        12x12 cell blocks over ``hybrid_dofs``, with the assembled
+        constrained stiffness that the elastic factor holds
         (``_elastic_factor.matrix``) as constant.  Built on first use: only
         monolithic Newton factors condensed matrices."""
         n = len(self.order)

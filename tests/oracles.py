@@ -69,6 +69,36 @@ def band_cholesky_solve(matrix, rhs) -> np.ndarray:
     return x
 
 
+def recursive_dissection(xy, leaf_size):
+    """``fem.nested_dissection`` as one recursive call per box: the box's
+    lower half, then its upper half, then the dofs on its line, each box's
+    dofs in their order in ``xy``; a box of at most ``leaf_size`` dofs, or
+    with no node line inside it, is a leaf."""
+    pieces, rows = [], []
+
+    def dissect(idx, lo, hi, first):
+        mid = start = first
+        if len(idx) > leaf_size:
+            for axis in ((0, 1) if hi[0] - lo[0] >= hi[1] - lo[1] else (1, 0)):
+                line = 2 * ((lo[axis] + hi[axis] + 2) // 4)
+                if lo[axis] < line < hi[axis]:
+                    coord = xy[idx, axis]
+                    mid = dissect(idx[coord < line], lo, {**hi, axis: line - 1}, first)
+                    start = dissect(idx[coord > line], {**lo, axis: line + 1}, hi, mid)
+                    idx = idx[coord == line]
+                    break
+        pieces.append(idx)
+        rows.append((first, mid, start, start + len(idx)))
+        return start + len(idx)
+
+    n = len(xy)
+    if n:
+        lo, hi = xy.min(axis=0), xy.max(axis=0)
+        dissect(np.arange(n), {0: lo[0], 1: lo[1]}, {0: hi[0], 1: hi[1]}, 0)
+    order = np.concatenate(pieces) if pieces else np.zeros(0, dtype=int)
+    return order, np.array(rows, dtype=int).reshape(-1, 4)
+
+
 def coupled_jacobian(state, prev, params, ops) -> sp.csr_array:
     """Monolithic Newton's coupled Jacobian at ``state`` over the free dofs
     [p | q_free | u_free], in that numbering: 13x13 cell blocks over

@@ -11,7 +11,8 @@ from porosplit.schemes import (fixed_stress_beta, fsl_local_iteration, fsmp_iter
                                newton_blocks, newton_iteration, split_iteration)
 
 from conftest import LAM, MU, backward_error, natural, setup_problem
-from oracles import band_cholesky_solve, constrained_stiffness, dense_flux_mass
+from oracles import (band_cholesky_solve, constrained_stiffness, dense_flux_mass,
+                     recursive_dissection)
 
 
 class TestMesh:
@@ -354,6 +355,29 @@ class TestNestedDissection:
         assert np.array_equal(ops.flux_order, order[order < n_qf])
         assert np.array_equal(ops.elastic_order, order[order >= n_qf] - n_qf)
 
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (8, 8), (16, 5), (13, 37), (25, 25), (100, 100)])
+    def test_matches_the_recursive_dissection(self, nx, ny):
+        # bisecting a level's boxes at once gives the recursion's order and
+        # pieces bit for bit: on Newton's dofs as the operators enter them,
+        # on the free dofs [p | q_free | u_free], and with leaves of one dof
+        mesh = RectMesh(nx, ny, 1.0, 1.0, 1.0)
+        ops = assemble(mesh, MU, LAM)
+        n_qf = len(ops.free_q)
+        node_major = np.lexsort((ops.free_u // mesh.n_nodes, ops.free_u % mesh.n_nodes))
+        free = np.concatenate([mesh.edge_xy[ops.free_q], np.tile(mesh.node_xy, (2, 1))[ops.free_u]])
+        newton = free[np.concatenate([np.arange(n_qf), n_qf + node_major])]
+        for xy in (newton, np.concatenate([mesh.cell_xy, free])):
+            for leaf_size in (fem.LEAF_SIZE, 1):
+                order, pieces = nested_dissection(xy, leaf_size)
+                expected_order, expected_pieces = recursive_dissection(xy, leaf_size)
+                assert order.dtype == expected_order.dtype and pieces.dtype == expected_pieces.dtype
+                assert np.array_equal(order, expected_order)
+                assert np.array_equal(pieces, expected_pieces)
+
+    def test_dissection_of_no_dofs(self):
+        order, pieces = nested_dissection(np.zeros((0, 2), dtype=int), fem.LEAF_SIZE)
+        assert order.shape == (0,) and pieces.shape == (0, 4)
+
     def test_newton_factor_pivots_on_the_diagonal(self):
         # 25x25 test1, first two Newton iterates of step 1: the condensed
         # matrix's LU takes every pivot on the diagonal
@@ -366,21 +390,20 @@ class TestNestedDissection:
             assert np.array_equal(lu.perm_r, np.arange(matrix.shape[0]))
 
     def test_stiffness_factor_pivots_on_the_diagonal(self):
-        # past the band sizes the constant stiffness takes the general LU;
-        # its pivot threshold never moves a pivot off the diagonal
+        # past the band sizes too, the constant stiffness takes no general
+        # LU: the band Cholesky of its transformed form pivots on the
+        # diagonal, every pivot positive
         for n in (60, 100):
             ops = assemble(RectMesh(n, n, 1.0, 1.0, 1.0), MU, LAM)
-            assert type(ops._elastic_factor) is SparseFactor
-            assert np.array_equal(ops._elastic_factor.lu.perm_r, np.arange(len(ops.free_u)))
+            factor = ops._elastic_factor
+            assert not hasattr(factor, "lu")
+            pivots = factor._factor[0]
+            assert np.all(np.isfinite(pivots) & (pivots > 0))
 
     @pytest.mark.parametrize("nx, ny", [(25, 25), (13, 37), (50, 50)])
     def test_band_stiffness_solves_without_refinement(self, nx, ny, rng):
         ops = assemble(RectMesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
-        # one band leaf: the band Cholesky in reverse Cuthill-McKee order
         factor = ops._elastic_factor
-        assert isinstance(factor._analysis, fem._Supernodes)
-        ((b0, b1, below, kd, *_),) = factor._analysis.nodes
-        assert (b0, b1, len(below)) == (0, len(ops.free_u), 0) and kd is not None
         rhs = rng.standard_normal(len(ops.free_u))
         # one application of the factor, no refinement step
         assert backward_error(factor.matrix, factor._raw_solve(rhs), rhs) <= 1e-12
@@ -460,6 +483,58 @@ class TestNestedDissection:
         assert error <= 1e-12
 
 
+SEPARABLE_MESHES = [(1, 1, 1.0, 1.0), (1, 4, 1.0, 1.0), (4, 1, 1.0, 1.0), (2, 3, 1.0, 1.0),
+                    (13, 37, 2.0, 0.7), (25, 25, 1.0, 1.0), (100, 100, 1.0, 1.0)]
+
+
+class TestSeparableStiffness:
+    """The constant stiffness is solved by fast diagonalization on every
+    mesh: sines and cosines in x, one band per x-mode in y."""
+
+    @pytest.mark.parametrize("nx, ny, lx, ly", SEPARABLE_MESHES)
+    def test_one_application_meets_the_contract(self, nx, ny, lx, ly, rng):
+        ops = assemble(RectMesh(nx, ny, lx, ly, 0.0), MU, LAM)
+        eo = ops.elastic_order
+        stiffness = constrained_stiffness(ops)[eo][:, eo]
+        factor = ops._elastic_factor
+        rhs = rng.standard_normal(len(eo))
+        # one application, no refinement step, against the assembled
+        # constrained stiffness; and the same solution as SuperLU's
+        x = factor._raw_solve(rhs)
+        assert backward_error(stiffness, x, rhs) <= 1e-12
+        y = spla.splu(stiffness.tocsc()).solve(rhs)
+        assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
+        z = factor.solve(rhs[np.argsort(eo)])
+        assert np.array_equal(z[eo], x)
+
+    @pytest.mark.parametrize("nx, ny, lx, ly", SEPARABLE_MESHES)
+    def test_builds_no_general_or_supernodal_factor(self, nx, ny, lx, ly, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sparse factor built at assembly")
+
+        supernodes = fem._Supernodes
+        monkeypatch.setattr(fem.spla, "splu", refuse)
+        monkeypatch.setattr(fem, "_Supernodes", refuse)
+        factor = assemble(RectMesh(nx, ny, lx, ly, 0.0), MU, LAM)._elastic_factor
+        assert not hasattr(factor, "lu")
+        assert not any(isinstance(v, supernodes) for v in vars(factor).values())
+
+    def test_solver_data_is_read_only(self):
+        factor = assemble(RectMesh(6, 5, 1.0, 1.0, 0.0), MU, LAM)._elastic_factor
+        arrays = [factor._factor, factor._band] + [a for pair in factor._transforms for a in pair]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] += 1.0
+
+    def test_failed_band_factor_is_a_singular_stiffness(self, monkeypatch):
+        def not_positive(ab, **kwargs):
+            return ab, 3
+
+        monkeypatch.setattr(fem.lapack, "dpbtrf", not_positive)
+        with pytest.raises(ValueError, match="constrained elasticity block is singular"):
+            assemble(RectMesh(4, 4, 1.0, 1.0, 0.0), MU, LAM)
+
+
 def captured_flux_matrices(ops, step, monkeypatch):
     """The SPD matrices ``step()`` hands to ``ops.flux_factor``."""
     seen = []
@@ -516,14 +591,13 @@ class TestFluxCholesky:
         d = ops.local_divergence
         matrix = ops.flux_pattern.matrix(np.tile(ops.local_flux_mass + np.outer(d, d),
                                                  (ops.mesh.n_cells, 1, 1)))
-        factors = {"stiffness": ops._elastic_factor, "spd flux": ops.flux_factor(matrix, True),
+        factors = {"spd flux": ops.flux_factor(matrix, True),
                    "general flux": ops.flux_factor(matrix, False)}
-        # every SPD factor is the supernodal Cholesky, one band leaf on a
+        # the SPD flux factor is the supernodal Cholesky, one band leaf on a
         # banded mesh; the general flux factor is the band LU there.
-        # Beyond the band the stiffness and the general flux factor take
-        # SuperLU
+        # Beyond the band the general flux factor takes SuperLU
         cholesky, superlu = (fem._AnalysedFactor, fem._Supernodes), (SparseFactor, None)
-        expected = {"stiffness": cholesky if banded else superlu, "spd flux": cholesky,
+        expected = {"spd flux": cholesky,
                     "general flux": (fem._AnalysedFactor, fem._Band) if banded else superlu}
         got = {name: (type(f), type(f._analysis) if hasattr(f, "_analysis") else None)
                for name, f in factors.items()}
