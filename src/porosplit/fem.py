@@ -672,8 +672,14 @@ class DiscreteOperators:
         flux_pattern/hybrid_pattern: sum cell blocks into the free-flux
             matrix (4x4 blocks in cell_edges order; in flux_order) and
             Newton's condensed matrix (12x12 over ``hybrid_dofs``, see
-            ``hybrid_pattern``; in ``order``).  The Newton attributes are
+            ``hybrid_pattern``; in ``order``).
+        hybrid_flux_inverse: each cell's inverse of local_flux_mass over
+            its free edges, zero at a constrained edge (nc x 4 x 4), with
+            which Newton eliminates the cells.  The Newton attributes are
             built on first use.
+
+    The arrays of the constrained stiffness that the elastic factor holds,
+    ``hybrid_dofs`` and ``hybrid_flux_inverse`` are read-only.
     """
 
     def __init__(self, mesh: RectMesh, mu: float, lam: float):
@@ -741,6 +747,11 @@ class DiscreteOperators:
         self.flux_order = self.order[is_flux]
         self.elastic_order = eo = self.order[~is_flux] - n_qf
         stiffness = self.A_uu.tocsc()[:, self.free_u[eo]][self.free_u[eo]]
+        # read-only: the elastic factor's residual matrix and Newton's
+        # constant.  Its indices are not sorted, so a caller that needs
+        # canonical CSC must sort a copy
+        for a in (stiffness.data, stiffness.indices, stiffness.indptr):
+            a.flags.writeable = False
         self._banded = len(eo) * _Band(stiffness.indices, stiffness.indptr).kd <= _BAND_ENTRIES
         # flux Cholesky supernodes: one leaf on a banded mesh, else the
         # pieces restricted to the flux dofs (contiguous in flux_order),
@@ -830,7 +841,20 @@ class DiscreteOperators:
         index = np.full(mesh.n_edges + 2 * mesh.n_nodes, n)
         index[np.concatenate([self.free_q, mesh.n_edges + self.free_u])] = np.arange(n)
         cn = mesh.n_edges + mesh.cell_nodes
-        return index[np.concatenate([mesh.cell_edges, cn, cn + mesh.n_nodes], axis=1)]
+        dofs = index[np.concatenate([mesh.cell_edges, cn, cn + mesh.n_nodes], axis=1)]
+        dofs.flags.writeable = False
+        return dofs
+
+    @functools.cached_property
+    def hybrid_flux_inverse(self) -> np.ndarray:
+        """Each cell's inverse of its RT0 mass over its free edges, zero at
+        a constrained edge (nc, 4, 4): the (W,E) and (S,N) pairs invert
+        apart.  Built on first use, for Newton's cell elimination."""
+        free = self.hybrid_dofs[:, :4] < len(self.order)
+        both = free[:, :, None] & free[:, None, :]
+        inverse = np.linalg.inv(np.where(both, self.local_flux_mass, np.eye(4))) * both
+        inverse.flags.writeable = False
+        return inverse
 
     @functools.cached_property
     def hybrid_pattern(self) -> _CellPattern:

@@ -306,45 +306,58 @@ def newton_blocks(state: PoroState, prev: PoroState, params: PhysicsParams,
     Newton's pressure coefficient C_c (beta = 0) vanishes on saturated cells
     when 1/N = 0, so it cannot be eliminated alone.  Instead each cell holds
     its own copy of its edge fluxes, with the block over [pressure | fluxes]
-    L_c = [[C_c, tau d^T], [b_c - d, k_c^-1 M_c]]: b_c the mobility coupling,
-    and an identity row and column at a constrained edge.  L_c is invertible
-    even where C_c = 0, since without b_c its Schur complement is C_c + tau
-    d^T (k_c^-1 M_c)^-1 d over the free edges.  T_c (5 x 12) maps the cell's
-    ``ops.hybrid_dofs`` [traces | x then y of its nodes] onto those rows:
-    sign(d) ties a free edge's two copies, and alpha s_c d_u couples the
+    L_c = [[C_c, tau d^T], [g_c, K_c]]: g_c = b_c - d, b_c the mobility
+    coupling, and K_c = k_c^-1 M_c, with an identity row and column at a
+    constrained edge.  T_c (5 x 12) maps the cell's ``ops.hybrid_dofs``
+    [traces | x then y of its nodes] onto those rows: S = diag(sign d) ties
+    a free edge's two copies, and w_c = alpha s_c d_u couples the
     displacements into the pressure row.  The matrix is the constrained
-    stiffness plus the blocks T_c^T L_c^-1 T_c, from one batched solve.
-    ``newton_iteration`` splits each free edge's flux residual evenly
-    between its two copies (the trace takes up the difference), and after
-    the condensed solve takes each cell's dp and flux copies from its own
-    block; an edge's dq is the mean of its two copies.
+    stiffness plus the blocks T_c^T L_c^-1 T_c, in closed form.  M_c is two
+    2x2 blocks, (W,E) and (S,N), so K_c^-1 = k_c Q_c over the free edges
+    (``ops.hybrid_flux_inverse``), and the pressure's Schur complement is
+    the scalar sigma_c = C_c - e_c g_c, e_c = tau d^T K_c^-1.  With
+    h_c = K_c^-1 g_c,
 
-    Returns the matrix, (L_c, T_c, L_c^-1 T_c), the flow residual parts at
-    ``state`` and the clamp flag of the mobility derivative.  A singular
-    L_c raises LinearSolveError naming the cell.
+        L_c^-1 = blockdiag(0, K_c^-1) + [1; -h_c] [1, -e_c] / sigma_c,
+        T_c^T L_c^-1 T_c = blockdiag(k_c S Q_c S, 0) + a_c b_c^T / sigma_c,
+
+    a_c = [S h_c; -w_c], b_c = [S e_c; -w_c].  sigma_c stays nonzero where
+    C_c = 0: without b_c it is tau d^T K_c^-1 d over the free edges.
+    ``newton_iteration`` splits each free edge's flux residual evenly
+    between its two copies (the trace takes up the difference), pushes
+    L_c^-1 of it through T_c^T, and after the condensed solve y subtracts
+    L_c^-1 T_c y_c from it.  The flux rows of L_c^-1 T_c are S times the
+    block's trace rows, so they are read off the block: the flux copies
+    are a small difference of terms of the traces' size, and a lift summed
+    from the block's entries keeps them about as accurate as the LU of L_c
+    did.  An edge's dq is the mean of its two copies.
+
+    Returns the matrix, the cell arrays (k_c, h_c, e_c, sigma_c, w_c) and
+    the 12x12 blocks, the flow residual parts at ``state`` and the clamp
+    flag of the mobility derivative.  A zero or non-finite sigma_c raises
+    LinearSolveError naming the cell.
     """
     parts = flow_parts(state, prev, params, ops)
     cpp = _derivative_coefficient(state, prev, params, ops, 0.0)
     coupling, clamped = mobility_coupling(state, params, ops, parts)
-    d = ops.local_divergence
-    n = ops.mesh.n_cells
-    free = ops.hybrid_dofs[:, :4] < len(ops.order)
-    blocks = np.empty((n, 5, 5))
-    blocks[:, 0, 0] = cpp
-    blocks[:, 0, 1:] = params.tau * d * free
-    blocks[:, 1:, 0] = (coupling - d) * free
-    blocks[:, 1:, 1:] = np.where(free[:, :, None] & free[:, None, :],
-                                 parts.kinv[:, None, None] * ops.local_flux_mass, np.eye(4))
-    trace = np.zeros((n, 5, 12))
-    trace[:, 1:, :4] = np.diag(np.sign(d))
-    trace[:, 0, 4:] = params.alpha * parts.sat[:, None] * ops.local_displacement_divergence
-    try:
-        lift = np.linalg.solve(blocks, trace)
-    except np.linalg.LinAlgError:
-        cell = int(np.argmin(np.abs(np.linalg.det(blocks))))
-        raise LinearSolveError(f"Newton's pressure-flux block of cell {cell} is singular") from None
-    matrix = ops.hybrid_pattern.matrix(np.swapaxes(trace, 1, 2) @ lift)
-    return matrix, (blocks, trace, lift), parts, clamped
+    d, q_inv = ops.local_divergence, ops.hybrid_flux_inverse
+    k = 1.0 / parts.kinv
+    g = coupling - d   # Q_c drops its entries at constrained edges
+    h = k[:, None] * np.einsum("cij,cj->ci", q_inv, g)
+    e = (params.tau * k)[:, None] * (q_inv @ d)
+    sigma = cpp - np.einsum("ci,ci->c", e, g)
+    singular = ~np.isfinite(sigma) | (sigma == 0.0)
+    if np.any(singular):
+        cell = int(np.argmax(singular))
+        raise LinearSolveError(f"Newton's pressure-flux block of cell {cell} is singular")
+    sign = np.sign(d)
+    w = params.alpha * parts.sat[:, None] * ops.local_displacement_divergence
+    a = np.concatenate([sign * h, -w], axis=1)
+    b = np.concatenate([sign * e, -w], axis=1) / sigma[:, None]
+    blocks = np.einsum("ci,cj->cij", a, b)
+    blocks[:, :4, :4] += k[:, None, None] * (sign[:, None] * q_inv * sign)
+    matrix = ops.hybrid_pattern.matrix(blocks)
+    return matrix, (k, h, e, sigma, w, blocks), parts, clamped
 
 
 def newton_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
@@ -352,22 +365,29 @@ def newton_iteration(state: PoroState, prev: PoroState, params: PhysicsParams,
     """One monolithic Newton step on the coupled system, by the static
     condensation that ``newton_blocks`` describes."""
     t_new = prev.time + params.tau
-    matrix, (blocks, trace, lift), parts, clamped = newton_blocks(state, prev, params, ops)
+    matrix, (k, h, e, sigma, w, blocks), parts, clamped = newton_blocks(state, prev, params, ops)
     r_u = mech_residual(state, params, ops)
     dq, rhs_p, rhs_q = _flow_rhs(state, params, ops, parts, t_new)
     ce, n_e, n_qf = ops.mesh.cell_edges, ops.mesh.n_edges, len(ops.free_q)
     half = np.zeros(n_e)
     half[ops.free_q] = 0.5 * rhs_q
-    local = np.linalg.solve(blocks, np.concatenate([rhs_p[:, None], half[ce]], axis=1)[:, :, None])
+    sign = np.sign(ops.local_divergence)
+
+    # L_c^-1 [rhs_p; half]: each cell's pressure and flux copies
+    x_p = (rhs_p - np.einsum("ci,ci->c", e, half[ce])) / sigma
+    x_q = k[:, None] * np.einsum("cij,cj->ci", ops.hybrid_flux_inverse, half[ce])
+    x_q -= h * x_p[:, None]
     n = len(ops.order)
-    pushed = np.swapaxes(trace, 1, 2) @ local
+    pushed = np.concatenate([sign * x_q, w * x_p[:, None]], axis=1)
     rhs = np.bincount(ops.hybrid_dofs.ravel(), pushed.ravel(), minlength=n + 1)[:n]
     rhs[n_qf:] += r_u[ops.free_u]
     sol = SparseFactor(matrix, ops.order).solve(rhs)
 
-    local = (local - lift @ np.append(sol, 0.0)[ops.hybrid_dofs][:, :, None])[:, :, 0]
-    dp = local[:, 0]
-    dq[ops.free_q] = 0.5 * np.bincount(ce.ravel(), local[:, 1:].ravel(), minlength=n_e)[ops.free_q]
+    y = np.append(sol, 0.0)[ops.hybrid_dofs]
+    lifted = np.einsum("ci,ci->c", sign * e, y[:, :4]) - np.einsum("ci,ci->c", w, y[:, 4:])
+    dp = x_p + lifted / sigma
+    x_q -= sign * np.einsum("cij,cj->ci", blocks[:, :4, :], y)
+    dq[ops.free_q] = 0.5 * np.bincount(ce.ravel(), x_q.ravel(), minlength=n_e)[ops.free_q]
     du = np.zeros(2 * ops.mesh.n_nodes)
     du[ops.free_u] = sol[n_qf:]
     new_state = PoroState(p=state.p + dp, q=state.q + dq, u=state.u + du, time=t_new)

@@ -161,6 +161,59 @@ def coupled_newton_step(state, prev, params, ops):
     return (sol[:n_p], dq, du), matrix, rhs
 
 
+def batched_condensation(state, prev, params, ops):
+    """Newton's condensed step at ``state`` by LAPACK, as the closed form of
+    ``schemes.newton_blocks`` must reproduce it: each cell's 5x5 block L_c
+    over [pressure | its own copies of its edge fluxes] (an identity row and
+    column at a constrained edge) and the 5x12 map T_c of its
+    ``ops.hybrid_dofs``, with L_c^-1 T_c and L_c^-1 [r_p; r_q / 2] from two
+    batched ``np.linalg.solve`` calls.  Returns the condensed matrix (the
+    blocks T_c^T L_c^-1 T_c plus the constrained stiffness), the pushed
+    right-hand side, and the back-substitution that maps a condensed
+    solution to (dp, dq)."""
+    parts = flow_parts(state, prev, params, ops)
+    sd = laws.saturation_derivative(state.p, params.vg)
+    cpp = pressure_coefficient(state, prev, params, ops, sd, 0.0)
+    coupling, _ = mobility_coupling(state, params, ops, parts)
+    d = ops.local_divergence
+    n = ops.mesh.n_cells
+    free = ops.hybrid_dofs[:, :4] < len(ops.order)
+    blocks = np.empty((n, 5, 5))
+    blocks[:, 0, 0] = cpp
+    blocks[:, 0, 1:] = params.tau * d * free
+    blocks[:, 1:, 0] = (coupling - d) * free
+    blocks[:, 1:, 1:] = np.where(free[:, :, None] & free[:, None, :],
+                                 parts.kinv[:, None, None] * ops.local_flux_mass, np.eye(4))
+    trace = np.zeros((n, 5, 12))
+    trace[:, 1:, :4] = np.diag(np.sign(d))
+    trace[:, 0, 4:] = params.alpha * parts.sat[:, None] * ops.local_displacement_divergence
+    lift = np.linalg.solve(blocks, trace)
+    matrix = ops.hybrid_pattern.matrix(np.swapaxes(trace, 1, 2) @ lift)
+
+    mesh, n_qf = ops.mesh, len(ops.free_q)
+    ce, n_e = mesh.cell_edges, mesh.n_edges
+    dq = np.zeros(n_e)
+    dq[ops.fixed_q] = (prescribed_flux(ops, params, prev.time + params.tau)
+                       - state.q[ops.fixed_q])
+    rhs_p = parts.r_p - params.tau * (ops.D_pq @ dq)
+    half = np.zeros(n_e)
+    half[ops.free_q] = 0.5 * (parts.r_q - ops.weighted_flux_mass(parts.kinv, dq))[ops.free_q]
+    local = np.linalg.solve(blocks, np.concatenate([rhs_p[:, None], half[ce]], axis=1)[:, :, None])
+    m = len(ops.order)
+    pushed = np.swapaxes(trace, 1, 2) @ local
+    rhs = np.bincount(ops.hybrid_dofs.ravel(), pushed.ravel(), minlength=m + 1)[:m]
+    rhs[n_qf:] += mech_residual(state, params, ops)[ops.free_u]
+
+    def back_substitute(sol):
+        cells = (local - lift @ np.append(sol, 0.0)[ops.hybrid_dofs][:, :, None])[:, :, 0]
+        out = dq.copy()
+        out[ops.free_q] = 0.5 * np.bincount(ce.ravel(), cells[:, 1:].ravel(),
+                                            minlength=n_e)[ops.free_q]
+        return cells[:, 0], out
+
+    return matrix, rhs, back_substitute
+
+
 def residuals(state, prev, params, ops):
     """Residual vectors (r_p, r_q, r_u) of the coupled step at ``state``,
     with the porosity frozen at ``prev``.  Rows of constrained flux and

@@ -534,6 +534,25 @@ class TestSeparableStiffness:
         with pytest.raises(ValueError, match="constrained elasticity block is singular"):
             assemble(RectMesh(4, 4, 1.0, 1.0, 0.0), MU, LAM)
 
+    @pytest.mark.parametrize("n", [25, 60])
+    def test_constrained_stiffness_and_newton_constants_are_read_only(self, n):
+        # the stiffness is the elastic factor's residual matrix and
+        # Newton's constant; a banded mesh and one past the band
+        mesh, ops, params, init = setup_problem(n, n)
+        stiffness = ops._elastic_factor.matrix
+        arrays = (stiffness.data, stiffness.indices, stiffness.indptr)
+        ops.elastic_solve(np.ones(len(ops.free_u)))
+        assert ops.hybrid_pattern.n == len(ops.order)
+        newton_iteration(init, init, params, ops)
+        for a in arrays + (ops.hybrid_dofs, ops.hybrid_flux_inverse):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] += 1
+        # after the solves, the bytes of the slice of A_uu it was built as
+        eo = ops.free_u[ops.elastic_order]
+        built = ops.A_uu.tocsc()[:, eo][eo]
+        for a, b in zip(arrays, (built.data, built.indices, built.indptr)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
 
 def captured_flux_matrices(ops, step, monkeypatch):
     """The SPD matrices ``step()`` hands to ``ops.flux_factor``."""

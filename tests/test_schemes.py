@@ -25,6 +25,7 @@ from porosplit.schemes import (
     fsl_local_iteration,
     fsmp_iteration,
     fsnewton_iteration,
+    newton_blocks,
     newton_iteration,
     run_time_step,
     run_transient,
@@ -44,6 +45,7 @@ from conftest import (
     setup_problem,
 )
 from oracles import (
+    batched_condensation,
     coupled_jacobian,
     coupled_newton_step,
     dense_flux_mass,
@@ -325,17 +327,23 @@ def hybrid_cases():
     yield "13x37", initial_state(mesh, params, P0_HOELDER, ops), params, ops
 
 
+@pytest.fixture(scope="module")
+def hybrid_states():
+    """The states of ``hybrid_cases``, built once for the module."""
+    return list(hybrid_cases())
+
+
 class TestHybridNewton:
     """Newton's step by static condensation against the coupled solve of
     the oracle's Jacobian, over the first two iterates of each case."""
 
     @pytest.fixture(scope="class")
-    def steps(self):
+    def steps(self, hybrid_states):
         """Per case: the hybrid and the coupled increments, the coupled
         matrix and right-hand side, the operators and the number of cells
         with a zero pressure coefficient, at each iterate."""
         out = {}
-        for name, prev, params, ops in hybrid_cases():
+        for name, prev, params, ops in hybrid_states:
             state = prev
             for _ in range(2):
                 sd = laws.saturation_derivative(state.p, params.vg)
@@ -363,6 +371,95 @@ class TestHybridNewton:
         for (dp, dq, du), _, matrix, rhs, ops, _ in steps[case]:
             x = np.concatenate([dp, dq[ops.free_q], du[ops.free_u]])
             assert backward_error(matrix, x, rhs) <= 1e-10
+
+
+def closed_form_step(state, prev, params, ops, monkeypatch):
+    """Newton's condensed matrix at ``state``, and from one
+    ``newton_iteration``: the right-hand side its factor solves, the
+    solution, and the step's dp and dq as the increment norms receive them
+    (before they are added to the state, which would round them)."""
+    seen = {}
+
+    class Recorded(schemes.SparseFactor):
+        def solve(self, rhs):
+            seen["rhs"], seen["sol"] = rhs, super().solve(rhs)
+            return seen["sol"]
+
+    def recorded(name, norm):
+        return lambda v: (seen.__setitem__(name, v), norm(v))[1]
+
+    with monkeypatch.context() as m:
+        m.setattr(schemes, "SparseFactor", Recorded)
+        m.setattr(ops, "pressure_norm", recorded("dp", ops.pressure_norm))
+        m.setattr(ops, "flux_norm", recorded("dq", ops.flux_norm))
+        newton_iteration(state, prev, params, ops)
+    matrix, *_ = newton_blocks(state, prev, params, ops)
+    return matrix, seen
+
+
+class TestClosedFormCondensation:
+    """Newton's cells eliminated in closed form against the batched LAPACK
+    elimination of the 5x5 cell blocks (``oracles.batched_condensation``)."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, hybrid_states):
+        """(name, state, prev, params, ops): the first two iterates of
+        test1 step 1 on 4x3 (cells with 0 or 1 constrained edge in each
+        pair) and on 1x3 (both W and E constrained), of test1 step 8 and of
+        test2 step 7 on 25x25 (cells with C = 0); and the 2x2 Hoelder state
+        whose mobility derivative is clamped."""
+        starts = []
+        for nx, width in ((4, 0.25), (1, 1.0)):
+            mesh, ops, params, init = setup_problem(nx, 3, width=width)
+            starts.append((f"test1-{nx}x3", init, params, ops))
+        out = []
+        for name, prev, params, ops in starts + hybrid_states[:2]:
+            state = prev
+            for i in range(2):
+                out.append((f"{name}-{i}", state, prev, params, ops))
+                state, _, _ = newton_iteration(state, prev, params, ops)
+        mesh = RectMesh(2, 2, 1.0, 1.0, 0.5)
+        ops = assemble(mesh, MU, LAM)
+        params = hoelder_params(alpha=0.5)
+        prev = initial_state(mesh, params, P0_HOELDER, ops)
+        state = PoroState(p=np.full(mesh.n_cells, -1e-24), q=np.zeros(mesh.n_edges),
+                          u=np.zeros(2 * mesh.n_nodes), time=params.tau)
+        out.append(("hoelder-clamped", state, prev, params, ops))
+        return out
+
+    def test_cases_cover_the_cell_kinds(self, cases):
+        names = [case[0] for case in cases]
+        assert len(names) == 9
+        _, state, prev, params, ops = cases[-1]
+        assert newton_blocks(state, prev, params, ops)[-1]
+        for name in ("test1-step8", "test2-step7"):
+            zero = 0
+            for _, state, prev, params, ops in cases[names.index(f"{name}-0"):][:2]:
+                sd = laws.saturation_derivative(state.p, params.vg)
+                zero += np.sum(pressure_coefficient(state, prev, params, ops, sd, 0.0) == 0)
+            assert zero > 0, name
+        free = [np.sum(ops.hybrid_dofs[:, :4] < len(ops.order), axis=1)
+                for _, _, _, _, ops in cases[:4:2]]
+        assert set(free[0]) == {2, 3, 4} and set(free[1]) == {1, 2}
+
+    def test_agrees_with_the_batched_elimination(self, cases, monkeypatch):
+        def rel(got, expected):
+            return np.linalg.norm(got - expected) / np.linalg.norm(expected)
+
+        for name, state, prev, params, ops in cases:
+            matrix, seen = closed_form_step(state, prev, params, ops, monkeypatch)
+            expected, rhs, back_substitute = batched_condensation(state, prev, params, ops)
+            dp, dq = back_substitute(seen["sol"])
+            assert np.array_equal(matrix.indices, expected.indices), name
+            assert rel(matrix.data, expected.data) <= 1e-13, name
+            assert rel(seen["rhs"], rhs) <= 1e-13, name
+            assert rel(seen["dp"], dp) <= 1e-13, name
+            # dq is a small difference of flux copies of the traces' size
+            # (6e-4 against 0.3 in the clamped Hoelder state), so both
+            # eliminations carry about 1e-13 of dq there: 1.0e-13 (closed
+            # form) and 0.6e-13 (LAPACK) against the elimination in
+            # extended precision, 1.3e-13 apart
+            assert rel(seen["dq"], dq) <= 1e-12, name
 
 
 class TestConverged:

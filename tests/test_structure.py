@@ -285,8 +285,9 @@ class C:
 
 
 # Newton's condensed cell layout: fem fixes the 12 columns of a cell
-# (hybrid_dofs) and their pattern, schemes builds and reads the blocks.
-CONDENSED_LAYOUT = ("hybrid_dofs", "hybrid_pattern", "newton_blocks")
+# (hybrid_dofs), their pattern and the cells' flux-mass inverses, schemes
+# builds and reads the blocks.
+CONDENSED_LAYOUT = ("hybrid_dofs", "hybrid_pattern", "hybrid_flux_inverse", "newton_blocks")
 LAYOUT_MODULES = ("fem", "schemes")
 
 
