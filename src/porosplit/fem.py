@@ -11,17 +11,17 @@ on every boundary edge, roller supports (u.n = 0) on left/right/bottom,
 traction-free top.  The RT0 mass is encoded once, as the cell block
 ``local_flux_mass``: ``M_q`` is scattered from it, and the mobility-weighted
 mass is only ever applied cell by cell (``weighted_flux_mass``) or summed
-into a factored matrix.  ``A_uu`` is scattered from ``local_stiffness``,
-and its constrained slice, built once, is both the matrix the elastic
-factor holds and the constant of Newton's condensed pattern.  That
-stiffness is solved by fast diagonalization on every mesh (``_Separable``):
-sines and cosines in x, one band per x-mode in y, factored once.
+into a factored matrix.  The one ``stiffness``, the constrained slice (in
+``free_u`` order) of the matrix scattered from ``local_stiffness``, serves
+the momentum residual, the elastic factor and Newton's condensed pattern.
+It is solved by fast diagonalization on every mesh (``_Separable``): sines
+and cosines in x, one band per x-mode in y, factored once.
 
-Every sparse matrix is held in one geometric nested-dissection ordering
+Every iteration matrix is held in one geometric nested-dissection ordering
 (``nested_dissection``), computed once per mesh: that of monolithic Newton's
 condensed dofs [q_free | u_free] (``schemes.newton_blocks``), with leaves of
-at most LEAF_SIZE dofs.  The flux-only and elasticity matrices take its
-restrictions to their dofs.
+at most LEAF_SIZE dofs.  The flux-only matrices take its restriction to
+their dofs.
 Matrices that change every iteration are summed from dense cell blocks onto
 a sparsity pattern built once per mesh, already in their ordering
 (``flux_pattern``, ``hybrid_pattern``).  Every solve has ``SparseFactor``'s
@@ -102,8 +102,8 @@ class SparseFactor:
     README).  Iterative refinement handles the
     remaining ill-conditioning.  ``_AnalysedFactor`` replaces the
     constructor and the raw solve for the Cholesky and the band LU, and
-    ``_Separable`` for the constant stiffness; the module docstring states
-    the one rule that picks between them.
+    ``_Separable`` for the constant stiffness, in its own numbering; the
+    module docstring states the one rule that picks between them.
     """
 
     def __init__(self, matrix, order):
@@ -448,10 +448,10 @@ class _Separable(SparseFactor):
     the refinement and the backward error see.  The transforms and the
     factor are read-only."""
 
-    def __init__(self, matrix, order, dofs, mesh, mu, lam):
-        """``dofs``: the displacement dof (x then y of the nodes) at each
-        position of ``order``."""
-        self.matrix, self.order = matrix, order
+    def __init__(self, matrix, dofs, mesh, mu, lam):
+        """``dofs``: the displacement dof (x then y of the nodes) of each
+        row of ``matrix``."""
+        self.matrix, self.order = matrix, slice(None)
         nx, ny = mesh.nx, mesh.ny
         kx, mx, gx = _line_matrices(nx, mesh.hx)
         ky, my, gy = _line_matrices(ny, mesh.hy)
@@ -651,14 +651,15 @@ class DiscreteOperators:
         D_pq: integrated RT0 divergence into P0 (row per cell).
         D_pu: integrated Q1 divergence into P0 (row per cell).
         D_pq_T/D_pu_T: their transposes (CSC views), built once.
-        A_uu: plane-strain elasticity stiffness (unconstrained).
         fixed_q/free_q: constrained/free flux dofs (all boundary edges fixed).
-        fixed_u/free_u: constrained/free displacement dofs (rollers); the
-            constrained stiffness is solved by ``elastic_solve``, through a
-            separable factor built here.
+        fixed_u/free_u: constrained/free displacement dofs (rollers).
+        stiffness: plane-strain elasticity stiffness over the free
+            displacements in free_u order (canonical CSC), the only copy:
+            the momentum residual, ``elastic_solve`` (through a separable
+            factor built here) and Newton's condensed matrices read it.
         local_flux_mass: per-cell RT0 mass (4x4, cell_edges order), from
             which every RT0 mass is summed.
-        local_stiffness: per-cell A_uu (8x8, x then y of the cell_nodes).
+        local_stiffness: per-cell stiffness (8x8, x then y of the cell_nodes).
         local_divergence: per-cell row of D_pq (cell_edges order).
         local_displacement_divergence: per-cell row of D_pu (x then y of the
             cell_nodes).
@@ -666,9 +667,8 @@ class DiscreteOperators:
             [q_free | u_free] (the edge traces and the free displacements):
             their nested dissection, with leaves of at most LEAF_SIZE dofs,
             the one dissection of the mesh.
-        flux_order/elastic_order: orderings of the free flux and free
-            displacement dofs (numbered within them): the restrictions of
-            ``order`` to them.
+        flux_order: ordering of the free flux dofs (numbered within them):
+            the restriction of ``order`` to them.
         flux_pattern/hybrid_pattern: sum cell blocks into the free-flux
             matrix (4x4 blocks in cell_edges order; in flux_order) and
             Newton's condensed matrix (12x12 over ``hybrid_dofs``, see
@@ -678,8 +678,8 @@ class DiscreteOperators:
             which Newton eliminates the cells.  The Newton attributes are
             built on first use.
 
-    The arrays of the constrained stiffness that the elastic factor holds,
-    ``hybrid_dofs`` and ``hybrid_flux_inverse`` are read-only.
+    Every array above, and the ``data``, ``indices`` and ``indptr`` of
+    every matrix, is read-only once assembled.
     """
 
     def __init__(self, mesh: RectMesh, mu: float, lam: float):
@@ -715,10 +715,9 @@ class DiscreteOperators:
                              (nc, n_u))
         self.D_pq_T, self.D_pu_T = self.D_pq.T, self.D_pu.T
         self.local_stiffness = self._elasticity_block()
-        self.A_uu = _scatter(self.local_stiffness, nodal, nodal, (n_u, n_u))
         self.M_u = _scatter(self._vector_mass_block(), nodal, nodal, (n_u, n_u))
 
-        self.fixed_q = mesh.all_boundary_edges
+        self.fixed_q = mesh.all_boundary_edges.copy()
         free_q_mask = np.ones(mesh.n_edges, dtype=bool)
         free_q_mask[self.fixed_q] = False
         self.free_q = np.nonzero(free_q_mask)[0]
@@ -731,11 +730,21 @@ class DiscreteOperators:
         self.free_u = np.nonzero(free_u_mask)[0]
 
         self.D_pq_f = self.D_pq[:, self.free_q]
+        full = _scatter(self.local_stiffness, nodal, nodal, (n_u, n_u)).tocsc()
+        self.stiffness = stiffness = full[:, self.free_u][self.free_u]
+        self._banded = (len(self.free_u) * _Band(stiffness.indices, stiffness.indptr).kd
+                        <= _BAND_ENTRIES)
+        try:
+            # a singular constrained stiffness means the roller constraints
+            # failed to remove all rigid modes
+            self._elastic_factor = _Separable(stiffness, self.free_u, mesh, self.mu, self.lam)
+        except LinearSolveError as exc:
+            raise ValueError(f"constrained elasticity block is singular: {exc}") from exc
 
         # one nested dissection of Newton's dofs [q_free | u_free], which the
-        # flux and elasticity orderings restrict.  The displacements enter
-        # node by node, so that within a leaf the x and y dofs of a node stay
-        # adjacent (less elasticity fill)
+        # flux ordering restricts.  The displacements enter node by node, so
+        # that within a leaf the x and y dofs of a node stay adjacent (less
+        # elasticity fill)
         n_qf = len(self.free_q)
         xy = np.concatenate([mesh.edge_xy[self.free_q],
                              np.tile(mesh.node_xy, (2, 1))[self.free_u]])
@@ -745,14 +754,6 @@ class DiscreteOperators:
         self.order = entry[dissection]
         is_flux = self.order < n_qf
         self.flux_order = self.order[is_flux]
-        self.elastic_order = eo = self.order[~is_flux] - n_qf
-        stiffness = self.A_uu.tocsc()[:, self.free_u[eo]][self.free_u[eo]]
-        # read-only: the elastic factor's residual matrix and Newton's
-        # constant.  Its indices are not sorted, so a caller that needs
-        # canonical CSC must sort a copy
-        for a in (stiffness.data, stiffness.indices, stiffness.indptr):
-            a.flags.writeable = False
-        self._banded = len(eo) * _Band(stiffness.indices, stiffness.indptr).kd <= _BAND_ENTRIES
         # flux Cholesky supernodes: one leaf on a banded mesh, else the
         # pieces restricted to the flux dofs (contiguous in flux_order),
         # subtrees of <= _SUPERNODE_SIZE merged
@@ -760,17 +761,17 @@ class DiscreteOperators:
         pieces = flux_before[pieces]
         big = (not self._banded) & (pieces[:, 3] - pieces[:, 0] > _SUPERNODE_SIZE)
         self._flux_supernodes = np.unique(np.concatenate([[0, n_qf], pieces[big].ravel()]))
-        try:
-            # a singular constrained stiffness means the roller constraints
-            # failed to remove all rigid modes
-            self._elastic_factor = _Separable(stiffness, eo, self.free_u[eo], mesh,
-                                              self.mu, self.lam)
-        except LinearSolveError as exc:
-            raise ValueError(f"constrained elasticity block is singular: {exc}") from exc
 
         flux_position = np.full(mesh.n_edges, -1)
         flux_position[self.free_q[self.flux_order]] = np.arange(n_qf)
         self.flux_pattern = _CellPattern(flux_position[ce], n_qf)
+        for a in (self.M_p, self.local_flux_mass, self.local_divergence,
+                  self.local_displacement_divergence, self.local_stiffness, self.fixed_q,
+                  self.free_q, self.fixed_u, self.free_u, self.order, self.flux_order):
+            a.flags.writeable = False
+        for m in (self.M_q, self.D_pq, self.D_pu, self.D_pq_T, self.D_pu_T, self.D_pq_f,
+                  self.M_u, stiffness):
+            m.data.flags.writeable = m.indices.flags.writeable = m.indptr.flags.writeable = False
 
     @functools.cached_property
     def flux_cholesky(self) -> _Supernodes:
@@ -859,15 +860,14 @@ class DiscreteOperators:
     @functools.cached_property
     def hybrid_pattern(self) -> _CellPattern:
         """Pattern, in ``order``, of Newton's condensed matrices summed from
-        12x12 cell blocks over ``hybrid_dofs``, with the assembled
-        constrained stiffness that the elastic factor holds
-        (``_elastic_factor.matrix``) as constant.  Built on first use: only
-        monolithic Newton factors condensed matrices."""
+        12x12 cell blocks over ``hybrid_dofs``, with ``stiffness`` as
+        constant.  Built on first use: only monolithic Newton factors
+        condensed matrices."""
         n = len(self.order)
         position = np.full(n + 1, -1)
         position[self.order] = np.arange(n)
-        stiffness = self._elastic_factor.matrix.tocoo()
-        u_position = position[len(self.free_q) + self.elastic_order]
+        stiffness = self.stiffness.tocoo()
+        u_position = position[len(self.free_q):]
         constant = (u_position[stiffness.row], u_position[stiffness.col], stiffness.data)
         return _CellPattern(position[self.hybrid_dofs], n, constant)
 

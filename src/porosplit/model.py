@@ -87,8 +87,9 @@ class PoroState:
     Accepted time levels carry the porosity field; working iterates may not.
     Saturation and pore pressure are cached with the pressure array and van
     Genuchten model they were computed from, so ``dataclasses.replace`` with
-    a new ``p`` or a call with another model recomputes them.  Editing
-    ``state.p`` in place is not supported.
+    a new ``p`` or a call with another model recomputes them.  The arrays
+    are made read-only when the state is built, without a copy, so editing
+    ``state.p`` in place raises ValueError.
     """
 
     p: np.ndarray
@@ -98,6 +99,11 @@ class PoroState:
     porosity: np.ndarray | None = None
     _sat: tuple | None = field(default=None, repr=False)  # (p, vg, values)
     _pe: tuple | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for a in (self.p, self.q, self.u, self.porosity):
+            if a is not None:
+                a.flags.writeable = False
 
     def _cached(self, name: str, law, vg: VanGenuchtenModel) -> np.ndarray:
         hit = getattr(self, name)
@@ -215,8 +221,10 @@ def mech_residual(state: PoroState, params: PhysicsParams,
     pressure, constrained rows zeroed."""
     pe = state.pore_pressure(params)
     _, f_u = gravity_loads(ops, params)
-    r_u = f_u - (ops.A_uu @ state.u - params.alpha * (ops.D_pu_T @ pe))
-    r_u[ops.fixed_u] = 0.0
+    free = ops.free_u
+    r_u = np.zeros_like(f_u)
+    r_u[free] = f_u[free] - (ops.stiffness @ state.u[free]
+                             - params.alpha * (ops.D_pu_T @ pe)[free])
     _check_finite(r_u, "momentum residual")
     return r_u
 

@@ -44,10 +44,19 @@ def dense_flux_mass(ops, cell_weights) -> np.ndarray:
     return out
 
 
+def full_stiffness(ops) -> sp.csr_array:
+    """The unconstrained stiffness over all displacement dofs, scattered
+    here from ``ops.local_stiffness``, not read off ``ops.stiffness``."""
+    mesh = ops.mesh
+    nodal = np.concatenate([mesh.cell_nodes, mesh.cell_nodes + mesh.n_nodes], axis=1)
+    n_u = 2 * mesh.n_nodes
+    return fem._scatter(ops.local_stiffness, nodal, nodal, (n_u, n_u))
+
+
 def constrained_stiffness(ops) -> sp.csc_array:
     """The constrained stiffness in the free displacement numbering, sliced
-    from the unconstrained ``A_uu`` here, not read off the elastic factor."""
-    return ops.A_uu[np.ix_(ops.free_u, ops.free_u)].tocsc()
+    from ``full_stiffness``."""
+    return full_stiffness(ops)[np.ix_(ops.free_u, ops.free_u)].tocsc()
 
 
 def band_cholesky_solve(matrix, rhs) -> np.ndarray:
@@ -103,11 +112,10 @@ def coupled_jacobian(state, prev, params, ops) -> sp.csr_array:
     """Monolithic Newton's coupled Jacobian at ``state`` over the free dofs
     [p | q_free | u_free], in that numbering: 13x13 cell blocks over
     [pressure, cell_edges, x then y of cell_nodes] summed by a
-    ``fem._CellPattern``, plus the constrained stiffness that the elastic
-    factor holds.  The pressure block carries phi^{i-1} ds/dp + (1/N) s^2
-    with the porosity evaluated at the current iterate; the flux block
-    carries the chain-rule derivative of k_w^{-1}; the elasticity block is
-    state independent."""
+    ``fem._CellPattern``, plus ``constrained_stiffness``.  The pressure
+    block carries phi^{i-1} ds/dp + (1/N) s^2 with the porosity evaluated
+    at the current iterate; the flux block carries the chain-rule
+    derivative of k_w^{-1}; the elasticity block is state independent."""
     parts = flow_parts(state, prev, params, ops)
     sd = laws.saturation_derivative(state.p, params.vg)
     cpp = pressure_coefficient(state, prev, params, ops, sd, 0.0)
@@ -130,9 +138,8 @@ def coupled_jacobian(state, prev, params, ops) -> sp.csr_array:
     position[free] = np.arange(len(free))
     dofs = position[np.concatenate([np.arange(n_p)[:, None], n_p + mesh.cell_edges,
                                     n_p + n_e + cn, n_p + n_e + mesh.n_nodes + cn], axis=1)]
-    stiffness = ops._elastic_factor.matrix.tocoo()
-    u_index = n_p + n_qf + ops.elastic_order
-    constant = (u_index[stiffness.row], u_index[stiffness.col], stiffness.data)
+    stiffness = constrained_stiffness(ops).tocoo()
+    constant = (n_p + n_qf + stiffness.row, n_p + n_qf + stiffness.col, stiffness.data)
     return fem._CellPattern(dofs, len(free), constant).matrix(blocks).tocsr()
 
 

@@ -11,7 +11,7 @@ from porosplit.schemes import (fixed_stress_beta, fsl_local_iteration, fsmp_iter
                                newton_blocks, newton_iteration, split_iteration)
 
 from conftest import LAM, MU, backward_error, natural, setup_problem
-from oracles import (band_cholesky_solve, constrained_stiffness, dense_flux_mass,
+from oracles import (band_cholesky_solve, constrained_stiffness, dense_flux_mass, full_stiffness,
                      recursive_dissection)
 
 
@@ -107,7 +107,7 @@ class TestAssembly:
             np.concatenate([np.ones(m.n_nodes), np.zeros(m.n_nodes)]),
             np.concatenate([np.zeros(m.n_nodes), np.ones(m.n_nodes)]),
         ):
-            assert abs(mode @ (ops.A_uu @ mode)) < 1e-12
+            assert abs(mode @ (full_stiffness(ops) @ mode)) < 1e-12
 
     def test_pressure_norm_is_l2(self, rng):
         m = RectMesh(7, 4, 2.0, 3.0, 0.0)
@@ -135,9 +135,32 @@ class TestAssembly:
     def test_assembly_is_deterministic(self):
         a = assemble(RectMesh(5, 5, 1, 1, 0.2), MU, LAM)
         b = assemble(RectMesh(5, 5, 1, 1, 0.2), MU, LAM)
-        for name in ("M_q", "D_pq", "D_pu", "A_uu", "M_u"):
+        for name in ("M_q", "D_pq", "D_pu", "stiffness", "M_u"):
             diff = getattr(a, name) - getattr(b, name)
             assert abs(diff).max() == 0.0
+
+    def test_public_arrays_are_read_only(self):
+        # every public array, and every matrix's data, indices and indptr,
+        # with the Newton attributes built
+        ops = assemble(RectMesh(5, 5, 1, 1, 0.2), MU, LAM)
+        ops.hybrid_pattern, ops.hybrid_flux_inverse
+        arrays = {}
+        for name, value in vars(ops).items():
+            if isinstance(value, np.ndarray) and not name.startswith("_"):
+                arrays[name] = value
+            elif isinstance(value, sp.sparray):
+                arrays.update({f"{name}.{part}": getattr(value, part)
+                               for part in ("data", "indices", "indptr")})
+        named = {"M_p", "local_flux_mass", "local_divergence", "local_displacement_divergence",
+                 "local_stiffness", "free_q", "fixed_q", "free_u", "fixed_u", "order",
+                 "flux_order", "hybrid_dofs", "hybrid_flux_inverse"}
+        matrices = {f"{m}.{part}" for m in ("M_q", "D_pq", "D_pu", "D_pq_f", "M_u", "stiffness",
+                                            "D_pq_T", "D_pu_T")
+                    for part in ("data", "indices", "indptr")}
+        assert set(arrays) == named | matrices
+        for a in arrays.values():
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] += 1
 
     def test_weighted_flux_mass_matches_brute_force(self, rng):
         # the action K(w) q against the brute-force matrix, column by column
@@ -215,20 +238,20 @@ class TestSolvers:
             SparseFactor(singular, np.arange(2)).solve(np.array([1.0, 0.0]))
 
     def test_caller_matrix_is_left_as_given(self, rng):
-        # the 25x25 constrained stiffness in elastic_order has unsorted row
-        # indices: SuperLU factors a sorted copy, and a Cholesky analysis
-        # built on the caller's pattern before still factors the caller's
-        # matrix
+        # the 25x25 constrained stiffness in a shuffled order has unsorted
+        # row indices: SuperLU factors a sorted copy, and a Cholesky
+        # analysis built on the caller's pattern before still factors the
+        # caller's matrix
         ops = assemble(RectMesh(25, 25, 1.0, 1.0, 1.0), MU, LAM)
-        eo = ops.elastic_order
-        stiffness = constrained_stiffness(ops)[eo][:, eo]
+        order = rng.permutation(len(ops.free_u))
+        stiffness = ops.stiffness[order][:, order]
         indices = stiffness.indices.copy()
-        analysis = fem._Supernodes(stiffness.indices, stiffness.indptr, np.unique([0, len(eo)]))
+        analysis = fem._Supernodes(stiffness.indices, stiffness.indptr, np.unique([0, len(order)]))
         assert not stiffness.has_sorted_indices
-        lu = SparseFactor(stiffness, eo)
+        lu = SparseFactor(stiffness, order)
         assert np.array_equal(stiffness.indices, indices)
-        rhs = rng.standard_normal(len(eo))
-        x = fem._AnalysedFactor(stiffness, eo, analysis).solve(rhs)
+        rhs = rng.standard_normal(len(order))
+        x = fem._AnalysedFactor(stiffness, order, analysis).solve(rhs)
         y = lu.solve(rhs)
         assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
         # a matrix already in canonical form is factored as it is, uncopied
@@ -334,16 +357,14 @@ class TestNestedDissection:
     def test_orderings_are_permutations(self, nx, ny):
         ops = assemble(RectMesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
         n_qf, n_uf = len(ops.free_q), len(ops.free_u)
-        for order, n in ((ops.order, n_qf + n_uf), (ops.flux_order, n_qf),
-                         (ops.elastic_order, n_uf)):
+        for order, n in ((ops.order, n_qf + n_uf), (ops.flux_order, n_qf)):
             assert np.array_equal(np.sort(order), np.arange(n))
 
     @pytest.mark.parametrize("nx, ny", [(1, 4), (5, 3), (8, 8), (16, 5), (25, 25)])
     def test_orders_restrict_the_dissection(self, nx, ny):
         # Newton's ordering is the nested dissection of its dofs
         # [q_free | u_free], which takes the displacements node by node; the
-        # flux and elasticity orderings keep the relative order of their dofs
-        # in it
+        # flux ordering keeps the relative order of its dofs in it
         mesh = RectMesh(nx, ny, 1.0, 1.0, 1.0)
         ops = assemble(mesh, MU, LAM)
         n_qf = len(ops.free_q)
@@ -353,7 +374,6 @@ class TestNestedDissection:
         order = entry[nested_dissection(xy[entry], fem.LEAF_SIZE)[0]]
         assert np.array_equal(ops.order, order)
         assert np.array_equal(ops.flux_order, order[order < n_qf])
-        assert np.array_equal(ops.elastic_order, order[order >= n_qf] - n_qf)
 
     @pytest.mark.parametrize("nx, ny", [(1, 1), (8, 8), (16, 5), (13, 37), (25, 25), (100, 100)])
     def test_matches_the_recursive_dissection(self, nx, ny):
@@ -440,7 +460,8 @@ class TestNestedDissection:
 
     def test_fill_no_larger_than_with_superlu_orderings(self):
         # 25x25 test1 at an iterate inside the first step: the FSL flux-only
-        # matrix, the Newton matrix and the constrained stiffness
+        # matrix, the Newton matrix and the constrained stiffness in the
+        # dissection's restriction to the displacements
         mesh, ops, params, init = setup_problem(25, 25)
         state = init
         for _ in range(2):
@@ -451,10 +472,12 @@ class TestNestedDissection:
         flux = ops.flux_pattern.matrix(kinv[:, None, None] * ops.local_flux_mass
                                        + (params.tau / cpp)[:, None, None] * np.outer(d, d))
         hybrid, *_ = newton_blocks(state, init, params, ops)
+        n_qf = len(ops.free_q)
+        displacements = ops.order[ops.order >= n_qf] - n_qf
         cases = [
             (flux, ops.flux_order, True),
             (hybrid, ops.order, False),
-            (ops._elastic_factor.matrix, ops.elastic_order, True),
+            (ops.stiffness[displacements][:, displacements], displacements, True),
         ]
         for matrix, order, spd in cases:
             lu = SparseFactor(matrix, order).lu
@@ -494,18 +517,16 @@ class TestSeparableStiffness:
     @pytest.mark.parametrize("nx, ny, lx, ly", SEPARABLE_MESHES)
     def test_one_application_meets_the_contract(self, nx, ny, lx, ly, rng):
         ops = assemble(RectMesh(nx, ny, lx, ly, 0.0), MU, LAM)
-        eo = ops.elastic_order
-        stiffness = constrained_stiffness(ops)[eo][:, eo]
+        stiffness = constrained_stiffness(ops)
         factor = ops._elastic_factor
-        rhs = rng.standard_normal(len(eo))
+        rhs = rng.standard_normal(len(ops.free_u))
         # one application, no refinement step, against the assembled
         # constrained stiffness; and the same solution as SuperLU's
         x = factor._raw_solve(rhs)
         assert backward_error(stiffness, x, rhs) <= 1e-12
         y = spla.splu(stiffness.tocsc()).solve(rhs)
         assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
-        z = factor.solve(rhs[np.argsort(eo)])
-        assert np.array_equal(z[eo], x)
+        assert np.array_equal(factor.solve(rhs), x)
 
     @pytest.mark.parametrize("nx, ny, lx, ly", SEPARABLE_MESHES)
     def test_builds_no_general_or_supernodal_factor(self, nx, ny, lx, ly, monkeypatch):
@@ -536,10 +557,11 @@ class TestSeparableStiffness:
 
     @pytest.mark.parametrize("n", [25, 60])
     def test_constrained_stiffness_and_newton_constants_are_read_only(self, n):
-        # the stiffness is the elastic factor's residual matrix and
-        # Newton's constant; a banded mesh and one past the band
+        # the stiffness is the momentum residual's matrix, the elastic
+        # factor's and Newton's constant; a banded mesh and one past the band
         mesh, ops, params, init = setup_problem(n, n)
-        stiffness = ops._elastic_factor.matrix
+        stiffness = ops.stiffness
+        assert ops._elastic_factor.matrix is stiffness
         arrays = (stiffness.data, stiffness.indices, stiffness.indptr)
         ops.elastic_solve(np.ones(len(ops.free_u)))
         assert ops.hybrid_pattern.n == len(ops.order)
@@ -547,9 +569,10 @@ class TestSeparableStiffness:
         for a in arrays + (ops.hybrid_dofs, ops.hybrid_flux_inverse):
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] += 1
-        # after the solves, the bytes of the slice of A_uu it was built as
-        eo = ops.free_u[ops.elastic_order]
-        built = ops.A_uu.tocsc()[:, eo][eo]
+        # after the solves, the bytes of the slice of the full stiffness
+        # that it is, canonical CSC
+        built = constrained_stiffness(ops)
+        assert stiffness.has_canonical_format
         for a, b in zip(arrays, (built.data, built.indices, built.indptr)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -603,10 +626,9 @@ class TestFluxCholesky:
                                                 (100, 100, False)])
     def test_factors_follow_the_stiffness_band(self, nx, ny, banded):
         ops = assemble(RectMesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
-        eo = ops.elastic_order
-        stiffness = constrained_stiffness(ops)[eo][:, eo]
+        stiffness = constrained_stiffness(ops)
         band = fem._Band(stiffness.indices, stiffness.indptr)
-        assert (len(eo) * band.kd <= fem._BAND_ENTRIES) is banded
+        assert (len(ops.free_u) * band.kd <= fem._BAND_ENTRIES) is banded
         d = ops.local_divergence
         matrix = ops.flux_pattern.matrix(np.tile(ops.local_flux_mass + np.outer(d, d),
                                                  (ops.mesh.n_cells, 1, 1)))
@@ -656,7 +678,7 @@ class TestFluxCholesky:
                 ops, lambda: fsl_local_iteration(init, init, params, ops), monkeypatch)
         else:
             ops = assemble(RectMesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
-            a = ops._elastic_factor.matrix
+            a = ops.stiffness
         analysis = fem._Supernodes(a.indices, a.indptr, np.unique([0, a.shape[0]]))
         scale, _ = analysis.scaling(a)
         scaled = sp.csc_array((a.data * scale[a.indices] * np.repeat(scale, np.diff(a.indptr)),

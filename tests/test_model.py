@@ -6,7 +6,8 @@ import scipy.sparse as sp
 import sympy
 
 from porosplit import constitutive as laws
-from porosplit import fem
+from porosplit import fem, schemes
+from porosplit.anderson import AndersonConfig
 from porosplit.fem import assemble
 from porosplit.mesh import RectMesh
 from porosplit.model import (
@@ -40,6 +41,7 @@ from oracles import (
     constrained_stiffness,
     coupled_jacobian,
     dense_flux_mass,
+    full_stiffness,
     residuals,
     settled_initial_state,
 )
@@ -77,6 +79,21 @@ class TestInitialState:
         mesh, ops, params, init = setup_problem(2, 2, width=0.5)
         with pytest.raises(FrozenInstanceError):
             init.porosity = None
+
+    def test_state_arrays_are_read_only(self):
+        # the arrays of a built state, a replaced one and an AA-mixed
+        # iterate; the cached saturation cannot go stale
+        mesh, ops, params, init = setup_problem(5, 5)
+        sat = init.saturation(params).copy()
+        moved = replace(init, u=init.u + 1.0)
+        mixed, _ = run_time_step(SchemeConfig(kind="fsl", max_iters=3),
+                                 AndersonConfig(depth=1), init, params, ops)
+        for state in (init, moved, mixed):
+            for a in (state.p, state.q, state.u, state.porosity):
+                if a is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[0] = -0.01
+        assert np.array_equal(init.saturation(params), sat)
 
     def test_cached_laws_follow_pressure_and_model(self):
         mesh, ops, params, init = setup_problem(2, 2, width=0.5)
@@ -130,6 +147,29 @@ class TestResiduals:
         assert np.sqrt(np.sum(r_p**2 / ops.M_p)) < 1e-10
         assert np.linalg.norm(r_q) < 1e-10
         assert np.linalg.norm(r_u) < 1e-10
+
+    def test_momentum_residual_is_the_full_stiffness_bit_for_bit(self, monkeypatch):
+        # at the AA-mixed iterates of a test2 FSL/2 + AA(3) step, the free
+        # rows of the momentum residual are those of f_u - (A u - alpha
+        # D_pu^T p_E) with A the full stiffness scattered here, bit for bit;
+        # the fixed rows are zero
+        mesh, ops, params, init = setup_problem(10, 10, alpha=0.1, scenario="hoelder")
+        seen, inner = [], schemes.mech_residual
+
+        def recording(state, params, ops):
+            seen.append((state, inner(state, params, ops)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(schemes, "mech_residual", recording)
+        run_time_step(SchemeConfig(kind="fsl2", max_iters=12), AndersonConfig(depth=3),
+                      init, params, ops)
+        a = full_stiffness(ops)
+        _, f_u = gravity_loads(ops, params)
+        assert len(seen) == 12 and np.count_nonzero(seen[-1][0].u) == len(ops.free_u)
+        for state, r_u in seen:
+            expected = f_u - (a @ state.u - params.alpha * (ops.D_pu_T @ state.pore_pressure(params)))
+            assert np.array_equal(r_u[ops.free_u], expected[ops.free_u])
+            assert not np.any(r_u[ops.fixed_u])
 
     def test_single_cell_hand_evaluation(self):
         # one unit cell; all flux dofs and all but the top-uy displacement

@@ -1,6 +1,8 @@
 """Module boundaries of the package: no module of ``porosplit`` imports or
 reads a private (underscore) name of another module.  A private helper that
 another module needs is made public and listed in its owner's ``__all__``.
+Only ``fem`` reads an underscore attribute of ``ops``, the
+``DiscreteOperators`` that every solver function takes.
 Every dataclass of the package is frozen and holds no list, dict or set,
 so a record cannot change after it is made, and only ``PoroState``'s memo
 writes past that with ``object.__setattr__``.  No module rebinds a module
@@ -99,6 +101,32 @@ def f(state, _local):
         "from model import _flow_parts", "from fem import _helper",
         "laws._cache", "fem._x", "aa._window",
     ])
+
+
+def private_operator_reads(source: str) -> list:
+    """(line, text) of every underscore attribute that ``source`` reads off
+    the name ``ops``."""
+    return sorted((node.lineno, f"ops.{node.attr}") for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "ops" and _private(node.attr))
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "fem"])
+def test_only_fem_reads_private_operator_state(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert private_operator_reads(source) == []
+
+
+def test_operator_checker_sees_every_form():
+    source = '''
+def residual(state, params, ops):
+    a = ops._elastic_factor.matrix
+    b = ops._flux_supernodes[0] + len(ops.stiffness.data)
+    ops.__class__, getattr(ops, "order")
+    return state._sat, other._x, ops.mesh._cells
+'''
+    assert private_operator_reads(source) == [(3, "ops._elastic_factor"),
+                                              (4, "ops._flux_supernodes")]
 
 
 MUTABLE_TYPES = {"list", "dict", "set", "List", "Dict", "Set"}
