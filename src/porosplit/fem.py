@@ -25,17 +25,15 @@ their dofs.
 Matrices that change every iteration are summed from dense cell blocks onto
 a sparsity pattern built once per mesh, already in their ordering
 (``flux_pattern``, ``hybrid_pattern``).  Every solve has ``SparseFactor``'s
-normwise backward-error contract of 1e-12 and iterative refinement.  Newton
-takes SuperLU; the flux matrices follow one band decision per mesh, whether
-the constrained stiffness's band in reverse Cuthill-McKee order holds
-n kd <= _BAND_ENTRIES entries (through 50x50), a yardstick only.  On a
-banded mesh the SPD flux matrix takes the supernodal Cholesky
-(``_Supernodes``) as one band leaf and a flux matrix that is not SPD the
-band LU (``_Band``).  Beyond (from 60x60 on) the SPD flux matrix keeps the
-Cholesky, on the dissection's pieces restricted to the flux dofs (subtrees
-of at most _SUPERNODE_SIZE dofs as band leaves, the separators above them
-as dense fronts, small ones folded into their parents); the general flux
-matrix takes SuperLU.  The README holds the crossover table.
+normwise backward-error contract of 1e-12 and iterative refinement.  Every
+matrix that is not SPD, Newton's and the general flux matrix, takes
+SuperLU.  The SPD flux matrix takes the supernodal Cholesky
+(``_Supernodes``): one band leaf on a banded mesh, whose constrained
+stiffness's band in reverse Cuthill-McKee order holds n kd <= _BAND_ENTRIES
+entries (through 50x50, a yardstick only), and beyond it the dissection's
+pieces restricted to the flux dofs (subtrees of at most _SUPERNODE_SIZE
+dofs as band leaves, the separators above them as dense fronts, small ones
+folded into their parents).  The README holds the crossover table.
 """
 
 from __future__ import annotations
@@ -64,8 +62,7 @@ LEAF_SIZE = 16          # boxes of at most this many dofs are not bisected (leas
 _SUPERNODE_SIZE = 240   # flux dofs of the largest subtree factored as one band leaf front
 _MERGE_SIZE = 120       # columns of the largest dense front that folds in a dense child
 # stiffness band entries n kd up to which the mesh is banded (the SPD flux
-# matrix one band leaf, the general flux matrix a band LU): between 50x50
-# (1.0e6) and 60x60 (1.7e6), near the crossovers of the flux factors (README)
+# matrix one band leaf): between 50x50 (1.0e6) and 60x60 (1.7e6) (README)
 _BAND_ENTRIES = 1.3e6
 
 
@@ -100,10 +97,10 @@ class SparseFactor:
     diagonal only below PIVOT_THRESHOLD times its column's largest entry
     (Newton's condensed factors never do on test1, nor on test2 at alpha = 1;
     README).  Iterative refinement handles the
-    remaining ill-conditioning.  ``_AnalysedFactor`` replaces the
-    constructor and the raw solve for the Cholesky and the band LU, and
-    ``_Separable`` for the constant stiffness, in its own numbering; the
-    module docstring states the one rule that picks between them.
+    remaining ill-conditioning.  It factors every matrix that is not SPD.
+    ``_AnalysedFactor`` replaces the constructor and the raw solve for the
+    SPD flux matrix's Cholesky, and ``_Separable`` for the constant
+    stiffness, in its own numbering.
     """
 
     def __init__(self, matrix, order):
@@ -269,11 +266,11 @@ class _Supernodes:
                 kids[front_of[below.min()]].append(s)
 
     def scaling(self, matrix):
-        """Row and column scales of the SPD ``matrix``: to unit diagonal."""
+        """The symmetric scale of the SPD ``matrix`` to unit diagonal."""
         diag = matrix.data[self.diagonal]
         if not np.all((diag > 0) & np.isfinite(diag)):
             raise LinearSolveError("Cholesky factorization needs a positive diagonal")
-        return (1.0 / np.sqrt(diag),) * 2
+        return 1.0 / np.sqrt(diag)
 
     def factor(self, data):
         """Panels (L11, L21) per supernode of the SPD matrix with CSC data
@@ -360,55 +357,14 @@ def _triangular_solve(kd, l11, v, trans=0):
     return blas.dtbsv(kd, l11, v, lower=1, trans=trans)
 
 
-class _Band:
-    """Band LU analysis (George & Liu 1981) of a structurally symmetric CSC
-    pattern: reverse Cuthill-McKee order ``perm`` (position -> index) and
-    its half-bandwidth ``kd``.  Reordered entry (i, j) goes to
-    ab[2 kd + i - j, j] of dgbtrf's band storage, kd rows above the band
-    left for the fill.  Its scaling is the LU's equilibration."""
-
-    scaling = staticmethod(_equilibration)
-
-    def __init__(self, indices, indptr):
-        n = len(indptr) - 1
-        pattern = sp.csc_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
-        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True) if n else np.arange(0)
-        self._pattern, self._rank = (indices, np.diff(indptr)), np.argsort(self.perm)
-        # symmetric, with every diagonal: kd is the lowest reach of a column
-        lowest = np.maximum.reduceat(self._rank[indices], indptr[:-1])
-        self.kd = int(np.max(lowest - self._rank, initial=0))
-
-    @functools.cached_property
-    def _at(self):
-        """Each entry's place in the flat Fortran-order band storage."""
-        indices, counts = self._pattern
-        return 2 * self.kd + self._rank[indices] + 3 * self.kd * np.repeat(self._rank, counts)
-
-    def factor(self, data):
-        """Band LU with partial pivoting (dgbtrf) of the CSC data ``data``."""
-        ab = np.zeros((3 * self.kd + 1) * len(self.perm))
-        ab[self._at] = data
-        lu, piv, info = lapack.dgbtrf(ab.reshape(3 * self.kd + 1, -1, order="F"),
-                                      self.kd, self.kd, overwrite_ab=1)
-        if info:
-            raise LinearSolveError(f"band LU pivot {self.perm[info - 1]} is zero")
-        return lu, piv
-
-    def solve(self, factor, x):
-        """A^-1 x for the ``factor`` of A, overwriting x."""
-        b = x[self.perm]
-        x[self.perm] = lapack.dgbtrs(factor[0], self.kd, self.kd, b, factor[1])[0]
-        return x
-
-
 class _AnalysedFactor(SparseFactor):
-    """SparseFactor, with its refined solve, on an analysis that supplies the
-    scaling, the factor and its solve: ``_Supernodes`` the Cholesky of an SPD
-    matrix scaled to unit diagonal, ``_Band`` the band LU of an equilibrated one."""
+    """SparseFactor, with its refined solve, of an SPD matrix by the
+    supernodal Cholesky ``analysis`` of its pattern (``_Supernodes``),
+    scaled to unit diagonal."""
 
     def __init__(self, matrix, order, analysis):
         self.matrix, self.order, self._analysis = matrix, order, analysis
-        self._dr, self._dc = analysis.scaling(matrix)
+        self._dr = self._dc = analysis.scaling(matrix)
         self._factor = analysis.factor(matrix.data * self._dr[matrix.indices]
                                        * np.repeat(self._dc, np.diff(matrix.indptr)))
 
@@ -732,8 +688,11 @@ class DiscreteOperators:
         self.D_pq_f = self.D_pq[:, self.free_q]
         full = _scatter(self.local_stiffness, nodal, nodal, (n_u, n_u)).tocsc()
         self.stiffness = stiffness = full[:, self.free_u][self.free_u]
-        self._banded = (len(self.free_u) * _Band(stiffness.indices, stiffness.indptr).kd
-                        <= _BAND_ENTRIES)
+        # the band yardstick: the stiffness's half-bandwidth in reverse
+        # Cuthill-McKee order, the lowest reach of a column (every diagonal stored)
+        rank = np.argsort(reverse_cuthill_mckee(stiffness, symmetric_mode=True))
+        lowest = np.maximum.reduceat(rank[stiffness.indices], stiffness.indptr[:-1])
+        banded = len(self.free_u) * np.max(lowest - rank) <= _BAND_ENTRIES
         try:
             # a singular constrained stiffness means the roller constraints
             # failed to remove all rigid modes
@@ -759,7 +718,7 @@ class DiscreteOperators:
         # subtrees of <= _SUPERNODE_SIZE merged
         flux_before = np.concatenate([[0], np.cumsum(is_flux)])
         pieces = flux_before[pieces]
-        big = (not self._banded) & (pieces[:, 3] - pieces[:, 0] > _SUPERNODE_SIZE)
+        big = (not banded) & (pieces[:, 3] - pieces[:, 0] > _SUPERNODE_SIZE)
         self._flux_supernodes = np.unique(np.concatenate([[0, n_qf], pieces[big].ravel()]))
 
         flux_position = np.full(mesh.n_edges, -1)
@@ -779,19 +738,12 @@ class DiscreteOperators:
         pattern = self.flux_pattern
         return _Supernodes(pattern._indices, pattern._indptr, self._flux_supernodes)
 
-    @functools.cached_property
-    def flux_band_lu(self) -> _Band:
-        """Band analysis of the other flux factors, built on first use."""
-        pattern = self.flux_pattern
-        return _Band(pattern._indices, pattern._indptr)
-
     def flux_factor(self, matrix, spd: bool) -> SparseFactor:
-        """Factor of a matrix summed by flux_pattern: the Cholesky if SPD,
-        else the band LU on a banded mesh and SuperLU beyond."""
-        if not (spd or self._banded):
-            return SparseFactor(matrix, self.flux_order)
-        return _AnalysedFactor(matrix, self.flux_order,
-                               self.flux_cholesky if spd else self.flux_band_lu)
+        """Factor of a matrix summed by flux_pattern: the supernodal
+        Cholesky if SPD, else SuperLU."""
+        if spd:
+            return _AnalysedFactor(matrix, self.flux_order, self.flux_cholesky)
+        return SparseFactor(matrix, self.flux_order)
 
     # -- assembly helpers ------------------------------------------------
 

@@ -118,6 +118,12 @@ class RectMesh:
         self.left_nodes = np.arange(self.ny + 1) * (self.nx + 1)
         self.right_nodes = self.left_nodes + self.nx
         self.bottom_nodes = np.arange(self.nx + 1)
+        # read-only: a write would desynchronise the operators assembled from them
+        for a in (self.cell_edges, self.cell_nodes, self.cell_centers, self.cell_xy,
+                  self.node_coords, self.node_xy, self.edge_xy, self.all_boundary_edges,
+                  self.left_nodes, self.right_nodes, self.bottom_nodes,
+                  *self.boundary_edges.values()):
+            a.flags.writeable = False
 
     def __repr__(self):
         return (

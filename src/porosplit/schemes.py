@@ -207,7 +207,7 @@ def _flow_solve(state, params, ops, parts, cpp, coupling, t_new):
     tau D_f dq).  The flux matrix is SPD without B and with C > 0;
     FS-Newton's is not, nor is one with C < 0 in some cells (an extrapolated
     AA iterate can make the porosity negative).  ``ops.flux_factor`` is told
-    which, and ``fem`` picks the factor by its one band rule.  Zero or
+    which: the Cholesky factors an SPD one, SuperLU any other.  Zero or
     non-finite C raises LinearSolveError.  Returns dp and the full flux
     increment."""
     singular = ~np.isfinite(cpp) | (cpp == 0.0)

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from porosplit import constitutive as laws
 from porosplit import fem, schemes
 from porosplit.fem import LinearSolveError, SparseFactor, assemble, nested_dissection
 from porosplit.mesh import MeshAlignmentError, RectMesh
 from porosplit.schemes import (fixed_stress_beta, fsl_local_iteration, fsmp_iteration,
-                               newton_blocks, newton_iteration, split_iteration)
+                               fsnewton_iteration, newton_blocks, newton_iteration,
+                               split_iteration)
 
 from conftest import LAM, MU, backward_error, natural, setup_problem
 from oracles import (band_cholesky_solve, constrained_stiffness, dense_flux_mass, full_stiffness,
@@ -72,6 +74,21 @@ class TestMesh:
         stacked = np.concatenate(sides)
         assert len(stacked) == len(set(stacked.tolist()))
         assert sorted(stacked.tolist()) == m.all_boundary_edges.tolist()
+
+    def test_public_arrays_are_read_only(self):
+        # every array the operators are assembled from, and each boundary
+        # tag's edges, after assembly
+        m = RectMesh(5, 5, 1, 1, 0.2)
+        assemble(m, MU, LAM).hybrid_flux_inverse
+        arrays = {name: value for name, value in vars(m).items() if isinstance(value, np.ndarray)}
+        assert set(arrays) == {"cell_edges", "cell_nodes", "cell_centers", "cell_xy",
+                               "node_coords", "node_xy", "edge_xy", "all_boundary_edges",
+                               "left_nodes", "right_nodes", "bottom_nodes"}
+        assert set(m.boundary_edges) == {"left", "right", "bottom", "top", "inflow"}
+        arrays.update({f"boundary_edges[{k}]": v for k, v in m.boundary_edges.items()})
+        for a in arrays.values():
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] += 1
 
 
 class TestAssembly:
@@ -625,28 +642,24 @@ class TestFluxCholesky:
                                                 (50, 50, True), (60, 60, False),
                                                 (100, 100, False)])
     def test_factors_follow_the_stiffness_band(self, nx, ny, banded):
+        # the yardstick: the constrained stiffness's half-bandwidth in
+        # reverse Cuthill-McKee order
         ops = assemble(RectMesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
         stiffness = constrained_stiffness(ops)
-        band = fem._Band(stiffness.indices, stiffness.indptr)
-        assert (len(ops.free_u) * band.kd <= fem._BAND_ENTRIES) is banded
+        perm = reverse_cuthill_mckee(stiffness, symmetric_mode=True)
+        rows, cols = stiffness[perm][:, perm].nonzero()
+        assert bool(len(ops.free_u) * np.max(rows - cols) <= fem._BAND_ENTRIES) is banded
         d = ops.local_divergence
         matrix = ops.flux_pattern.matrix(np.tile(ops.local_flux_mass + np.outer(d, d),
                                                  (ops.mesh.n_cells, 1, 1)))
-        factors = {"spd flux": ops.flux_factor(matrix, True),
-                   "general flux": ops.flux_factor(matrix, False)}
         # the SPD flux factor is the supernodal Cholesky, one band leaf on a
-        # banded mesh; the general flux factor is the band LU there.
-        # Beyond the band the general flux factor takes SuperLU
-        cholesky, superlu = (fem._AnalysedFactor, fem._Supernodes), (SparseFactor, None)
-        expected = {"spd flux": cholesky,
-                    "general flux": (fem._AnalysedFactor, fem._Band) if banded else superlu}
-        got = {name: (type(f), type(f._analysis) if hasattr(f, "_analysis") else None)
-               for name, f in factors.items()}
-        assert got == expected
-        for factor in factors.values():
-            if isinstance(getattr(factor, "_analysis", None), fem._Supernodes):
-                leaves = [kd for _, _, _, kd, *_ in factor._analysis.nodes if kd is not None]
-                assert (len(factor._analysis.nodes) == len(leaves) == 1) is banded
+        # banded mesh and the dissection's fronts beyond; the general flux
+        # factor is SuperLU's on every mesh
+        spd, general = ops.flux_factor(matrix, True), ops.flux_factor(matrix, False)
+        assert type(spd) is fem._AnalysedFactor and spd._analysis is ops.flux_cholesky
+        assert type(general) is SparseFactor and general.order is ops.flux_order
+        leaves = [kd for _, _, _, kd, *_ in spd._analysis.nodes if kd is not None]
+        assert (len(spd._analysis.nodes) == len(leaves) == 1) is banded
 
     def test_single_cell_has_an_empty_flux_matrix(self):
         mesh, ops, params, init = setup_problem(1, 1, width=1.0)
@@ -680,7 +693,7 @@ class TestFluxCholesky:
             ops = assemble(RectMesh(nx, ny, 1.0, 1.0, 1.0), MU, LAM)
             a = ops.stiffness
         analysis = fem._Supernodes(a.indices, a.indptr, np.unique([0, a.shape[0]]))
-        scale, _ = analysis.scaling(a)
+        scale = analysis.scaling(a)
         scaled = sp.csc_array((a.data * scale[a.indices] * np.repeat(scale, np.diff(a.indptr)),
                                a.indices, a.indptr), shape=a.shape)
         rhs = rng.standard_normal(a.shape[0])
@@ -694,6 +707,17 @@ class TestFluxCholesky:
                             lambda *a: made.append(SparseFactor(*a)) or made[-1])
         newton_iteration(init, init, params, ops)
         assert len(made) == 1 and type(made[0]) is SparseFactor
+
+    def test_fs_newton_takes_superlu(self, monkeypatch):
+        # FS-Newton's flux matrix is not symmetric: at 25x25, a banded mesh,
+        # it takes SuperLU too
+        mesh, ops, params, init = setup_problem(25, 25)
+        made, flux_factor = [], ops.flux_factor
+        monkeypatch.setattr(ops, "flux_factor",
+                            lambda m, spd: made.append((spd, flux_factor(m, spd))) or made[-1][1])
+        fsnewton_iteration(init, init, params, ops)
+        assert [(spd, type(f)) for spd, f in made] == [(False, SparseFactor)]
+        assert made[0][1].order is ops.flux_order
 
     def test_indefinite_matrix_with_positive_diagonal_raises(self):
         mesh, ops, params, init = setup_problem(4, 4, width=1.0)
@@ -832,8 +856,7 @@ class TestFluxCholesky:
                 fem._AnalysedFactor(matrix, ops.flux_order, analysis)
 
     def test_negative_pressure_coefficient_takes_the_general_lu(self, monkeypatch, rng):
-        # C < 0 in one cell: the flux matrix takes an LU, the band one on a
-        # band analysis and SuperLU's otherwise
+        # C < 0 in one cell: the flux matrix takes SuperLU's LU
         mesh, ops, params, init = setup_problem(6, 6, width=1.0)
         cpp = np.full(mesh.n_cells, 2.0) * ops.M_p
         cpp[7] = -cpp[7]
@@ -850,51 +873,45 @@ class TestFluxCholesky:
         monkeypatch.setattr(ops, "flux_factor", general_only)
         split_iteration(init, init, params, ops, cpp)
         (factor,) = factors
-        assert type(factor) is fem._AnalysedFactor and factor.order is ops.flux_order
-        assert isinstance(factor._analysis, fem._Band)
+        assert type(factor) is SparseFactor and factor.order is ops.flux_order
         rhs = rng.standard_normal(len(ops.free_q))
-        # one application of the band LU meets the contract, no refinement
+        # one application of the LU meets the contract, no refinement; and
+        # the dense solve's solution, in the flux numbering
         assert backward_error(factor.matrix, factor._raw_solve(rhs), rhs) <= 1e-12
         x = factor.solve(rhs)
-        y = SparseFactor(factor.matrix, ops.flux_order).solve(rhs)
+        y = np.linalg.solve(natural(factor.matrix, ops.flux_order).toarray(), rhs)
         assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
-        monkeypatch.setattr(ops, "_banded", False)
-        assert type(flux_factor(factor.matrix, False)) is SparseFactor
 
-    def test_singular_matrix_raises_in_the_band_lu(self):
+    def test_singular_matrix_raises_in_the_general_lu(self):
         mesh, ops, params, init = setup_problem(4, 4, width=1.0)
         matrix = ops.flux_pattern.matrix(np.zeros((mesh.n_cells, 4, 4)))
-        assert ops._banded
-        with pytest.raises(LinearSolveError, match="band LU pivot"):
+        with pytest.raises(LinearSolveError, match="factorization failed"):
             ops.flux_factor(matrix, False)
 
     def test_analysis_is_built_once_on_first_use(self, monkeypatch):
-        band, supernodes = fem._Band, fem._Supernodes
-        built = []
-        for name, kind in (("_Band", band), ("_Supernodes", supernodes)):
-            monkeypatch.setattr(fem, name, lambda *a, kind=kind: built.append(kind(*a))
-                                or built[-1])
+        supernodes, built = fem._Supernodes, []
+        monkeypatch.setattr(fem, "_Supernodes", lambda *a: built.append(supernodes(*a))
+                            or built[-1])
         for n in (12, 60):
             ops = assemble(RectMesh(n, n, 1.0, 1.0, 1.0), MU, LAM)
-            assert not {"flux_cholesky", "flux_band_lu"} & set(vars(ops))
+            assert "flux_cholesky" not in vars(ops)
             built.clear()
             for weight in (1.0, 2.0):
                 matrix = ops.flux_pattern.matrix(weight * np.tile(
                     ops.local_flux_mass, (ops.mesh.n_cells, 1, 1)))
                 ops.flux_factor(matrix, False)
                 ops.flux_factor(matrix, True)
-            # each analysis once; beyond the band the general factor is
-            # SuperLU's, which builds none
-            assert [type(a) for a in built] == ([band] if ops._banded else []) + [supernodes]
-            assert built[-1] is ops.flux_cholesky
-            assert not ops._banded or built[0] is ops.flux_band_lu
+            # the Cholesky's analysis once; the general factor is SuperLU's,
+            # which builds none
+            assert [type(a) for a in built] == [supernodes]
+            assert built[0] is ops.flux_cholesky
 
 
 class TestRefinement:
     """``SparseFactor.solve`` refines a raw solve that misses SOLVE_TOL and
-    raises when three refinement steps do not meet it.  The LU, the band
-    LU and both Cholesky factors share that solve; all factor the same SPD
-    flux matrix here, and the raw solve is perturbed on the instance."""
+    raises when three refinement steps do not meet it.  The LU and both
+    Cholesky factors share that solve; all factor the same SPD flux matrix
+    here, and the raw solve is perturbed on the instance."""
 
     @staticmethod
     def factor_of(kind):
@@ -905,9 +922,8 @@ class TestRefinement:
         _, supernodes = both_analyses(ops)
         factor = {"lu": lambda: SparseFactor(matrix, ops.flux_order),
                   "cholesky": lambda: ops.flux_factor(matrix, True),
-                  "supernodal": lambda: fem._AnalysedFactor(matrix, ops.flux_order, supernodes),
-                  "band_lu": lambda: ops.flux_factor(matrix, False)}[kind]()
-        return factor, natural(matrix, ops.flux_order)
+                  "supernodal": lambda: fem._AnalysedFactor(matrix, ops.flux_order, supernodes)}
+        return factor[kind](), natural(matrix, ops.flux_order)
 
     @staticmethod
     def perturb(factor, change):
@@ -917,7 +933,7 @@ class TestRefinement:
         factor._raw_solve = lambda rhs: calls.append(1) or change(raw(rhs))
         return calls
 
-    @pytest.mark.parametrize("kind", ["lu", "cholesky", "supernodal", "band_lu"])
+    @pytest.mark.parametrize("kind", ["lu", "cholesky", "supernodal"])
     def test_one_refinement_step_meets_the_contract(self, kind, rng):
         factor, a = self.factor_of(kind)
         noise = 1.0 + 1e-8 * rng.standard_normal(a.shape[0])
@@ -928,7 +944,7 @@ class TestRefinement:
         assert len(calls) == 2
         assert backward_error(a, x, rhs) <= fem.SOLVE_TOL
 
-    @pytest.mark.parametrize("kind", ["lu", "cholesky", "supernodal", "band_lu"])
+    @pytest.mark.parametrize("kind", ["lu", "cholesky", "supernodal"])
     def test_unmet_contract_raises_with_its_residual(self, kind, rng):
         factor, a = self.factor_of(kind)
         # each raw solve returns half the solution, so each step only
